@@ -1,14 +1,13 @@
-"""Two-stage entailment elimination, fully audited.
+"""One best-first entailment scan, fully audited.
 
 Generated candidates often restate the answer (which would make two
 options correct) or restate each other (which makes options free to
-eliminate). The selector selects distractors by dropping both kinds: first
-every candidate whose substituted sentence mutually entails the answer
-sentence, then, walking survivors best-first, every candidate that
-mutually entails an already kept one. "Mutually" is the load-bearing
-word: a pair counts as entailing only when the classifier says
-entailment in BOTH directions, so neutral and contradictory candidates
-always survive.
+eliminate). The selector walks the candidates best-first and drops both
+kinds: a candidate whose substituted sentence mutually entails the answer
+sentence, and a candidate that mutually entails an already kept one. It
+stops as soon as k are kept. "Mutually" is the load-bearing word: a pair
+counts as entailing only when the classifier says entailment in BOTH
+directions, so neutral and contradictory candidates always survive.
 """
 
 from clozegen import ENTAILMENT, Candidate, MockNliClassifier, select_distractors

@@ -67,8 +67,6 @@ from .pipeline import (
 from .selection import (
     DistractorSet,
     TraceEntry,
-    filter_pairwise,
-    filter_vs_answer,
     select_distractors,
     two_way_entails,
 )
@@ -112,8 +110,6 @@ __all__ = [
     "evaluate_dataset",
     "extract_sentence",
     "fill_target",
-    "filter_pairwise",
-    "filter_vs_answer",
     "generate_candidates",
     "generate_distractors",
     "load_cloth",

@@ -18,7 +18,7 @@ from pathlib import Path
 
 from . import data, metrics
 from .backends import MaskedLanguageModel, MockMaskedLM, MockNliClassifier, NliClassifier
-from .errors import ClozegenError, ConfigError, ParseError
+from .errors import ClozegenError, ConfigError
 from .generation import AVERAGES, GenerationConfig, STRATEGIES
 from .pipeline import generate_distractors, result_to_dict
 from .selection import STAGES
@@ -265,7 +265,7 @@ def main(argv: list[str] | None = None) -> int:
     handlers = {"generate": run_generate, "evaluate": run_evaluate, "trace": run_trace}
     try:
         return handlers[args.command](args)
-    except ParseError as exc:
+    except ClozegenError as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

@@ -18,6 +18,7 @@ from pathlib import Path
 
 from .backends import MaskedLanguageModel
 from .errors import ConfigError, ContractViolation, ParseError, ResolveError, SpanError
+from .generation import MaskedContext, window_context
 
 BLANK_RE = re.compile(r"_+")
 ANSWER_LETTERS = "ABCD"
@@ -157,6 +158,8 @@ def _parse_cloth_file(path: Path) -> ClozePassage:
         if letter not in ANSWER_LETTERS:
             raise ParseError(f"{path.name}: answers[{i}] is {letter!r}, not A-D")
         idx = ANSWER_LETTERS.index(letter)
+        if not str(opts[idx]).strip():
+            raise ParseError(f"{path.name}: options[{i}] has a blank answer option")
         questions.append(
             ClozeQuestion(
                 answer=str(opts[idx]),
@@ -273,14 +276,21 @@ def _sentence_segments(text: str) -> list[tuple[int, int]]:
 
 
 def _ends_with_abbreviation(text: str, period_index: int) -> bool:
-    match = re.search(r"[\w.]+$", text[:period_index])
-    if match is None:
+    # The word is the run of [\w.] characters ending at the period, or just
+    # before a newline that directly precedes it (as regex ``$`` would match).
+    end = period_index
+    if text[end - 1 : end] == "\n":
+        end -= 1
+    start = end
+    while start > 0 and (text[start - 1].isalnum() or text[start - 1] in "._"):
+        start -= 1
+    if start == end:
         return False
-    word = match.group().rstrip(".").lower()
+    word = text[start:end].rstrip(".").lower()
     if word in _ABBREVIATIONS:
         return True
     # single-letter initials such as "J." in "J. Smith"
-    return len(word) == 1 and word.isalpha() and text[: period_index].rstrip()[-1:].isupper()
+    return len(word) == 1 and word.isalpha() and text[end - 1].isupper()
 
 
 def prepare_context(
@@ -337,8 +347,6 @@ def prepare_context(
 
 def _model_fill(backend: MaskedLanguageModel, text: str, blank: tuple[int, int]) -> str:
     """Top-1 fill for one blank, queried with the blank as a mask token."""
-    from .generation import MaskedContext, window_context
-
     info = backend.info()
     bstart, bend = blank
     query = text[:bstart] + info.mask_token + text[bend:]

@@ -1,12 +1,14 @@
-"""Distractor selection: two-stage entailment elimination over candidates.
+"""Distractor selection: one best-first entailment scan over candidates.
 
-Stage one removes candidates whose substituted sentence mutually entails
-the answer sentence (such candidates are alternative correct answers).
-Stage two walks the survivors in rank order and drops any candidate that
-mutually entails an already kept one, so near-duplicates cannot coexist;
-the lower-ranked member of a pair is always the one removed. A pair
-counts as entailing only when the classifier says entailment in *both*
-argument orders; neutral or contradictory verdicts retain the candidate.
+Candidates are scanned in rank order. A candidate is dropped when its
+substituted sentence mutually entails the answer sentence (it would be an
+alternative correct answer), or else when it mutually entails the sentence
+of an already kept candidate (a near-duplicate; the lower-ranked member of
+a pair is always the one removed). Any other candidate is kept, and the
+scan stops once ``k`` are kept, so lower-ranked candidates are never
+classified. A pair counts as entailing only when the classifier says
+entailment in *both* argument orders; neutral or contradictory verdicts
+retain the candidate.
 
 Every removal is recorded in an elimination trace so a final set can be
 audited after the fact.
@@ -15,7 +17,7 @@ audited after the fact.
 from __future__ import annotations
 
 from dataclasses import dataclass, field
-from typing import Callable, Sequence
+from typing import Sequence
 
 from .backends import ENTAILMENT, NliClassifier
 from .errors import SpanError
@@ -57,78 +59,19 @@ def two_way_entails(nli_backend: NliClassifier, text_a: str, text_b: str) -> boo
     return nli_backend.classify_nli(text_b, text_a) == ENTAILMENT
 
 
-def filter_vs_answer(
-    nli_backend: NliClassifier,
-    comparison_text_with_answer: str,
-    candidates: Sequence[Candidate],
-    candidate_instantiator: Callable[[str], str],
-    trace: list[TraceEntry] | None = None,
-    answer_text: str | None = None,
-) -> list[Candidate]:
-    """Drop candidates whose substituted text mutually entails the answer text.
-
-    ``candidate_instantiator`` maps a candidate string to the comparison
-    text with that candidate substituted for the answer. Order is
-    preserved; removals are appended to ``trace`` when given.
-    """
-    counterpart = answer_text if answer_text is not None else comparison_text_with_answer
-    kept = []
-    for candidate in candidates:
-        substituted = candidate_instantiator(candidate.text)
-        if two_way_entails(nli_backend, substituted, comparison_text_with_answer):
-            if trace is not None:
-                trace.append(
-                    TraceEntry(
-                        candidate=candidate.text,
-                        stage=STAGE_ANSWER,
-                        counterpart=counterpart,
-                        verdicts=(ENTAILMENT, ENTAILMENT),
-                    )
-                )
-            continue
-        kept.append(candidate)
-    return kept
-
-
-def filter_pairwise(
-    nli_backend: NliClassifier,
-    comparison_text: str,
-    candidates: Sequence[Candidate],
-    k: int,
-    candidate_instantiator: Callable[[str], str],
-    trace: list[TraceEntry] | None = None,
-) -> list[str]:
-    """Greedy rank-order scan keeping candidates that entail no kept one.
-
-    ``comparison_text`` is the sentence frame the instantiator substitutes
-    into. Scanning stops as soon as ``k`` candidates are kept; later
-    candidates are surplus and never checked.
-    """
-    del comparison_text  # frame is already baked into the instantiator
-    kept: list[Candidate] = []
-    for candidate in candidates:
-        if len(kept) == k:
-            break
-        substituted = candidate_instantiator(candidate.text)
-        removed = False
-        for previous in kept:
-            if two_way_entails(
-                nli_backend, substituted, candidate_instantiator(previous.text)
-            ):
-                if trace is not None:
-                    trace.append(
-                        TraceEntry(
-                            candidate=candidate.text,
-                            stage=STAGE_PAIRWISE,
-                            counterpart=previous.text,
-                            verdicts=(ENTAILMENT, ENTAILMENT),
-                        )
-                    )
-                removed = True
-                break
-        if not removed:
-            kept.append(candidate)
-    return [c.text for c in kept]
+def _resolve_span(
+    context: str, answer: str, answer_span: tuple[int, int] | None
+) -> tuple[int, int]:
+    """``answer_span`` (default: first occurrence of ``answer``), bounds-checked."""
+    if answer_span is None:
+        start = context.find(answer)
+        if start < 0:
+            raise SpanError(f"answer {answer!r} not found in comparison text")
+        answer_span = (start, start + len(answer))
+    start, end = answer_span
+    if not (0 <= start < end <= len(context)):
+        raise SpanError(f"answer span ({start}, {end}) outside comparison text")
+    return answer_span
 
 
 def select_distractors(
@@ -139,37 +82,44 @@ def select_distractors(
     k: int,
     answer_span: tuple[int, int] | None = None,
 ) -> DistractorSet:
-    """Run both elimination stages and assemble the final distractor set.
+    """Keep up to ``k`` candidates, best-first, entailing neither answer nor each other.
 
     ``context`` is the comparison sentence containing the answer;
     ``answer_span`` locates the answer within it (first occurrence when
     omitted). Candidates must arrive ranked best-first and free of
-    verbatim answer copies.
+    verbatim answer copies. The trace lists answer-entailment removals
+    first, then pairwise ones, each in rank order.
     """
     if not candidates:
         return DistractorSet([], answer, [], underfilled=True)
-    if answer_span is None:
-        start = context.find(answer)
-        if start < 0:
-            raise SpanError(f"answer {answer!r} not found in comparison text")
-        answer_span = (start, start + len(answer))
-    start, end = answer_span
-    if not (0 <= start < end <= len(context)):
-        raise SpanError(f"answer span ({start}, {end}) outside comparison text")
-
-    def instantiate(candidate_text: str) -> str:
-        return context[:start] + candidate_text + context[end:]
-
-    trace: list[TraceEntry] = []
-    survivors = filter_vs_answer(
-        nli_backend, context, candidates, instantiate, trace, answer_text=answer
-    )
-    chosen = filter_pairwise(nli_backend, context, survivors, k, instantiate, trace)
+    start, end = _resolve_span(context, answer, answer_span)
+    answer_trace: list[TraceEntry] = []
+    pairwise_trace: list[TraceEntry] = []
+    kept: list[tuple[str, str]] = []  # (candidate text, its sentence)
+    for candidate in candidates:
+        if len(kept) == k:
+            break
+        sentence = context[:start] + candidate.text + context[end:]
+        if two_way_entails(nli_backend, sentence, context):
+            answer_trace.append(
+                TraceEntry(candidate.text, STAGE_ANSWER, answer, (ENTAILMENT, ENTAILMENT))
+            )
+            continue
+        match = next(
+            (text for text, other in kept if two_way_entails(nli_backend, sentence, other)),
+            None,
+        )
+        if match is None:
+            kept.append((candidate.text, sentence))
+        else:
+            pairwise_trace.append(
+                TraceEntry(candidate.text, STAGE_PAIRWISE, match, (ENTAILMENT, ENTAILMENT))
+            )
     return DistractorSet(
-        distractors=chosen,
+        distractors=[text for text, _ in kept],
         answer=answer,
-        trace=trace,
-        underfilled=len(chosen) < k,
+        trace=answer_trace + pairwise_trace,
+        underfilled=len(kept) < k,
     )
 
 
@@ -180,12 +130,7 @@ def verify_distractor_set(
     answer_span: tuple[int, int] | None = None,
 ) -> bool:
     """Post-hoc audit: no kept pair mutually entails and none equals the answer."""
-    if answer_span is None:
-        start = context.find(result.answer)
-        if start < 0:
-            raise SpanError(f"answer {result.answer!r} not found in comparison text")
-        answer_span = (start, start + len(result.answer))
-    start, end = answer_span
+    start, end = _resolve_span(context, result.answer, answer_span)
     answer_key = normalize_text(result.answer)
     if any(normalize_text(d) == answer_key for d in result.distractors):
         return False

@@ -2,7 +2,12 @@ import math
 
 import pytest
 
-from clozegen.backends import MaskedLanguageModel, MockMaskedLM, TokenPrediction
+from clozegen.backends import (
+    MaskedLanguageModel,
+    MockMaskedLM,
+    NliClassifier,
+    TokenPrediction,
+)
 from clozegen.generation import Candidate
 
 ACCEPTANCE_LABELS = {
@@ -58,6 +63,18 @@ class CountingMLM(MaskedLanguageModel):
     def fill_mask(self, tokens, mask_position, top_k):
         self.calls.append((" ".join(tokens), mask_position, top_k))
         return self.inner.fill_mask(tokens, mask_position, top_k)
+
+
+class CountingNli(NliClassifier):
+    """Delegating wrapper that records every classify_nli call."""
+
+    def __init__(self, inner):
+        self.inner = inner
+        self.calls = []
+
+    def classify_nli(self, premise, hypothesis):
+        self.calls.append((premise, hypothesis))
+        return self.inner.classify_nli(premise, hypothesis)
 
 
 @pytest.fixture

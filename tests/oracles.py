@@ -2,11 +2,18 @@
 
 Everything here re-derives expected behavior from first principles and is
 kept free of the code paths under test: the search oracle replays the
-branch-then-greedy process with its own bookkeeping, and the metric
+branch-then-greedy process with its own bookkeeping, the selection oracle
+runs the two elimination stages eagerly one after the other, the
+abbreviation oracle keeps the regex form of the look-back, and the metric
 oracle works on explicit 0/1 relevance vectors.
 """
 
 import math
+import re
+
+from clozegen.backends import ENTAILMENT
+from clozegen.data import _ABBREVIATIONS
+from clozegen.selection import STAGE_ANSWER, STAGE_PAIRWISE
 
 
 def brute_force_candidates(backend, masked_context, order, branch_width):
@@ -88,3 +95,52 @@ def brute_force_metrics(generated, gold):
     ndcg = dcg / idcg if idcg else 0.0
 
     return p_at_1, f1, mrr, ndcg
+
+
+def eager_selection(nli, context, answer, answer_span, candidates, k):
+    """Both elimination stages run eagerly, one after the other.
+
+    Stage one classifies every candidate against the answer sentence;
+    stage two walks the survivors in rank order and stops at ``k`` kept.
+    Returns (distractors, underfilled, trace) with trace entries as
+    (candidate, stage, counterpart), stage-one removals first.
+    """
+    start, end = answer_span
+
+    def sentence(text):
+        return context[:start] + text + context[end:]
+
+    def both_ways(a, b):
+        return (
+            nli.classify_nli(a, b) == ENTAILMENT
+            and nli.classify_nli(b, a) == ENTAILMENT
+        )
+
+    trace = []
+    survivors = []
+    for text in candidates:
+        if both_ways(sentence(text), context):
+            trace.append((text, STAGE_ANSWER, answer))
+        else:
+            survivors.append(text)
+    kept = []
+    for text in survivors:
+        if len(kept) == k:
+            break
+        match = next((o for o in kept if both_ways(sentence(text), sentence(o))), None)
+        if match is None:
+            kept.append(text)
+        else:
+            trace.append((text, STAGE_PAIRWISE, match))
+    return kept, not candidates or len(kept) < k, trace
+
+
+def ends_with_abbreviation_regex(text, period_index):
+    """Abbreviation test on the regex match of the word before a period."""
+    match = re.search(r"[\w.]+$", text[:period_index])
+    if match is None:
+        return False
+    word = match.group().rstrip(".").lower()
+    if word in _ABBREVIATIONS:
+        return True
+    return len(word) == 1 and word.isalpha() and text[:period_index].rstrip()[-1:].isupper()

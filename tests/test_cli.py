@@ -222,6 +222,35 @@ def test_evaluate_parse_error(mock_config_path, tmp_path, capsys):
     assert "error" in capsys.readouterr().err
 
 
+@pytest.mark.parametrize(
+    "doc",
+    [
+        # a gold answer option that is only whitespace
+        {**CLOTH_DOC, "options": [["a", "b", "  ", "d"], ["e", "f", "g", "h"]]},
+        # a blank glued to punctuation cannot be masked for model prefill
+        {**CLOTH_DOC, "article": "Tom ran _. He bought a _ there."},
+    ],
+)
+def test_evaluate_bad_item_is_one_error_line(mock_config_path, tmp_path, capsys, doc):
+    bad = tmp_path / "bad.json"
+    bad.write_text(json.dumps(doc), encoding="utf-8")
+    code = main(
+        [
+            "evaluate",
+            str(bad),
+            "--model",
+            f"mock:{mock_config_path}",
+            "--nli-model",
+            f"mock:{mock_config_path}",
+            "--preset",
+            "cloth",
+        ]
+    )
+    assert code == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
 def test_cloth_preset_hyperparameters():
     parser = build_parser()
     args = parser.parse_args(["evaluate", "in.json", "--preset", "cloth"])

@@ -1,4 +1,5 @@
 import json
+import random
 import warnings
 
 import pytest
@@ -6,6 +7,7 @@ import pytest
 from clozegen.backends import MockMaskedLM
 from clozegen.data import (
     BLANK_RE,
+    _ends_with_abbreviation,
     ClozePassage,
     ClozeQuestion,
     extract_sentence,
@@ -17,6 +19,7 @@ from clozegen.data import (
 from clozegen.errors import ConfigError, ContractViolation, ParseError, ResolveError, SpanError
 
 from tests.conftest import table_entry
+from tests.oracles import ends_with_abbreviation_regex
 
 
 # --- CLOTH loading ---------------------------------------------------------
@@ -69,12 +72,17 @@ def test_load_cloth_schema_errors(tmp_path):
         ({**PASSAGE_DOC, "answers": ["C", "E"]}, "answers[1]"),
         ({**PASSAGE_DOC, "article": "no blanks here"}, "blanks"),
         ({"options": [], "answers": []}, "article"),
+        (
+            {**PASSAGE_DOC, "options": [["a", "b", " ", "d"], ["e", "f", "g", "h"]]},
+            "options[0] has a blank answer option",
+        ),
     ]
     for i, (doc, needle) in enumerate(cases):
         path = _write(tmp_path, f"bad{i}.json", doc)
         with pytest.raises(ParseError) as err:
             load_cloth(path)
         assert needle in str(err.value)
+        assert path.name in str(err.value)
 
 
 def test_load_cloth_round_trip_lossless(tmp_path):
@@ -188,6 +196,21 @@ def test_extract_sentence_straddling_span_unions_and_warns():
     assert sentence == "One two. Three four."
     a, b = adjusted
     assert sentence[a:b] == text[span[0] : span[1]]
+
+
+def test_ends_with_abbreviation_matches_regex_form():
+    # regex $ also matches before a trailing newline, so "Dr" precedes this period
+    assert _ends_with_abbreviation("Dr\n.", 3)
+    assert ends_with_abbreviation_regex("Dr\n.", 3)
+    pieces = ["Dr", "mr", "e.g", "U.S", "etc", "J", "x", "é", "_", "3", "²"]
+    pieces += [".", ".", " ", "\n", "\t", "!"]
+    rnd = random.Random(1815)
+    for _ in range(2000):
+        text = "".join(rnd.choice(pieces) for _ in range(rnd.randint(0, 12)))
+        for i, char in enumerate(text):
+            if char == ".":
+                expected = ends_with_abbreviation_regex(text, i)
+                assert _ends_with_abbreviation(text, i) == expected, (text, i)
 
 
 def test_extract_sentence_span_validation():

@@ -1,3 +1,5 @@
+import random
+
 import pytest
 
 from clozegen.backends import CONTRADICTION, ENTAILMENT, NEUTRAL, MockNliClassifier
@@ -5,14 +7,13 @@ from clozegen.errors import SpanError
 from clozegen.selection import (
     STAGE_ANSWER,
     STAGE_PAIRWISE,
-    filter_pairwise,
-    filter_vs_answer,
     select_distractors,
     two_way_entails,
     verify_distractor_set,
 )
 
-from tests.conftest import make_candidate
+from tests.conftest import CountingNli, make_candidate
+from tests.oracles import eager_selection
 from tests.selection_scenarios import (
     ANSWER,
     ANSWER_SPAN,
@@ -40,7 +41,7 @@ def test_two_way_entails_requires_both_directions():
     assert two_way_entails(identity, "X", "X") is True
 
 
-def test_filter_vs_answer_examples():
+def test_answer_stage_examples():
     table = {}
     table[(instantiate("unlock"), CONTEXT)] = ENTAILMENT
     table[(CONTEXT, instantiate("unlock"))] = ENTAILMENT
@@ -50,39 +51,35 @@ def test_filter_vs_answer_examples():
     table[(CONTEXT, instantiate("stand"))] = NEUTRAL
     nli = MockNliClassifier(table=table)
     candidates = _candidates(["unlock", "close", "stand"])
-    trace = []
-    kept = filter_vs_answer(
-        nli, CONTEXT, candidates, instantiate, trace, answer_text=ANSWER
-    )
-    assert [c.text for c in kept] == ["close", "stand"]
-    assert len(trace) == 1
-    assert trace[0].candidate == "unlock"
-    assert trace[0].stage == STAGE_ANSWER
-    assert trace[0].counterpart == ANSWER
-    assert trace[0].verdicts == (ENTAILMENT, ENTAILMENT)
+    result = select_distractors(nli, CONTEXT, ANSWER, candidates, 3)
+    assert result.distractors == ["close", "stand"]
+    assert len(result.trace) == 1
+    assert result.trace[0].candidate == "unlock"
+    assert result.trace[0].stage == STAGE_ANSWER
+    assert result.trace[0].counterpart == ANSWER
+    assert result.trace[0].verdicts == (ENTAILMENT, ENTAILMENT)
 
 
-def test_filter_pairwise_removes_lower_scored_of_pair():
+def test_pairwise_stage_removes_lower_scored_of_pair():
     table = {}
     table[(instantiate("shut"), instantiate("seal"))] = ENTAILMENT
     table[(instantiate("seal"), instantiate("shut"))] = ENTAILMENT
     nli = MockNliClassifier(table=table)
-    trace = []
-    kept = filter_pairwise(
-        nli, CONTEXT, _candidates(["shut", "seal", "lift"]), 2, instantiate, trace
+    result = select_distractors(
+        nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2
     )
-    assert kept == ["shut", "lift"]
-    assert [(e.candidate, e.stage, e.counterpart) for e in trace] == [
+    assert result.distractors == ["shut", "lift"]
+    assert [(e.candidate, e.stage, e.counterpart) for e in result.trace] == [
         ("seal", STAGE_PAIRWISE, "shut")
     ]
 
 
-def test_filter_pairwise_prefix_when_no_entailments():
+def test_pairwise_stage_prefix_when_no_entailments():
     nli = MockNliClassifier()
-    kept = filter_pairwise(
-        nli, CONTEXT, _candidates(["shut", "seal", "lift"]), 2, instantiate
+    result = select_distractors(
+        nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2
     )
-    assert kept == ["shut", "seal"]
+    assert result.distractors == ["shut", "seal"]
 
 
 def test_select_distractors_scenarios():
@@ -125,19 +122,15 @@ def test_select_distractors_subset_and_order_invariants():
     for scenario in SCENARIOS:
         nli = build_nli(scenario)
         candidates = _candidates(scenario["candidates"])
-        stage1 = filter_vs_answer(
-            nli,
-            CONTEXT,
-            candidates,
-            instantiate,
-            answer_text=ANSWER,
+        all_texts = [c.text for c in candidates]
+        _, _, eager_trace = eager_selection(
+            nli, CONTEXT, ANSWER, ANSWER_SPAN, all_texts, scenario["k"]
         )
+        answer_removed = {c for c, stage, _ in eager_trace if stage == STAGE_ANSWER}
+        stage1_texts = [t for t in all_texts if t not in answer_removed]
         result = select_distractors(
             nli, CONTEXT, ANSWER, candidates, scenario["k"], answer_span=ANSWER_SPAN
         )
-        stage1_texts = [c.text for c in stage1]
-        all_texts = [c.text for c in candidates]
-        assert set(stage1_texts) <= set(all_texts)
         assert set(result.distractors) <= set(stage1_texts)
         # selection preserves the relative rank order of survivors
         positions = [all_texts.index(d) for d in result.distractors]
@@ -171,3 +164,53 @@ def test_select_distractors_finds_answer_span():
     assert result.distractors == ["shut"]
     with pytest.raises(SpanError):
         select_distractors(nli, CONTEXT, "missing", _candidates(["shut"]), 1)
+
+
+def _assert_matches_eager(table, texts, k, label):
+    """The best-first scan against the eager two-stage oracle on one instance."""
+    fused_nli = CountingNli(MockNliClassifier(table=table))
+    eager_nli = CountingNli(MockNliClassifier(table=table))
+    result = select_distractors(
+        fused_nli, CONTEXT, ANSWER, _candidates(texts), k, answer_span=ANSWER_SPAN
+    )
+    expected, underfilled, eager_trace = eager_selection(
+        eager_nli, CONTEXT, ANSWER, ANSWER_SPAN, texts, k
+    )
+    assert result.distractors == expected, label
+    assert result.underfilled is underfilled, label
+    # the scan stops at the k-th kept candidate; nothing after it is classified
+    stop = texts.index(expected[-1]) + 1 if len(expected) == k else len(texts)
+    unscanned = set(texts[stop:])
+    expected_trace = [
+        entry
+        for entry in eager_trace
+        if not (entry[1] == STAGE_ANSWER and entry[0] in unscanned)
+    ]
+    got_trace = [(e.candidate, e.stage, e.counterpart) for e in result.trace]
+    assert got_trace == expected_trace, label
+    assert len(fused_nli.calls) <= len(eager_nli.calls), label
+
+
+def test_best_first_scan_matches_eager_stages_on_scenarios():
+    for scenario in SCENARIOS:
+        _assert_matches_eager(
+            scenario["table"], scenario["candidates"], scenario["k"], scenario["name"]
+        )
+
+
+def test_best_first_scan_matches_eager_stages_on_random_tables():
+    rnd = random.Random(2409)
+    pool = [f"w{i}" for i in range(14)]
+    labels = (ENTAILMENT, ENTAILMENT, NEUTRAL, CONTRADICTION)
+    for trial in range(300):
+        texts = rnd.sample(pool, rnd.randint(0, len(pool)))
+        k = rnd.randint(1, 6)
+        sentences = [CONTEXT] + [instantiate(t) for t in texts]
+        # each direction drawn on its own, so one-way entailments are common
+        table = {
+            (a, b): rnd.choice(labels)
+            for a in sentences
+            for b in sentences
+            if a != b and rnd.random() < 0.8
+        }
+        _assert_matches_eager(table, texts, k, f"trial {trial}")
