@@ -37,7 +37,7 @@ masked = build_masked_context(["the", "??", "??", "hums"], (1, 3), 2, "[MASK]")
 
 for strategy in ("l2r", "r2l"):
     order = decode_order(strategy, 2)
-    candidate = generate_candidates(backend, masked, order, branch_width=1)[0]
+    candidate = generate_candidates(backend, [(masked, order)], branch_width=1)[0]
     steps = ", ".join(f"{p:.1f}" for p in candidate.step_probabilities)
     print(f"{strategy}: {candidate.text!r}  (step probabilities in decode order: {steps})")
 

@@ -99,28 +99,58 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
     def fill_mask(
         self, tokens: Sequence[str], mask_position: int, top_k: int
     ) -> list[TokenPrediction]:
-        self._check_fill_args(tokens, mask_position, top_k)
-        ids = self._tokenizer.convert_tokens_to_ids(list(tokens))
-        with_specials = self._tokenizer.build_inputs_with_special_tokens(ids)
-        prefix = _prefix_length(with_specials, ids)
-        position = mask_position + prefix
+        return self.fill_mask_batch([(tokens, mask_position)], top_k)[0]
+
+    def fill_mask_batch(
+        self, queries: Sequence[tuple[Sequence[str], int]], top_k: int
+    ) -> list[list[TokenPrediction]]:
+        """All queries in one padded forward pass."""
+        for tokens, mask_position in queries:
+            self._check_fill_args(tokens, mask_position, top_k)
+        if not queries:
+            return []
+        rows, positions = [], []
+        for tokens, mask_position in queries:
+            ids = self._tokenizer.convert_tokens_to_ids(list(tokens))
+            with_specials = self._tokenizer.build_inputs_with_special_tokens(ids)
+            rows.append(with_specials)
+            positions.append(mask_position + _prefix_length(with_specials, ids))
+        width = max(len(row) for row in rows)
+        # Padded slots are masked out of attention, so any id serves as filler
+        # for a tokenizer without a pad token.
+        pad = self._tokenizer.pad_token_id or 0
         torch = self._torch
         try:
             with torch.no_grad():
-                batch = torch.tensor([with_specials], device=self._device)
-                logits = self._model(input_ids=batch).logits[0, position]
-                probabilities = torch.softmax(logits, dim=-1)
+                input_ids = torch.tensor(
+                    [row + [pad] * (width - len(row)) for row in rows],
+                    device=self._device,
+                )
+                attention_mask = torch.tensor(
+                    [[1] * len(row) + [0] * (width - len(row)) for row in rows],
+                    device=self._device,
+                )
+                logits = self._model(
+                    input_ids=input_ids, attention_mask=attention_mask
+                ).logits
+                at_masks = logits[
+                    torch.arange(len(rows), device=self._device),
+                    torch.tensor(positions, device=self._device),
+                ]
+                probabilities = torch.softmax(at_masks, dim=-1)
                 k = min(top_k, probabilities.shape[-1])
-                top = torch.topk(probabilities, k)
+                top = torch.topk(probabilities, k, dim=-1)
         except Exception as exc:
             raise BackendError(f"fill-mask inference failed: {exc}") from exc
-        predictions = [
-            TokenPrediction(
-                self._tokenizer.convert_ids_to_tokens(int(idx)), float(prob)
+        return [
+            sort_predictions(
+                [
+                    TokenPrediction(self._tokenizer.convert_ids_to_tokens(idx), prob)
+                    for prob, idx in zip(row_probs, row_ids)
+                ]
             )
-            for prob, idx in zip(top.values, top.indices)
+            for row_probs, row_ids in zip(top.values.tolist(), top.indices.tolist())
         ]
-        return sort_predictions(predictions)
 
 
 def _prefix_length(with_specials: list[int], ids: list[int]) -> int:

@@ -15,6 +15,7 @@ are safe for concurrent read-only use.
 from __future__ import annotations
 
 import hashlib
+import heapq
 import json
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
@@ -88,6 +89,17 @@ class MaskedLanguageModel(ABC):
         lexicographic tie-breaks. Probabilities are vocabulary-softmax
         slices and need not sum to 1.
         """
+
+    def fill_mask_batch(
+        self, queries: Sequence[tuple[Sequence[str], int]], top_k: int
+    ) -> list[list[TokenPrediction]]:
+        """``fill_mask`` for each ``(tokens, mask_position)`` query, in order.
+
+        One call is meant to be one forward pass over all queries; this
+        default answers them one ``fill_mask`` call at a time, so a backend
+        without a batched path needs no change. An empty batch returns [].
+        """
+        return [self.fill_mask(tokens, position, top_k) for tokens, position in queries]
 
     def tokenize_with_offsets(self, text: str) -> list[tuple[str, int, int]] | None:
         """Tokens with character spans, or None when offsets are unavailable."""
@@ -223,20 +235,24 @@ class MockMaskedLM(MaskedLanguageModel):
         key = (fingerprint(tokens), mask_position)
         preds = self.table.get(key)
         if preds is None:
-            preds = self._fallback_predictions(key)
+            return self._fallback_predictions(key, top_k)
         return list(preds[:top_k])
 
-    def _fallback_predictions(self, key: tuple[str, int]) -> list[TokenPrediction]:
+    def _fallback_predictions(
+        self, key: tuple[str, int], top_k: int
+    ) -> list[TokenPrediction]:
+        """The ``top_k`` head of the sorted vocabulary, without sorting all of it."""
         if not self.vocabulary:
             return []
         if self.fallback == "uniform":
             p = 1.0 / len(self.vocabulary)
-            return sort_predictions(TokenPrediction(t, p) for t in self.vocabulary)
-        weights = {t: self._hash_weight(key, t) for t in self.vocabulary}
-        total = sum(weights.values())
-        return sort_predictions(
-            TokenPrediction(t, w / total) for t, w in weights.items()
-        )
+            keyed = ((-p, t) for t in self.vocabulary)
+        else:
+            weights = {t: self._hash_weight(key, t) for t in self.vocabulary}
+            total = sum(weights.values())
+            keyed = ((-(w / total), t) for t, w in weights.items())
+        # (-probability, token) is the sort_predictions order
+        return [TokenPrediction(t, -neg) for neg, t in heapq.nsmallest(top_k, keyed)]
 
     def _hash_weight(self, key: tuple[str, int], token: str) -> int:
         digest = hashlib.sha256(

@@ -6,6 +6,11 @@ strings by a length-normalized probability score. Search is deliberately
 narrow: the first decoded position branches into ``k * m_s`` hypotheses,
 every later position extends each hypothesis with its single most
 probable fill, conditioning on everything already committed.
+
+The contexts of all sampled mask counts are decoded in lockstep: each
+decode step is one ``fill_mask_batch`` call over every live hypothesis of
+every context that still has a slot to fill, so a request makes as many
+masked-LM passes as its largest mask count.
 """
 
 from __future__ import annotations
@@ -13,6 +18,7 @@ from __future__ import annotations
 import math
 import warnings
 from dataclasses import dataclass, field, replace
+from typing import Sequence
 
 import numpy as np
 
@@ -238,49 +244,68 @@ def decode_order(strategy: str, mask_count: int) -> list[int]:
 
 def generate_candidates(
     backend: MaskedLanguageModel,
-    masked_context: MaskedContext,
-    order: list[int],
+    jobs: Sequence[tuple[MaskedContext, list[int]]],
     branch_width: int,
 ) -> list[Candidate]:
-    """Branch-then-greedy decoding of one masked context.
+    """Branch-then-greedy decoding of several masked contexts in lockstep.
 
-    The first position in decode order expands into its ``branch_width``
-    most probable fills; each subsequent position extends every hypothesis
-    with that hypothesis's single top prediction, querying the backend on
-    the partially filled tokens so later steps condition on earlier
-    commitments. Returns at most ``branch_width`` candidates, in
-    first-step probability order.
+    Each job is a masked context with its decode order. The first position
+    in a job's order expands into its ``branch_width`` most probable fills;
+    each later position extends every hypothesis with that hypothesis's
+    single top prediction, queried on the partially filled tokens so later
+    steps condition on earlier commitments. Step ``s`` of every job is one
+    ``fill_mask_batch`` call, so a request makes as many backend calls as
+    its longest decode order. Returns each job's candidates (at most
+    ``branch_width``, in first-step probability order), jobs in input order.
     """
-    positions = masked_context.mask_positions
-    if sorted(order) != list(range(len(positions))):
-        raise ContractViolation(
-            f"order {order!r} is not a permutation of 0..{len(positions) - 1}"
-        )
+    jobs = list(jobs)
+    for ctx, order in jobs:
+        slots = len(ctx.mask_positions)
+        if sorted(order) != list(range(slots)):
+            raise ContractViolation(
+                f"order {order!r} is not a permutation of 0..{slots - 1}"
+            )
     if branch_width < 1:
         raise ContractViolation("branch_width must be >= 1")
-
-    first_pos = positions[order[0]]
-    first_preds = backend.fill_mask(masked_context.tokens, first_pos, branch_width)
-    if not first_preds:
-        warnings.warn(
-            "backend returned no predictions for the first mask position; "
-            "no candidates generated",
-            RuntimeWarning,
-            stacklevel=2,
-        )
+    if not jobs:
         return []
 
-    hypotheses = []
-    for pred in first_preds:
-        tokens = list(masked_context.tokens)
-        tokens[first_pos] = pred.token
-        hypotheses.append((tokens, {order[0]: pred.token}, [pred.probability]))
+    # live[j]: job j's hypotheses as (partially filled tokens, step probabilities)
+    live: list[list[tuple[list[str], list[float]]]] = []
+    first_preds = backend.fill_mask_batch(
+        [(ctx.tokens, ctx.mask_positions[order[0]]) for ctx, order in jobs],
+        branch_width,
+    )
+    for (ctx, order), preds in zip(jobs, first_preds):
+        if not preds:
+            warnings.warn(
+                "backend returned no predictions for the first mask position; "
+                "no candidates generated",
+                RuntimeWarning,
+                stacklevel=2,
+            )
+        position = ctx.mask_positions[order[0]]
+        hypotheses = []
+        for pred in preds:
+            tokens = list(ctx.tokens)
+            tokens[position] = pred.token
+            hypotheses.append((tokens, [pred.probability]))
+        live.append(hypotheses)
 
-    for slot in order[1:]:
-        position = positions[slot]
-        survivors = []
-        for tokens, fills, probs in hypotheses:
-            preds = backend.fill_mask(tokens, position, 1)
+    for step in range(1, max(len(order) for _, order in jobs)):
+        owners, queries = [], []
+        for j, (ctx, order) in enumerate(jobs):
+            if step < len(order):
+                position = ctx.mask_positions[order[step]]
+                for hypothesis in live[j]:
+                    owners.append((j, position, hypothesis))
+                    queries.append((hypothesis[0], position))
+                live[j] = []
+        if not queries:
+            break
+        for (j, position, hypothesis), preds in zip(
+            owners, backend.fill_mask_batch(queries, 1)
+        ):
             if not preds:
                 warnings.warn(
                     f"backend returned no predictions at position {position}; "
@@ -289,28 +314,25 @@ def generate_candidates(
                     stacklevel=2,
                 )
                 continue
-            top = preds[0]
-            tokens[position] = top.token
-            fills[slot] = top.token
-            probs.append(top.probability)
-            survivors.append((tokens, fills, probs))
-        hypotheses = survivors
-        if not hypotheses:
-            return []
+            tokens, probs = hypothesis
+            tokens[position] = preds[0].token
+            probs.append(preds[0].probability)
+            live[j].append(hypothesis)
 
     candidates = []
-    for _, fills, probs in hypotheses:
-        token_strings = [fills[i] for i in range(len(positions))]
-        candidates.append(
-            Candidate(
-                token_strings=token_strings,
-                text=backend.detokenize(token_strings),
-                step_probabilities=list(probs),
-                product_score=score_candidate(probs),
-                rank_score=rank_score(probs, GEOMETRIC),
-                source_mask_count=len(positions),
+    for (ctx, _), hypotheses in zip(jobs, live):
+        for tokens, probs in hypotheses:
+            token_strings = [tokens[p] for p in ctx.mask_positions]
+            candidates.append(
+                Candidate(
+                    token_strings=token_strings,
+                    text=backend.detokenize(token_strings),
+                    step_probabilities=probs,
+                    product_score=score_candidate(probs),
+                    rank_score=rank_score(probs, GEOMETRIC),
+                    source_mask_count=len(ctx.mask_positions),
+                )
             )
-        )
     return candidates
 
 

@@ -1,8 +1,8 @@
 """End-to-end orchestration for one (context, answer span) request.
 
-Resolves the mask-count interval, decodes candidates for every sampled
-count, merges and ranks them, then hands the ranked list to the
-entailment-based selector. Entailment comparisons always run on the
+Resolves the mask-count interval, decodes candidates for all sampled
+counts in one lockstep call, merges and ranks them, then hands the ranked
+list to the entailment-based selector. Entailment comparisons always run on the
 sentence containing the answer, extracted from the original context.
 """
 
@@ -117,14 +117,14 @@ def generate_distractors(
     counts = sample_mask_counts(mask_count_interval(resolved, config.dispersion), rng)
 
     info = mlm_backend.info()
-    candidates: list[Candidate] = []
+    jobs = []
     for count in counts:
         masked = build_masked_context(
             tokens, token_span, count, info.mask_token, answer_text=answer_text
         )
         masked = window_context(masked, info.max_sequence_length)
-        order = decode_order(config.strategy, count)
-        candidates.extend(generate_candidates(mlm_backend, masked, order, branch_width))
+        jobs.append((masked, decode_order(config.strategy, count)))
+    candidates = generate_candidates(mlm_backend, jobs, branch_width)
     ranked = drop_answer_matches(rank_candidates(candidates, config.avg), answer_text)
     timing["csg_ms"] = (time.perf_counter() - t0) * 1000.0
 

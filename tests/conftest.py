@@ -42,11 +42,16 @@ def make_candidate(text, probs, mask_count=None, avg="geometric"):
 
 
 class CountingMLM(MaskedLanguageModel):
-    """Delegating wrapper that records every fill_mask call."""
+    """Delegating wrapper that records every fill_mask call.
+
+    ``calls`` holds one entry per query; ``batches`` holds one
+    ``(size, top_k)`` entry per fill_mask_batch call.
+    """
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
+        self.batches = []
 
     def info(self):
         return self.inner.info()
@@ -63,6 +68,10 @@ class CountingMLM(MaskedLanguageModel):
     def fill_mask(self, tokens, mask_position, top_k):
         self.calls.append((" ".join(tokens), mask_position, top_k))
         return self.inner.fill_mask(tokens, mask_position, top_k)
+
+    def fill_mask_batch(self, queries, top_k):
+        self.batches.append((len(queries), top_k))
+        return super().fill_mask_batch(queries, top_k)
 
 
 class CountingNli(NliClassifier):

@@ -59,7 +59,7 @@ def test_criterion_2_oracle_equivalence_200_random_configs():
         )
         context = build_masked_context(tokens, span, mask_count, "[MASK]")
 
-        got = generate_candidates(mlm, context, order, branch_width)
+        got = generate_candidates(mlm, [(context, order)], branch_width)
         expected = brute_force_candidates(mlm, context, order, branch_width)
         assert [c.token_strings for c in got] == [strings for strings, _ in expected]
         for candidate, (_, probs) in zip(got, expected):

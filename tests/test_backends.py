@@ -1,5 +1,6 @@
 import json
 import os
+import random
 
 import pytest
 
@@ -116,6 +117,73 @@ def test_seeded_fallback_varies_with_context_and_salt():
     assert one != two  # different fingerprints give different weights
     other_salt = MockMaskedLM(vocabulary=["a", "b", "c", "d"], fallback="seeded", salt=2)
     assert other_salt.fill_mask(["x", "[MASK]"], 1, 4) != one
+
+
+def test_seeded_fallback_head_equals_full_sort():
+    rnd = random.Random(17)
+    for _ in range(60):
+        vocab = [f"t{rnd.randint(0, 40)}" for _ in range(rnd.randint(1, 30))]
+        mlm = MockMaskedLM(vocabulary=vocab, fallback="seeded", salt=rnd.randint(0, 999))
+        tokens = [f"c{rnd.randint(0, 9)}" for _ in range(rnd.randint(0, 4))] + ["[MASK]"]
+        position = len(tokens) - 1
+        key = (" ".join(tokens), position)
+        weights = {t: mlm._hash_weight(key, t) for t in vocab}
+        total = sum(weights.values())
+        full = sort_predictions(
+            [TokenPrediction(t, w / total) for t, w in weights.items()]
+        )
+        for top_k in (1, rnd.randint(1, 35), len(vocab), 10**9):
+            assert mlm.fill_mask(tokens, position, top_k) == full[:top_k]
+    uniform = MockMaskedLM(vocabulary=["b", "a", "c", "a"])
+    p = 1.0 / 4
+    full = sort_predictions([TokenPrediction(t, p) for t in ["b", "a", "c", "a"]])
+    for top_k in (1, 2, 4, 10**9):
+        assert uniform.fill_mask(["[MASK]"], 0, top_k) == full[:top_k]
+
+
+def _batch_mocks():
+    tokens = ["the", "[MASK]", "sat"]
+    key, preds = table_entry(tokens, 1, [("cat", 0.6), ("dog", 0.3), ("ant", 0.3)])
+    table = MockMaskedLM(table={key: preds}, vocabulary=["x", "y"], max_sequence_length=4)
+    seeded = MockMaskedLM(
+        vocabulary=["a", "b", "c", "d", "e"], fallback="seeded", salt=4, max_sequence_length=4
+    )
+    queries = [
+        (tokens, 1),
+        (["[MASK]", "[MASK]"], 0),
+        (["[MASK]", "[MASK]"], 1),
+        (["a", "b", "[MASK]"], 2),
+        (tokens, 1),
+    ]
+    return (table, seeded), queries
+
+
+def test_fill_mask_batch_default_equals_per_query_fill_mask():
+    mocks, queries = _batch_mocks()
+    for mlm in mocks:
+        for top_k in (1, 2, 10):
+            assert mlm.fill_mask_batch(queries, top_k) == [
+                mlm.fill_mask(tokens, position, top_k) for tokens, position in queries
+            ]
+        assert mlm.fill_mask_batch([], 3) == []
+
+
+def test_fill_mask_batch_bad_query_raises_like_fill_mask():
+    mocks, queries = _batch_mocks()
+    bad_queries = [
+        ((["the", "cat"], 1), ContractViolation),
+        ((["the", "[MASK]"], 5), ContractViolation),
+        ((["a", "b", "c", "d", "[MASK]"], 4), SequenceLengthError),
+    ]
+    for mlm in mocks:
+        for bad, error in bad_queries:
+            with pytest.raises(error) as single:
+                mlm.fill_mask(*bad, 1)
+            with pytest.raises(error) as batched:
+                mlm.fill_mask_batch(queries[:2] + [bad] + queries[2:], 1)
+            assert str(batched.value) == str(single.value)
+        with pytest.raises(ContractViolation):
+            mlm.fill_mask_batch(queries, 0)
 
 
 def test_nli_table_lookup_and_default():

@@ -1,13 +1,15 @@
 import json
 import math
 import random
+import warnings
 
 import numpy as np
 import pytest
 
-from clozegen.backends import MockMaskedLM
+from clozegen.backends import MockMaskedLM, MockNliClassifier, fingerprint
 from clozegen.errors import ContractViolation, SpanError
 from clozegen.generation import (
+    STRATEGIES,
     GenerationConfig,
     build_masked_context,
     decode_order,
@@ -21,6 +23,7 @@ from clozegen.generation import (
     score_candidate,
     window_context,
 )
+from clozegen.pipeline import generate_distractors
 
 from tests.conftest import CountingMLM, make_candidate
 from tests.oracles import brute_force_candidates
@@ -286,7 +289,7 @@ def test_generate_single_mask_equals_topk_fill():
     table = {(" ".join(tokens), 1): [("cat", 0.6), ("dog", 0.3), ("rat", 0.1)]}
     mlm = MockMaskedLM(table=table)
     ctx = build_masked_context(["the", "cat", "sat"], (1, 2), 1, "[MASK]")
-    cands = generate_candidates(mlm, ctx, [0], branch_width=2)
+    cands = generate_candidates(mlm, [(ctx, [0])], branch_width=2)
     assert [(c.text, c.step_probabilities[0]) for c in cands] == [
         ("cat", 0.6),
         ("dog", 0.3),
@@ -303,7 +306,7 @@ def test_generate_two_masks_conditions_on_committed_tokens():
     }
     mlm = CountingMLM(MockMaskedLM(table=table))
     ctx = build_masked_context(["the", "fat", "cat", "sat"], (1, 3), 2, "[MASK]")
-    cands = generate_candidates(mlm, ctx, [0, 1], branch_width=2)
+    cands = generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
     assert [(c.text, tuple(c.step_probabilities)) for c in cands] == [
         ("big dog", (0.6, 0.9)),
         ("small cat", (0.4, 0.8)),
@@ -322,7 +325,7 @@ def test_generate_r2l_decode_fills_right_first():
     }
     mlm = MockMaskedLM(table=table, vocabulary=["x"])
     ctx = build_masked_context(["a", "q", "b"], (1, 2), 2, "[MASK]")
-    cands = generate_candidates(mlm, ctx, decode_order("r2l", 2), branch_width=1)
+    cands = generate_candidates(mlm, [(ctx, decode_order("r2l", 2))], branch_width=1)
     assert len(cands) == 1
     # positional order in text, decode order in probabilities
     assert cands[0].text == "first last"
@@ -334,7 +337,7 @@ def test_generate_call_count_contract():
     ctx = build_masked_context(["x", "y", "z", "w"], (1, 3), 3, "[MASK]")
     for width in (1, 3, 6):
         mlm.calls.clear()
-        generate_candidates(mlm, ctx, decode_order("ctl", 3), branch_width=width)
+        generate_candidates(mlm, [(ctx, decode_order("ctl", 3))], branch_width=width)
         assert len(mlm.calls) == 1 + (3 - 1) * width
 
 
@@ -342,16 +345,16 @@ def test_generate_empty_backend_warns_and_returns_nothing():
     mlm = MockMaskedLM(vocabulary=[])
     ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]")
     with pytest.warns(RuntimeWarning):
-        assert generate_candidates(mlm, ctx, [0], branch_width=2) == []
+        assert generate_candidates(mlm, [(ctx, [0])], branch_width=2) == []
 
 
 def test_generate_validates_order_and_width():
     mlm = MockMaskedLM(vocabulary=["a"])
     ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]")
     with pytest.raises(ContractViolation):
-        generate_candidates(mlm, ctx, [0, 1], branch_width=2)
+        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
     with pytest.raises(ContractViolation):
-        generate_candidates(mlm, ctx, [0], branch_width=0)
+        generate_candidates(mlm, [(ctx, [0])], branch_width=0)
 
 
 def test_generate_deterministic_across_runs():
@@ -359,7 +362,7 @@ def test_generate_deterministic_across_runs():
     ctx = build_masked_context(["p", "q", "r", "s"], (1, 3), 2, "[MASK]")
     runs = []
     for _ in range(2):
-        cands = generate_candidates(mlm, ctx, decode_order("ctl", 2), branch_width=3)
+        cands = generate_candidates(mlm, [(ctx, decode_order("ctl", 2))], branch_width=3)
         runs.append(
             json.dumps(
                 [[c.text, c.step_probabilities, c.product_score] for c in cands]
@@ -387,10 +390,100 @@ def test_generate_matches_brute_force_oracle_sample():
     rnd = random.Random(99)
     for _ in range(40):
         mlm, ctx, order, width = _random_mock_scenario(rnd)
-        got = generate_candidates(mlm, ctx, order, width)
+        got = generate_candidates(mlm, [(ctx, order)], width)
         expected = brute_force_candidates(mlm, ctx, order, width)
         assert [(c.token_strings, c.step_probabilities) for c in got] == [
             (strings, probs) for strings, probs in expected
         ]
         for cand, (_, probs) in zip(got, expected):
             assert abs(cand.product_score - math.prod(probs)) < 1e-9
+
+
+def _plant_drops(rnd, mlm, jobs, width):
+    """Empty table entries that kill a job's first step or single hypotheses
+    at a random later step, found by walking each hypothesis greedily."""
+    for ctx, order in jobs:
+        first_pos = ctx.mask_positions[order[0]]
+        if rnd.random() < 0.15:
+            mlm.table[(fingerprint(ctx.tokens), first_pos)] = []
+            continue
+        for pred in mlm.fill_mask(ctx.tokens, first_pos, width):
+            if len(order) < 2 or rnd.random() < 0.5:
+                continue
+            tokens = list(ctx.tokens)
+            tokens[first_pos] = pred.token
+            drop_at = rnd.randint(1, len(order) - 1)
+            for step, slot in enumerate(order[1:], start=1):
+                position = ctx.mask_positions[slot]
+                if step == drop_at:
+                    mlm.table[(fingerprint(tokens), position)] = []
+                    break
+                top = mlm.fill_mask(tokens, position, 1)
+                if not top:
+                    break
+                tokens[position] = top[0].token
+
+
+def test_lockstep_matches_oracle_per_job():
+    rnd = random.Random(303)
+    for _ in range(200):
+        vocab = [f"w{i}" for i in range(rnd.randint(2, 5))]
+        inner = MockMaskedLM(vocabulary=vocab, fallback="seeded", salt=rnd.randint(0, 999))
+        jobs = []
+        for _ in range(rnd.randint(1, 3)):
+            left = [f"l{i}" for i in range(rnd.randint(0, 2))]
+            right = [f"r{i}" for i in range(rnd.randint(0, 2))]
+            answer_len = rnd.randint(1, 2)
+            tokens = left + ["ans"] * answer_len + right
+            mask_count = rnd.randint(1, 4)
+            ctx = build_masked_context(
+                tokens, (len(left), len(left) + answer_len), mask_count, "[MASK]"
+            )
+            jobs.append((ctx, decode_order(rnd.choice(STRATEGIES), mask_count)))
+        width = rnd.randint(1, 6)
+        drops = rnd.random() < 0.5
+        if drops:
+            _plant_drops(rnd, inner, jobs, width)
+        mlm = CountingMLM(inner)
+
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            got = generate_candidates(mlm, jobs, width)
+        expected = []
+        expected_warnings = 0
+        for ctx, order in jobs:
+            survivors = brute_force_candidates(inner, ctx, order, width)
+            expected += [(strings, probs, len(order)) for strings, probs in survivors]
+            first = inner.fill_mask(ctx.tokens, ctx.mask_positions[order[0]], width)
+            expected_warnings += len(first) - len(survivors) if first else 1
+        assert [
+            (c.token_strings, c.step_probabilities, c.source_mask_count) for c in got
+        ] == expected
+        assert len(caught) == expected_warnings
+        assert all(w.category is RuntimeWarning for w in caught)
+
+        longest = max(len(order) for _, order in jobs)
+        assert mlm.batches[0] == (len(jobs), width)
+        assert all(top_k == 1 for _, top_k in mlm.batches[1:])
+        assert len(mlm.batches) <= longest
+        if not drops:
+            assert len(mlm.batches) == longest
+
+
+def test_generate_distractors_one_batch_call_per_decode_step():
+    config = GenerationConfig()
+    width = config.k * 7
+    vocab = [f"v{i}" for i in range(30)]
+    for answer in ("open wide", "open it wide", "open it very wide"):
+        context = f"The boy will {answer} the door. Then he waits."
+        start = context.index(answer)
+        mlm = CountingMLM(MockMaskedLM(vocabulary=vocab, fallback="seeded", salt=5))
+        generate_distractors(
+            context, (start, start + len(answer)), config, mlm, MockNliClassifier()
+        )
+        interval = mask_count_interval(len(answer.split()), config.dispersion)
+        counts = sample_mask_counts(interval, config.seed)
+        assert len(mlm.batches) == max(counts)
+        assert mlm.batches[0] == (len(counts), width)
+        # one query per hypothesis per decode step, as when each was its own pass
+        assert len(mlm.calls) == sum(1 + (c - 1) * width for c in counts)
