@@ -72,59 +72,3 @@ from .selection import (
 )
 
 __version__ = "0.1.0"
-
-__all__ = [
-    "BackendError",
-    "BackendInfo",
-    "Candidate",
-    "ClozePassage",
-    "ClozeQuestion",
-    "ClozegenError",
-    "ConfigError",
-    "ContextAnswerPair",
-    "ContractViolation",
-    "CONTRADICTION",
-    "DistractorSet",
-    "ENTAILMENT",
-    "EvalItemResult",
-    "EvalReport",
-    "GenerationConfig",
-    "GenerationResult",
-    "MaskedContext",
-    "MaskedLanguageModel",
-    "MockMaskedLM",
-    "MockNliClassifier",
-    "NEUTRAL",
-    "NliClassifier",
-    "ParseError",
-    "PreparedContext",
-    "RenderedCloze",
-    "ResolveError",
-    "SequenceLengthError",
-    "SpanError",
-    "TokenPrediction",
-    "TraceEntry",
-    "build_masked_context",
-    "compute_item",
-    "decode_order",
-    "evaluate_dataset",
-    "extract_sentence",
-    "fill_target",
-    "generate_candidates",
-    "generate_distractors",
-    "load_cloth",
-    "load_mock_backends",
-    "load_pairs",
-    "mask_count_interval",
-    "prepare_context",
-    "rank_candidates",
-    "rank_score",
-    "render_cloze",
-    "resolve_mask_count",
-    "result_to_dict",
-    "result_to_json",
-    "sample_mask_counts",
-    "score_candidate",
-    "select_distractors",
-    "two_way_entails",
-]

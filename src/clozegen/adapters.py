@@ -199,21 +199,28 @@ class HuggingFaceNli(NliClassifier):
         }
 
     def classify_nli(self, premise: str, hypothesis: str) -> str:
-        self._check_pair(premise, hypothesis)
+        return self.classify_nli_batch([(premise, hypothesis)])[0]
+
+    def classify_nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[str]:
+        """All pairs in one padded forward pass."""
+        for premise, hypothesis in pairs:
+            self._check_pair(premise, hypothesis)
+        if not pairs:
+            return []
         torch = self._torch
         try:
             with torch.no_grad():
                 encoded = self._tokenizer(
-                    premise,
-                    hypothesis,
+                    [premise for premise, _ in pairs],
+                    [hypothesis for _, hypothesis in pairs],
                     return_tensors="pt",
+                    padding=True,
                     truncation=True,
                 ).to(self._device)
-                logits = self._model(**encoded).logits[0]
-                index = int(torch.argmax(logits).item())
+                indices = torch.argmax(self._model(**encoded).logits, dim=-1).tolist()
         except Exception as exc:
             raise BackendError(f"NLI inference failed: {exc}") from exc
-        return self._labels[index]
+        return [self._labels[int(index)] for index in indices]
 
 
 def _normalize_label(label: str) -> str:

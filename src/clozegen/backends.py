@@ -137,6 +137,14 @@ class NliClassifier(ABC):
     def classify_nli(self, premise: str, hypothesis: str) -> str:
         """Argmax label for the pair: entailment, neutral or contradiction."""
 
+    def classify_nli_batch(self, pairs: Sequence[tuple[str, str]]) -> list[str]:
+        """``classify_nli`` for each ``(premise, hypothesis)`` pair, in order.
+
+        Meant to be one forward pass; this default loops over ``classify_nli``,
+        so a backend without a batched path needs no change.
+        """
+        return [self.classify_nli(premise, hypothesis) for premise, hypothesis in pairs]
+
     @staticmethod
     def _check_pair(premise: str, hypothesis: str) -> None:
         if not premise or not hypothesis:

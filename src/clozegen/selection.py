@@ -10,6 +10,12 @@ classified. A pair counts as entailing only when the classifier says
 entailment in *both* argument orders; neutral or contradictory verdicts
 retain the candidate.
 
+The scan runs in waves. Each replays it over the verdicts known so far and
+collects, for every candidate certain to be reached, the next pair its
+checks need; one ``classify_nli_batch`` call classifies them all. So the
+classifier sees exactly the pairs of a one-pair-at-a-time scan, in as many
+passes as the longest chain of verdicts that depend on one another.
+
 Every removal is recorded in an elimination trace so a final set can be
 audited after the fact.
 """
@@ -93,34 +99,69 @@ def select_distractors(
     if not candidates:
         return DistractorSet([], answer, [], underfilled=True)
     start, end = _resolve_span(context, answer, answer_span)
-    answer_trace: list[TraceEntry] = []
-    pairwise_trace: list[TraceEntry] = []
-    kept: list[tuple[str, str]] = []  # (candidate text, its sentence)
-    for candidate in candidates:
-        if len(kept) == k:
+    texts = [answer] + [c.text for c in candidates]
+    sentences = [context] + [context[:start] + t + context[end:] for t in texts[1:]]
+    verdicts: dict[tuple[str, str], str] = {}
+    kept, removed, needed = _scan_wave(sentences, k, verdicts)
+    while needed:
+        verdicts.update(zip(needed, nli_backend.classify_nli_batch(needed)))
+        kept, removed, needed = _scan_wave(sentences, k, verdicts)
+    # removed is in rank order; the stable sort puts answer removals first
+    trace = [
+        TraceEntry(texts[i], STAGES[j > 0], texts[j], (ENTAILMENT, ENTAILMENT))
+        for i, j in sorted(removed.items(), key=lambda item: item[1] > 0)
+    ]
+    return DistractorSet([texts[i] for i in kept], answer, trace, len(kept) < k)
+
+
+def _scan_wave(
+    sentences: list[str], k: int, verdicts: dict[tuple[str, str], str]
+) -> tuple[list[int], dict[int, int], list[tuple[str, str]]]:
+    """Replay the best-first scan as far as ``verdicts`` settle it.
+
+    ``sentences`` holds the answer sentence, then each candidate's. Returns
+    the candidates known to be kept, the removed ones mapped to their
+    counterpart (0 for the answer), and the next pair each undecided
+    candidate that is certain to be reached still needs: one whose kept and
+    undecided predecessors number fewer than ``k``. After the first
+    undecided candidate none can be known kept, so later ones are checked
+    against the kept ones before it and wait if they pass.
+    """
+    kept: list[int] = []
+    removed: dict[int, int] = {}
+    needed: list[tuple[str, str]] = []
+    undecided = 0
+    for i in range(1, len(sentences)):
+        if len(kept) + undecided == k:
             break
-        sentence = context[:start] + candidate.text + context[end:]
-        if two_way_entails(nli_backend, sentence, context):
-            answer_trace.append(
-                TraceEntry(candidate.text, STAGE_ANSWER, answer, (ENTAILMENT, ENTAILMENT))
-            )
-            continue
-        match = next(
-            (text for text, other in kept if two_way_entails(nli_backend, sentence, other)),
-            None,
-        )
-        if match is None:
-            kept.append((candidate.text, sentence))
+        for j in (0, *kept):
+            verdict = _two_way(verdicts, sentences[i], sentences[j])
+            if verdict is True:
+                removed[i] = j
+                break
+            if verdict is not False:
+                needed.append(verdict)
+                undecided += 1
+                break
         else:
-            pairwise_trace.append(
-                TraceEntry(candidate.text, STAGE_PAIRWISE, match, (ENTAILMENT, ENTAILMENT))
-            )
-    return DistractorSet(
-        distractors=[text for text, _ in kept],
-        answer=answer,
-        trace=answer_trace + pairwise_trace,
-        underfilled=len(kept) < k,
-    )
+            if undecided:
+                undecided += 1
+            else:
+                kept.append(i)
+    return kept, removed, needed
+
+
+def _two_way(
+    verdicts: dict[tuple[str, str], str], text_a: str, text_b: str
+) -> bool | tuple[str, str]:
+    """``two_way_entails`` over known verdicts, or the pair it needs next."""
+    for pair in ((text_a, text_b), (text_b, text_a)):
+        label = verdicts.get(pair)
+        if label is None:
+            return pair
+        if label != ENTAILMENT:
+            return False
+    return True
 
 
 def verify_distractor_set(

@@ -75,15 +75,24 @@ class CountingMLM(MaskedLanguageModel):
 
 
 class CountingNli(NliClassifier):
-    """Delegating wrapper that records every classify_nli call."""
+    """Delegating wrapper that records every classify_nli call.
+
+    ``calls`` holds one entry per pair; ``batches`` holds the size of
+    each classify_nli_batch call.
+    """
 
     def __init__(self, inner):
         self.inner = inner
         self.calls = []
+        self.batches = []
 
     def classify_nli(self, premise, hypothesis):
         self.calls.append((premise, hypothesis))
         return self.inner.classify_nli(premise, hypothesis)
+
+    def classify_nli_batch(self, pairs):
+        self.batches.append(len(pairs))
+        return super().classify_nli_batch(pairs)
 
 
 @pytest.fixture

@@ -2,9 +2,10 @@
 
 Everything here re-derives expected behavior from first principles and is
 kept free of the code paths under test: the search oracle replays the
-branch-then-greedy process with its own bookkeeping, the selection oracle
-runs the two elimination stages eagerly one after the other, the
-abbreviation oracle keeps the regex form of the look-back, and the metric
+branch-then-greedy process with its own bookkeeping, the eager selection
+oracle runs the two elimination stages one after the other, the sequential
+selection oracle classifies one ordered pair at a time, the abbreviation
+oracle keeps the regex form of the look-back, and the metric
 oracle works on explicit 0/1 relevance vectors.
 """
 
@@ -13,7 +14,14 @@ import re
 
 from clozegen.backends import ENTAILMENT
 from clozegen.data import _ABBREVIATIONS
-from clozegen.selection import STAGE_ANSWER, STAGE_PAIRWISE
+from clozegen.selection import (
+    STAGE_ANSWER,
+    STAGE_PAIRWISE,
+    DistractorSet,
+    TraceEntry,
+    _resolve_span,
+    two_way_entails,
+)
 
 
 def brute_force_candidates(backend, masked_context, order, branch_width):
@@ -133,6 +141,47 @@ def eager_selection(nli, context, answer, answer_span, candidates, k):
         else:
             trace.append((text, STAGE_PAIRWISE, match))
     return kept, not candidates or len(kept) < k, trace
+
+
+def sequential_selection(nli_backend, context, answer, candidates, k, answer_span=None):
+    """The best-first scan, one ``classify_nli`` call per ordered pair.
+
+    Candidates are scanned in rank order; each is checked two ways against
+    the answer sentence, then against each kept candidate in order, and
+    the scan stops at ``k`` kept. Returns a ``DistractorSet`` whose trace
+    lists answer removals first, then pairwise ones, each in rank order.
+    """
+    if not candidates:
+        return DistractorSet([], answer, [], underfilled=True)
+    start, end = _resolve_span(context, answer, answer_span)
+    answer_trace = []
+    pairwise_trace = []
+    kept = []  # (candidate text, its sentence)
+    for candidate in candidates:
+        if len(kept) == k:
+            break
+        sentence = context[:start] + candidate.text + context[end:]
+        if two_way_entails(nli_backend, sentence, context):
+            answer_trace.append(
+                TraceEntry(candidate.text, STAGE_ANSWER, answer, (ENTAILMENT, ENTAILMENT))
+            )
+            continue
+        match = next(
+            (text for text, other in kept if two_way_entails(nli_backend, sentence, other)),
+            None,
+        )
+        if match is None:
+            kept.append((candidate.text, sentence))
+        else:
+            pairwise_trace.append(
+                TraceEntry(candidate.text, STAGE_PAIRWISE, match, (ENTAILMENT, ENTAILMENT))
+            )
+    return DistractorSet(
+        distractors=[text for text, _ in kept],
+        answer=answer,
+        trace=answer_trace + pairwise_trace,
+        underfilled=len(kept) < k,
+    )
 
 
 def ends_with_abbreviation_regex(text, period_index):

@@ -5,6 +5,7 @@ import random
 import pytest
 
 from clozegen.backends import (
+    CONTRADICTION,
     ENTAILMENT,
     NEUTRAL,
     BackendInfo,
@@ -202,6 +203,26 @@ def test_nli_rejects_empty_inputs_and_bad_labels():
         MockNliClassifier(default="maybe")
     with pytest.raises(ContractViolation):
         MockNliClassifier(table={("A", "B"): "maybe"})
+
+
+def test_classify_nli_batch_default_equals_per_pair_classify_nli():
+    texts = ["A", "B", "C"]
+    nli = MockNliClassifier(
+        table={("A", "B"): ENTAILMENT, ("B", "A"): CONTRADICTION, ("C", "A"): ENTAILMENT}
+    )
+    pairs = [(a, b) for a in texts for b in texts]
+    assert nli.classify_nli_batch(pairs) == [nli.classify_nli(a, b) for a, b in pairs]
+    assert nli.classify_nli_batch([]) == []
+
+
+def test_classify_nli_batch_empty_text_raises_like_classify_nli():
+    nli = MockNliClassifier()
+    for bad in (("", "B"), ("A", "")):
+        with pytest.raises(ContractViolation) as single:
+            nli.classify_nli(*bad)
+        with pytest.raises(ContractViolation) as batched:
+            nli.classify_nli_batch([("A", "B"), bad, ("B", "A")])
+        assert str(batched.value) == str(single.value)
 
 
 def test_mock_json_document_round_trip(tmp_path):

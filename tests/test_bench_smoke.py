@@ -1,5 +1,5 @@
 """Smoke run of the benchmark: it must pass its own checks, find every traced
-layer, and see one lockstep decode call per item."""
+layer, see one lockstep decode call per item, and batch NLI pairs."""
 
 import json
 import os
@@ -27,3 +27,9 @@ def test_bench_long_passage_smoke():
     # 1- and 2-word answers sample mask counts {1, 2} and {1, 2, 3}: 2.5 steps
     assert metrics["backends.mlm.passes_decode"]["value"] == 2.5
     assert metrics["generation.generate_candidates.calls"]["value"] == 1.0
+    # selection batches independent NLI pairs into one pass
+    pairs = (
+        metrics["backends.nli.pairs_answer"]["value"]
+        + metrics["backends.nli.pairs_pairwise"]["value"]
+    )
+    assert metrics["backends.nli.passes"]["value"] < pairs

@@ -1,4 +1,5 @@
 import random
+from collections import Counter
 
 import pytest
 
@@ -13,7 +14,7 @@ from clozegen.selection import (
 )
 
 from tests.conftest import CountingNli, make_candidate
-from tests.oracles import eager_selection
+from tests.oracles import eager_selection, sequential_selection
 from tests.selection_scenarios import (
     ANSWER,
     ANSWER_SPAN,
@@ -214,3 +215,48 @@ def test_best_first_scan_matches_eager_stages_on_random_tables():
             if a != b and rnd.random() < 0.8
         }
         _assert_matches_eager(table, texts, k, f"trial {trial}")
+
+
+def _assert_matches_sequential(table, texts, k, label):
+    """The wave scheduler against the one-pair-at-a-time scan on one instance."""
+    wave_nli = CountingNli(MockNliClassifier(table=table))
+    sequential_nli = CountingNli(MockNliClassifier(table=table))
+    candidates = _candidates(texts)
+    got = select_distractors(
+        wave_nli, CONTEXT, ANSWER, candidates, k, answer_span=ANSWER_SPAN
+    )
+    expected = sequential_selection(
+        sequential_nli, CONTEXT, ANSWER, candidates, k, answer_span=ANSWER_SPAN
+    )
+    assert got.distractors == expected.distractors, label
+    assert got.trace == expected.trace, label
+    assert got.underfilled is expected.underfilled, label
+    assert Counter(wave_nli.calls) == Counter(sequential_nli.calls), label
+    assert len(set(wave_nli.calls)) == len(wave_nli.calls), label
+    assert len(wave_nli.batches) <= len(wave_nli.calls), label
+    assert sum(wave_nli.batches) == len(wave_nli.calls), label
+
+
+def test_wave_selection_matches_sequential_scan_on_scenarios():
+    for scenario in SCENARIOS:
+        _assert_matches_sequential(
+            scenario["table"], scenario["candidates"], scenario["k"], scenario["name"]
+        )
+
+
+def test_wave_selection_matches_sequential_scan_on_random_tables():
+    rnd = random.Random(5120)
+    pool = [f"w{i}" for i in range(30)]
+    labels = (ENTAILMENT, ENTAILMENT, NEUTRAL, CONTRADICTION)
+    for trial in range(2000):
+        texts = rnd.sample(pool, rnd.randint(0, len(pool)))
+        k = rnd.randint(1, 12)
+        sentences = [CONTEXT] + [instantiate(t) for t in texts]
+        # each direction drawn on its own, so one-way entailments are common
+        table = {
+            (a, b): rnd.choice(labels)
+            for a in sentences
+            for b in sentences
+            if a != b and rnd.random() < 0.8
+        }
+        _assert_matches_sequential(table, texts, k, f"trial {trial}")
