@@ -226,7 +226,7 @@ class HuggingFaceNli(NliClassifier):
 def _normalize_label(label: str) -> str:
     lowered = label.lower()
     if "entail" in lowered:
-        return ENTAILMENT
+        return NEUTRAL if lowered.startswith(("not", "non")) else ENTAILMENT
     if "contra" in lowered:
         return CONTRADICTION
     if "neutral" in lowered or lowered.startswith("neut"):

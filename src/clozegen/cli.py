@@ -5,6 +5,10 @@ loads deterministic table-driven backends from a JSON document, anything
 else is treated as a HuggingFace checkpoint id (requires the ``hf``
 extra). The ``CLOZEGEN_MODEL_CACHE`` environment variable points real
 checkpoints at a download/cache directory.
+
+``generate`` and ``evaluate`` share one batch runner, so an item that raises
+a ``ClozegenError`` fails alone. Exit codes: 0 every item succeeded, 1
+nothing ran (bad input, flags or set-up), 2 some items failed.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 
 from . import data, metrics
 from .backends import MaskedLanguageModel, MockMaskedLM, MockNliClassifier, NliClassifier
-from .errors import ClozegenError, ConfigError
+from .errors import ClozegenError, ConfigError, ParseError
 from .generation import AVERAGES, GenerationConfig, STRATEGIES
 from .pipeline import generate_distractors, result_to_dict
 from .selection import STAGES
@@ -50,9 +54,6 @@ def build_parser() -> argparse.ArgumentParser:
     _add_generation_flags(generate)
     generate.add_argument("input", help="JSON-lines file of context/answer pairs")
     generate.add_argument("--output", help="output path (default: stdout)")
-    generate.add_argument(
-        "--jobs", type=int, default=1, help="concurrent items (output order preserved)"
-    )
 
     evaluate = sub.add_parser(
         "evaluate", help="evaluate generated distractors against gold ones"
@@ -73,9 +74,6 @@ def build_parser() -> argparse.ArgumentParser:
     evaluate.add_argument(
         "--prefill", choices=data.PREFILL_MODES, default=data.PREFILL_MODEL
     )
-    evaluate.add_argument(
-        "--jobs", type=int, default=1, help="concurrent items (output order preserved)"
-    )
 
     trace = sub.add_parser("trace", help="print the elimination trace of stored results")
     trace.add_argument("input", help="file of generation-result JSON (one per line)")
@@ -88,6 +86,9 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     )
     parser.add_argument(
         "--nli-model", help="NLI backend: HuggingFace id or mock:<path>"
+    )
+    parser.add_argument(
+        "--jobs", type=int, default=1, help="concurrent items (output order preserved)"
     )
 
 
@@ -141,106 +142,91 @@ def config_from_args(args: argparse.Namespace) -> GenerationConfig:
     return GenerationConfig(**values)
 
 
-def _write_output(path: str | None, text: str) -> int:
+def _write_output(path: str | None, text: str) -> None:
     if path:
-        try:
-            Path(path).write_text(text, encoding="utf-8", newline="\n")
-        except OSError as exc:
-            print(f"error: cannot write {path}: {exc}", file=sys.stderr)
-            return 1
+        Path(path).write_text(text, encoding="utf-8", newline="\n")
     else:
         sys.stdout.write(text)
-    return 0
 
 
-def _map_items(worker, items, jobs: int):
-    if jobs > 1:
-        with ThreadPoolExecutor(max_workers=jobs) as pool:
-            return list(pool.map(worker, items))
-    return [worker(item) for item in items]
+def _run_items(args: argparse.Namespace, items: list, run_one) -> list:
+    """Map ``run_one(item, config, mlm, nli)`` over ``items`` on ``args.jobs`` threads.
+
+    Each item's entry is its result, or the ``ClozegenError`` it raised.
+    """
+    mlm = make_mlm_backend(args.model)
+    nli = make_nli_backend(args.nli_model)
+    config = config_from_args(args)
+
+    def attempt(item):
+        try:
+            return run_one(item, config, mlm, nli)
+        except ClozegenError as exc:
+            return exc
+
+    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
+        return list(pool.map(attempt, items))
 
 
 def run_generate(args: argparse.Namespace) -> int:
-    try:
-        pairs = data.load_pairs(args.input)
-        mlm = make_mlm_backend(args.model)
-        nli = make_nli_backend(args.nli_model)
-        config = config_from_args(args)
-    except (ClozegenError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    pairs = data.load_pairs(args.input)
 
-    def worker(pair: data.ContextAnswerPair) -> dict:
-        try:
-            result = generate_distractors(pair.context, pair.answer_span, config, mlm, nli)
-        except ClozegenError as exc:
-            return {"id": pair.id, "error": {"type": type(exc).__name__, "message": str(exc)}}
-        record = {"id": pair.id}
-        record.update(result_to_dict(result))
-        return record
+    def run_one(pair: data.ContextAnswerPair, config, mlm, nli) -> dict:
+        return result_to_dict(
+            generate_distractors(pair.context, pair.answer_span, config, mlm, nli)
+        )
 
-    records = _map_items(worker, pairs, args.jobs)
+    records = []
+    for pair, outcome in zip(pairs, _run_items(args, pairs, run_one)):
+        if isinstance(outcome, ClozegenError):
+            outcome = {"error": {"type": type(outcome).__name__, "message": str(outcome)}}
+        records.append({"id": pair.id, **outcome})
     lines = [json.dumps(r, ensure_ascii=False, separators=(",", ":")) for r in records]
-    if _write_output(args.output, "".join(line + "\n" for line in lines)):
-        return 1
+    _write_output(args.output, "".join(line + "\n" for line in lines))
     return 2 if any("error" in r for r in records) else 0
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
-    try:
-        passages = data.load_cloth(args.input)
-        mlm = make_mlm_backend(args.model)
-        nli = make_nli_backend(args.nli_model)
-        config = config_from_args(args)
-    except (ClozegenError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
-    if args.limit is not None:
-        passages = passages[: args.limit]
+    passages = data.load_cloth(args.input)[: args.limit]
+    items = [(p, qi) for p in passages for qi in range(len(p.questions))]
 
-    items = [
-        (passage, qi) for passage in passages for qi in range(len(passage.questions))
-    ]
-
-    def worker(item) -> tuple[str, list[str], list[str]]:
+    def run_one(item, config, mlm, nli) -> list[str]:
         passage, qi = item
-        question = passage.questions[qi]
         prepared = data.prepare_context(
             passage, qi, args.input_mode, args.prefill, mlm_backend=mlm
         )
-        context, span = data.fill_target(prepared, question.answer)
+        context, span = data.fill_target(prepared, passage.questions[qi].answer)
         result = generate_distractors(context, span, config, mlm, nli)
-        return (
-            f"{passage.id}#{qi}",
-            result.distractor_set.distractors,
-            question.distractors,
-        )
+        return result.distractor_set.distractors
 
-    scored = _map_items(worker, items, args.jobs)
-    report = metrics.evaluate_dataset(
-        [(generated, gold) for _, generated, gold in scored],
-        ids=[item_id for item_id, _, _ in scored],
-    )
-    if _write_output(args.output, metrics.report_to_json(report) + "\n"):
-        return 1
+    scored, ids = [], []
+    for (passage, qi), outcome in zip(items, _run_items(args, items, run_one)):
+        item_id = f"{passage.id}#{qi}"
+        if isinstance(outcome, ClozegenError):
+            print(f"error: {item_id}: {outcome}", file=sys.stderr)
+        else:
+            scored.append((outcome, passage.questions[qi].distractors))
+            ids.append(item_id)
+    failed = len(items) - len(scored)
+    if failed and not scored:
+        return 2
+    report = metrics.evaluate_dataset(scored, ids=ids)
+    _write_output(args.output, metrics.report_to_json(report) + "\n")
     print(metrics.format_report_table(report))
-    return 0
+    return 2 if failed else 0
 
 
 def run_trace(args: argparse.Namespace) -> int:
+    text = Path(args.input).read_text(encoding="utf-8")
     try:
-        text = Path(args.input).read_text(encoding="utf-8")
         records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    except (OSError, json.JSONDecodeError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    except json.JSONDecodeError as exc:
+        raise ParseError(str(exc)) from exc
     if not records:
-        print("error: no records found", file=sys.stderr)
-        return 1
+        raise ParseError("no records found")
     for record in records:
         if not isinstance(record, dict) or not isinstance(record.get("trace"), list):
-            print("error: record has no trace list", file=sys.stderr)
-            return 1
+            raise ParseError("record has no trace list")
         label = record.get("id", "<result>")
         entries = record["trace"]
         if not entries:
@@ -250,8 +236,7 @@ def run_trace(args: argparse.Namespace) -> int:
         for entry in entries:
             stage = entry.get("stage")
             if stage not in STAGES:
-                print(f"error: unknown trace stage {stage!r}", file=sys.stderr)
-                return 1
+                raise ParseError(f"unknown trace stage {stage!r}")
             verdicts = "/".join(entry.get("verdicts", []))
             print(
                 f"  - {entry.get('candidate')!r} removed at {stage} "
@@ -264,8 +249,12 @@ def main(argv: list[str] | None = None) -> int:
     args = build_parser().parse_args(argv)
     handlers = {"generate": run_generate, "evaluate": run_evaluate, "trace": run_trace}
     try:
+        for flag in ("jobs", "limit"):
+            value = getattr(args, flag, None)
+            if value is not None and value < 1:
+                raise ConfigError(f"--{flag} must be >= 1")
         return handlers[args.command](args)
-    except ClozegenError as exc:
+    except (ClozegenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)
         return 1
 

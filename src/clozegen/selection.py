@@ -10,11 +10,12 @@ classified. A pair counts as entailing only when the classifier says
 entailment in *both* argument orders; neutral or contradictory verdicts
 retain the candidate.
 
-The scan runs in waves. Each replays it over the verdicts known so far and
-collects, for every candidate certain to be reached, the next pair its
-checks need; one ``classify_nli_batch`` call classifies them all. So the
-classifier sees exactly the pairs of a one-pair-at-a-time scan, in as many
-passes as the longest chain of verdicts that depend on one another.
+The scan runs in waves. Each resumes it at the first undecided candidate,
+advances it over the verdicts known so far and collects, for every
+candidate certain to be reached, the next pair its checks need; one
+``classify_nli_batch`` call classifies them all. So the classifier sees
+exactly the pairs of a one-pair-at-a-time scan, in as many passes as the
+longest chain of verdicts that depend on one another.
 
 Every removal is recorded in an elimination trace so a final set can be
 audited after the fact.
@@ -102,44 +103,51 @@ def select_distractors(
     texts = [answer] + [c.text for c in candidates]
     sentences = [context] + [context[:start] + t + context[end:] for t in texts[1:]]
     verdicts: dict[tuple[str, str], str] = {}
-    kept, removed, needed = _scan_wave(sentences, k, verdicts)
+    kept: list[int] = []
+    removed: dict[int, int] = {}
+    start, needed = _scan_wave(sentences, k, verdicts, kept, removed, 1)
     while needed:
         verdicts.update(zip(needed, nli_backend.classify_nli_batch(needed)))
-        kept, removed, needed = _scan_wave(sentences, k, verdicts)
-    # removed is in rank order; the stable sort puts answer removals first
+        start, needed = _scan_wave(sentences, k, verdicts, kept, removed, start)
     trace = [
         TraceEntry(texts[i], STAGES[j > 0], texts[j], (ENTAILMENT, ENTAILMENT))
-        for i, j in sorted(removed.items(), key=lambda item: item[1] > 0)
+        for i, j in sorted(removed.items(), key=lambda item: (item[1] > 0, item[0]))
     ]
     return DistractorSet([texts[i] for i in kept], answer, trace, len(kept) < k)
 
 
 def _scan_wave(
-    sentences: list[str], k: int, verdicts: dict[tuple[str, str], str]
-) -> tuple[list[int], dict[int, int], list[tuple[str, str]]]:
-    """Replay the best-first scan as far as ``verdicts`` settle it.
+    sentences: list[str],
+    k: int,
+    verdicts: dict[tuple[str, str], str],
+    kept: list[int],
+    removed: dict[int, int],
+    start: int,
+) -> tuple[int, list[tuple[str, str]]]:
+    """Advance the best-first scan from ``start`` as far as ``verdicts`` settle it.
 
-    ``sentences`` holds the answer sentence, then each candidate's. Returns
-    the candidates known to be kept, the removed ones mapped to their
-    counterpart (0 for the answer), and the next pair each undecided
-    candidate that is certain to be reached still needs: one whose kept and
-    undecided predecessors number fewer than ``k``. After the first
-    undecided candidate none can be known kept, so later ones are checked
-    against the kept ones before it and wait if they pass.
+    ``sentences`` holds the answer sentence, then each candidate's. Settled
+    candidates join ``kept`` or ``removed`` (mapped to their counterpart, 0
+    for the answer) in place. Returns the first undecided candidate, where
+    the next wave resumes, and the next pair each candidate certain to be
+    reached still needs: one whose kept and undecided predecessors number
+    fewer than ``k``. Later candidates than the first undecided one cannot
+    be known kept; they are checked against the kept ones before it.
     """
-    kept: list[int] = []
-    removed: dict[int, int] = {}
     needed: list[tuple[str, str]] = []
     undecided = 0
-    for i in range(1, len(sentences)):
+    for i in range(start, len(sentences)):
         if len(kept) + undecided == k:
             break
         for j in (0, *kept):
             verdict = _two_way(verdicts, sentences[i], sentences[j])
             if verdict is True:
-                removed[i] = j
+                if not undecided:
+                    removed[i] = j
                 break
             if verdict is not False:
+                if not undecided:
+                    start = i
                 needed.append(verdict)
                 undecided += 1
                 break
@@ -148,7 +156,7 @@ def _scan_wave(
                 undecided += 1
             else:
                 kept.append(i)
-    return kept, removed, needed
+    return start, needed
 
 
 def _two_way(

@@ -86,21 +86,25 @@ def test_generate_writes_one_line_per_pair(mock_config_path, pairs_path, tmp_pat
     assert set(first) == {"id", "distractors", "candidates", "trace", "config"}
 
 
-def test_generate_partial_failure_exit_code(mock_config_path, tmp_path):
+@pytest.mark.parametrize("jobs", ["1", "3"])
+def test_generate_partial_failure_exit_code(mock_config_path, tmp_path, jobs):
     records = [
         {"id": "ok", "context": CONTEXT, "answer_start": 13, "answer_end": 17},
         {"id": "bad", "context": "see the    gap here", "answer_start": 7, "answer_end": 9},
+        {"id": "ok2", "context": CONTEXT, "answer_text": "door"},
     ]
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text("\n".join(json.dumps(r) for r in records), encoding="utf-8")
     out = tmp_path / "out.jsonl"
-    code = main(_generate_args(mock_config_path, pairs, out))
+    code = main(_generate_args(mock_config_path, pairs, out, ["--jobs", jobs]))
     assert code == 2
     lines = [json.loads(l) for l in out.read_text(encoding="utf-8").splitlines()]
-    assert len(lines) == 2
-    assert "distractors" in lines[0]
-    assert lines[1]["id"] == "bad"
+    assert [line["id"] for line in lines] == ["ok", "bad", "ok2"]
+    assert "distractors" in lines[0] and "distractors" in lines[2]
     assert lines[1]["error"]["type"] == "SpanError"
+    default = tmp_path / "default.jsonl"
+    assert main(_generate_args(mock_config_path, pairs, default)) == 2
+    assert out.read_bytes() == default.read_bytes()
 
 
 def test_generate_missing_model_and_bad_input(mock_config_path, pairs_path, tmp_path, capsys):
@@ -118,6 +122,14 @@ def test_generate_missing_model_and_bad_input(mock_config_path, pairs_path, tmp_
         ]
     )
     assert code == 1
+
+
+def test_unwritable_output_is_one_error_line(mock_config_path, pairs_path, tmp_path, capsys):
+    out = tmp_path / "no-such-dir" / "out.jsonl"
+    assert main(_generate_args(mock_config_path, pairs_path, out)) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "no-such-dir" in err
 
 
 def test_generate_deterministic_output_files(mock_config_path, pairs_path, tmp_path):
@@ -182,6 +194,46 @@ def test_evaluate_with_cloth_preset(mock_config_path, cloth_path, tmp_path, caps
     assert "P@1" in table and "50.00" in table
 
 
+def _evaluate_args(mock_config_path, input_path, out, *extra):
+    return [
+        "evaluate",
+        str(input_path),
+        "--model",
+        f"mock:{mock_config_path}",
+        "--nli-model",
+        f"mock:{mock_config_path}",
+        "--preset",
+        "cloth",
+        "--output",
+        str(out),
+        *extra,
+    ]
+
+
+def test_evaluate_jobs_preserve_report(mock_config_path, cloth_path, tmp_path):
+    (cloth_path / "high0002.json").write_text(
+        json.dumps({**CLOTH_DOC, "answers": ["A", "B"]}), encoding="utf-8"
+    )
+    serial = tmp_path / "serial.json"
+    threaded = tmp_path / "threaded.json"
+    assert main(_evaluate_args(mock_config_path, cloth_path, serial)) == 0
+    assert main(_evaluate_args(mock_config_path, cloth_path, threaded, "--jobs", "3")) == 0
+    assert json.loads(serial.read_text())["item_count"] == 4
+    assert serial.read_bytes() == threaded.read_bytes()
+
+
+@pytest.mark.parametrize(
+    "flag, value", [("--jobs", "0"), ("--limit", "0"), ("--limit", "-1")]
+)
+def test_evaluate_rejects_nonpositive_jobs_and_limit(
+    mock_config_path, cloth_path, tmp_path, capsys, flag, value
+):
+    report_path = tmp_path / "report.json"
+    assert main(_evaluate_args(mock_config_path, cloth_path, report_path, flag, value)) == 1
+    assert capsys.readouterr().err == f"error: {flag} must be >= 1\n"
+    assert not report_path.exists()
+
+
 def test_evaluate_limit(mock_config_path, cloth_path, tmp_path):
     (cloth_path / "high0002.json").write_text(json.dumps(CLOTH_DOC), encoding="utf-8")
     report_path = tmp_path / "report.json"
@@ -227,8 +279,6 @@ def test_evaluate_parse_error(mock_config_path, tmp_path, capsys):
     [
         # a gold answer option that is only whitespace
         {**CLOTH_DOC, "options": [["a", "b", "  ", "d"], ["e", "f", "g", "h"]]},
-        # a blank glued to punctuation cannot be masked for model prefill
-        {**CLOTH_DOC, "article": "Tom ran _. He bought a _ there."},
     ],
 )
 def test_evaluate_bad_item_is_one_error_line(mock_config_path, tmp_path, capsys, doc):
@@ -249,6 +299,40 @@ def test_evaluate_bad_item_is_one_error_line(mock_config_path, tmp_path, capsys,
     assert code == 1
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
+
+
+def test_evaluate_isolates_failed_question(mock_config_path, tmp_path, capsys):
+    # a blank glued to punctuation cannot be masked for model prefill, so
+    # question 1 fails; question 0 is still scored and reported
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({**CLOTH_DOC, "article": "Tom ran _. He bought a _ there."}),
+        encoding="utf-8",
+    )
+    report_path = tmp_path / "report.json"
+    code = main(_evaluate_args(mock_config_path, bad, report_path))
+    assert code == 2
+    report = json.loads(report_path.read_text(encoding="utf-8"))
+    assert report["item_count"] == 1
+    assert [item["item_id"] for item in report["per_item"]] == ["bad#0"]
+    err = capsys.readouterr().err.splitlines()
+    assert len(err) == 1 and err[0].startswith("error: bad#1: ")
+
+
+def test_evaluate_all_questions_failed_writes_no_report(mock_config_path, tmp_path, capsys):
+    bad = tmp_path / "bad.json"
+    bad.write_text(
+        json.dumps({**CLOTH_DOC, "article": "Tom ran _. He bought a _."}),
+        encoding="utf-8",
+    )
+    report_path = tmp_path / "report.json"
+    code = main(_evaluate_args(mock_config_path, bad, report_path))
+    assert code == 2
+    assert not report_path.exists()
+    captured = capsys.readouterr()
+    assert captured.out == ""
+    err = captured.err.splitlines()
+    assert [line.split(": ")[1] for line in err] == ["bad#0", "bad#1"]
 
 
 def test_cloth_preset_hyperparameters():
