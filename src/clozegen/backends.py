@@ -206,13 +206,16 @@ class MockMaskedLM(MaskedLanguageModel):
                 table[key] = [(t, p) for t, p in entry["top"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: malformed predictions entry: {entry!r}") from exc
+        vocabulary = doc.get("vocabulary", [])
+        if not isinstance(vocabulary, list):
+            raise ParseError(f"{path}: field 'vocabulary' must be a list")
         return cls(
             mask_token=doc.get("mask_token", DEFAULT_MASK_TOKEN),
-            vocabulary=doc.get("vocabulary", []),
+            vocabulary=vocabulary,
             table=table,
             fallback=doc.get("fallback", "uniform"),
-            salt=int(doc.get("salt", 0)),
-            max_sequence_length=int(doc.get("max_sequence_length", 512)),
+            salt=_int_field(doc, "salt", 0, path),
+            max_sequence_length=_int_field(doc, "max_sequence_length", 512, path),
             name=doc.get("name", "mock-mlm"),
         )
 
@@ -312,11 +315,18 @@ class MockNliClassifier(NliClassifier):
 def _load_mock_document(path: str | Path) -> dict:
     try:
         doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except json.JSONDecodeError as exc:
+    except ValueError as exc:  # bad JSON or not UTF-8
         raise ParseError(f"{path}: not valid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: mock configuration must be a JSON object")
     return doc
+
+
+def _int_field(doc: dict, key: str, default: int, path: str | Path) -> int:
+    value = doc.get(key, default)
+    if type(value) is not int:  # also rejects bool, an int subclass
+        raise ParseError(f"{path}: field {key!r} must be an integer")
+    return value
 
 
 def load_mock_backends(path: str | Path) -> tuple[MockMaskedLM, MockNliClassifier]:

@@ -21,7 +21,8 @@ from concurrent.futures import ThreadPoolExecutor
 from pathlib import Path
 
 from . import data, metrics
-from .backends import MaskedLanguageModel, MockMaskedLM, MockNliClassifier, NliClassifier
+from .adapters import HuggingFaceMaskedLM, HuggingFaceNli
+from .backends import MockMaskedLM, MockNliClassifier
 from .errors import ClozegenError, ConfigError, ParseError
 from .generation import AVERAGES, GenerationConfig, STRATEGIES
 from .pipeline import generate_distractors, result_to_dict
@@ -107,24 +108,13 @@ def _add_generation_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument("--seed", type=int, default=0)
 
 
-def make_mlm_backend(spec: str | None) -> MaskedLanguageModel:
+def make_backend(spec: str | None, flag: str, mock_class, hf_class):
+    """``mock_class`` loaded from ``mock:<path>``, else ``hf_class`` for a checkpoint id."""
     if not spec:
-        raise ConfigError("--model is required")
+        raise ConfigError(f"{flag} is required")
     if spec.startswith("mock:"):
-        return MockMaskedLM.from_json_file(spec[len("mock:") :])
-    from .adapters import HuggingFaceMaskedLM
-
-    return HuggingFaceMaskedLM(spec, cache_dir=os.environ.get(MODEL_CACHE_ENV))
-
-
-def make_nli_backend(spec: str | None) -> NliClassifier:
-    if not spec:
-        raise ConfigError("--nli-model is required")
-    if spec.startswith("mock:"):
-        return MockNliClassifier.from_json_file(spec[len("mock:") :])
-    from .adapters import HuggingFaceNli
-
-    return HuggingFaceNli(spec, cache_dir=os.environ.get(MODEL_CACHE_ENV))
+        return mock_class.from_json_file(spec[len("mock:") :])
+    return hf_class(spec, cache_dir=os.environ.get(MODEL_CACHE_ENV))
 
 
 def config_from_args(args: argparse.Namespace) -> GenerationConfig:
@@ -154,8 +144,8 @@ def _run_items(args: argparse.Namespace, items: list, run_one) -> list:
 
     Each item's entry is its result, or the ``ClozegenError`` it raised.
     """
-    mlm = make_mlm_backend(args.model)
-    nli = make_nli_backend(args.nli_model)
+    mlm = make_backend(args.model, "--model", MockMaskedLM, HuggingFaceMaskedLM)
+    nli = make_backend(args.nli_model, "--nli-model", MockNliClassifier, HuggingFaceNli)
     config = config_from_args(args)
 
     def attempt(item):
@@ -217,16 +207,17 @@ def run_evaluate(args: argparse.Namespace) -> int:
 
 
 def run_trace(args: argparse.Namespace) -> int:
-    text = Path(args.input).read_text(encoding="utf-8")
+    path = args.input
     try:
+        text = Path(path).read_text(encoding="utf-8")
         records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    except json.JSONDecodeError as exc:
-        raise ParseError(str(exc)) from exc
+    except ValueError as exc:  # bad JSON or not UTF-8
+        raise ParseError(f"{path}: {exc}") from exc
     if not records:
-        raise ParseError("no records found")
+        raise ParseError(f"{path}: no records found")
     for record in records:
         if not isinstance(record, dict) or not isinstance(record.get("trace"), list):
-            raise ParseError("record has no trace list")
+            raise ParseError(f"{path}: record has no trace list")
         label = record.get("id", "<result>")
         entries = record["trace"]
         if not entries:
@@ -234,10 +225,15 @@ def run_trace(args: argparse.Namespace) -> int:
             continue
         print(f"{label}:")
         for entry in entries:
+            if not isinstance(entry, dict):
+                raise ParseError(f"{path}: trace entry {entry!r} is not an object")
             stage = entry.get("stage")
             if stage not in STAGES:
-                raise ParseError(f"unknown trace stage {stage!r}")
-            verdicts = "/".join(entry.get("verdicts", []))
+                raise ParseError(f"{path}: unknown trace stage {stage!r}")
+            try:
+                verdicts = "/".join(entry.get("verdicts", []))
+            except TypeError as exc:
+                raise ParseError(f"{path}: trace verdicts must be strings") from exc
             print(
                 f"  - {entry.get('candidate')!r} removed at {stage} "
                 f"vs {entry.get('counterpart')!r} (verdicts: {verdicts})"

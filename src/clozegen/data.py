@@ -6,6 +6,10 @@ JSON-lines (context, answer span) pairs, per-question context preparation
 with passage/sentence input modes and model/gold blank prefilling, and a
 rule-based sentence extractor used both for sentence-mode inputs and for
 the sentence-level entailment comparisons.
+
+Model prefill masks a blank through generation's own path
+(``map_char_span`` then ``build_masked_context``), so a blank glued to
+punctuation is masked like any answer span.
 """
 
 from __future__ import annotations
@@ -18,7 +22,7 @@ from pathlib import Path
 
 from .backends import MaskedLanguageModel
 from .errors import ConfigError, ContractViolation, ParseError, ResolveError, SpanError
-from .generation import MaskedContext, window_context
+from .generation import build_masked_context, map_char_span, window_context
 
 BLANK_RE = re.compile(r"_+")
 ANSWER_LETTERS = "ABCD"
@@ -98,8 +102,6 @@ class PreparedContext:
 
     context: str
     answer_span: tuple[int, int]
-    input_mode: str
-    prefill_mode: str
 
 
 def load_cloth(path: str | Path) -> list[ClozePassage]:
@@ -125,7 +127,7 @@ def _parse_cloth_file(path: Path) -> ClozePassage:
         doc = json.loads(path.read_text(encoding="utf-8"))
     except FileNotFoundError:
         raise
-    except (OSError, json.JSONDecodeError) as exc:
+    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
         raise ParseError(f"{path.name}: unreadable or invalid JSON: {exc}") from exc
     if not isinstance(doc, dict):
         raise ParseError(f"{path.name}: expected a JSON object")
@@ -178,7 +180,7 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
     """
     pairs = []
     with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(handle, start=1):
+        for lineno, line in enumerate(_utf8_lines(handle, path), start=1):
             line = line.strip()
             if not line:
                 continue
@@ -222,6 +224,14 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
                 )
             pairs.append(ContextAnswerPair(id=pair_id, context=context, answer_span=span))
     return pairs
+
+
+def _utf8_lines(handle, path: str | Path):
+    """The lines of a file opened as UTF-8; bytes that are not UTF-8 are a ParseError."""
+    try:
+        yield from handle
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def extract_sentence(text: str, span: tuple[int, int]) -> tuple[str, tuple[int, int]]:
@@ -337,29 +347,15 @@ def prepare_context(
             shift += len(filling) - (bend - bstart)
     if input_mode == INPUT_SENTENCE:
         text, target_span = extract_sentence(text, target_span)
-    return PreparedContext(
-        context=text,
-        answer_span=target_span,
-        input_mode=input_mode,
-        prefill_mode=prefill_mode,
-    )
+    return PreparedContext(context=text, answer_span=target_span)
 
 
 def _model_fill(backend: MaskedLanguageModel, text: str, blank: tuple[int, int]) -> str:
-    """Top-1 fill for one blank, queried with the blank as a mask token."""
+    """Top-1 fill for one blank, masked the way generation masks an answer."""
     info = backend.info()
-    bstart, bend = blank
-    query = text[:bstart] + info.mask_token + text[bend:]
-    tokens = backend.tokenize(query)
-    try:
-        position = tokens.index(info.mask_token)
-    except ValueError as exc:
-        raise ContractViolation(
-            "mask token did not survive tokenization of the prefill query"
-        ) from exc
+    tokens, span = map_char_span(backend, text, blank)
     masked = window_context(
-        MaskedContext(tokens=tokens, mask_positions=[position], answer_text=""),
-        info.max_sequence_length,
+        build_masked_context(tokens, span, 1, info.mask_token), info.max_sequence_length
     )
     predictions = backend.fill_mask(masked.tokens, masked.mask_positions[0], 1)
     if not predictions:

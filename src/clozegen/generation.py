@@ -158,6 +158,34 @@ def sample_mask_counts(
     return sorted(int(v) for v in drawn)
 
 
+def map_char_span(
+    backend: MaskedLanguageModel, context: str, answer_span: tuple[int, int]
+) -> tuple[list[str], tuple[int, int]]:
+    """Map a character span onto backend tokens.
+
+    Prefers the backend's token offsets when the span lands exactly on
+    token boundaries; otherwise re-tokenizes with the span isolated so the
+    answer occupies whole tokens.
+    """
+    start, end = answer_span
+    offsets = backend.tokenize_with_offsets(context)
+    if offsets is not None:
+        token_start = token_end = None
+        for i, (_, tok_start, tok_end) in enumerate(offsets):
+            if tok_start == start:
+                token_start = i
+            if tok_end == end:
+                token_end = i + 1
+        if token_start is not None and token_end is not None and token_start < token_end:
+            return [tok for tok, _, _ in offsets], (token_start, token_end)
+
+    before = backend.tokenize(context[:start]) if context[:start].strip() else []
+    answer = backend.tokenize(context[start:end])
+    after = backend.tokenize(context[end:]) if context[end:].strip() else []
+    tokens = before + answer + after
+    return tokens, (len(before), len(before) + len(answer))
+
+
 def build_masked_context(
     context_tokens: list[str],
     answer_span: tuple[int, int],

@@ -9,7 +9,7 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import dataclass
+from dataclasses import asdict, dataclass
 from typing import Sequence
 
 from .errors import ContractViolation
@@ -125,17 +125,7 @@ def report_to_dict(report: EvalReport) -> dict:
     return {
         "item_count": report.item_count,
         "averages": {k: report.averages[k] for k in METRIC_NAMES},
-        "per_item": [
-            {
-                "item_id": r.item_id,
-                "p_at_1": r.p_at_1,
-                "f1_at_3": r.f1_at_3,
-                "mrr_at_10": r.mrr_at_10,
-                "ndcg_at_10": r.ndcg_at_10,
-                "matched_ranks": list(r.matched_ranks),
-            }
-            for r in report.per_item
-        ],
+        "per_item": [asdict(r) for r in report.per_item],
     }
 
 

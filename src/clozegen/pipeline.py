@@ -11,7 +11,7 @@ from __future__ import annotations
 import json
 import random
 import time
-from dataclasses import dataclass, field
+from dataclasses import asdict, dataclass, field
 
 import numpy as np
 
@@ -25,6 +25,7 @@ from .generation import (
     decode_order,
     drop_answer_matches,
     generate_candidates,
+    map_char_span,
     mask_count_interval,
     rank_candidates,
     resolve_mask_count,
@@ -64,34 +65,6 @@ def resolve_search_multiplier(config: GenerationConfig, resolved_mask_count: int
     if config.m_s is not None:
         return config.m_s
     return 10 if resolved_mask_count == 1 else 7
-
-
-def map_char_span(
-    backend: MaskedLanguageModel, context: str, answer_span: tuple[int, int]
-) -> tuple[list[str], tuple[int, int]]:
-    """Map a character span onto backend tokens.
-
-    Prefers the backend's token offsets when the span lands exactly on
-    token boundaries; otherwise re-tokenizes with the span isolated so the
-    answer occupies whole tokens.
-    """
-    start, end = answer_span
-    offsets = backend.tokenize_with_offsets(context)
-    if offsets is not None:
-        token_start = token_end = None
-        for i, (_, tok_start, tok_end) in enumerate(offsets):
-            if tok_start == start:
-                token_start = i
-            if tok_end == end:
-                token_end = i + 1
-        if token_start is not None and token_end is not None and token_start < token_end:
-            return [tok for tok, _, _ in offsets], (token_start, token_end)
-
-    before = backend.tokenize(context[:start]) if context[:start].strip() else []
-    answer = backend.tokenize(context[start:end])
-    after = backend.tokenize(context[end:]) if context[end:].strip() else []
-    tokens = before + answer + after
-    return tokens, (len(before), len(before) + len(answer))
 
 
 def generate_distractors(
@@ -169,7 +142,6 @@ def render_cloze(
 
 def result_to_dict(result: GenerationResult) -> dict:
     """Wire format for a result; timing is excluded so output is reproducible."""
-    config = result.config_echo
     return {
         "distractors": list(result.distractor_set.distractors),
         "candidates": [
@@ -191,15 +163,7 @@ def result_to_dict(result: GenerationResult) -> dict:
             }
             for entry in result.distractor_set.trace
         ],
-        "config": {
-            "n_mask": config.n_mask,
-            "dispersion": config.dispersion,
-            "k": config.k,
-            "m_s": config.m_s,
-            "strategy": config.strategy,
-            "avg": config.avg,
-            "seed": config.seed,
-        },
+        "config": asdict(result.config_echo),
     }
 
 

@@ -5,7 +5,8 @@ kept free of the code paths under test: the search oracle replays the
 branch-then-greedy process with its own bookkeeping, the eager selection
 oracle runs the two elimination stages one after the other, the sequential
 selection oracle classifies one ordered pair at a time, the abbreviation
-oracle keeps the regex form of the look-back, and the metric
+oracle keeps the regex form of the look-back, the prefill oracle masks a
+blank by splicing the mask string into the text, and the metric
 oracle works on explicit 0/1 relevance vectors.
 """
 
@@ -14,6 +15,7 @@ import re
 
 from clozegen.backends import ENTAILMENT
 from clozegen.data import _ABBREVIATIONS
+from clozegen.generation import MaskedContext, window_context
 from clozegen.selection import (
     STAGE_ANSWER,
     STAGE_PAIRWISE,
@@ -193,3 +195,44 @@ def ends_with_abbreviation_regex(text, period_index):
     if word in _ABBREVIATIONS:
         return True
     return len(word) == 1 and word.isalpha() and text[:period_index].rstrip()[-1:].isupper()
+
+
+def query_string_fill(backend, text, blank):
+    """Top-1 fill for one blank by the first prefill recipe.
+
+    The mask string is spliced into the text, the text is re-tokenized and
+    the mask token searched for. Returns None when the mask token does not
+    survive tokenization, as with a blank glued to punctuation (``_.``)
+    under a whitespace tokenizer.
+    """
+    info = backend.info()
+    query = text[: blank[0]] + info.mask_token + text[blank[1] :]
+    tokens = backend.tokenize(query)
+    if info.mask_token not in tokens:
+        return None
+    position = tokens.index(info.mask_token)
+    masked = window_context(
+        MaskedContext(tokens=tokens, mask_positions=[position], answer_text=""),
+        info.max_sequence_length,
+    )
+    predictions = backend.fill_mask(masked.tokens, masked.mask_positions[0], 1)
+    return backend.detokenize([predictions[0].token])
+
+
+def query_string_prefill(backend, text, question_index):
+    """Passage-mode model prefill of every blank but ``question_index``.
+
+    Blanks are filled left to right through ``query_string_fill``, each
+    query seeing the earlier fills. Returns None when any fill fails.
+    """
+    pieces = re.split(r"(_+)", text)  # blanks sit at the odd indices
+    for n, i in enumerate(range(1, len(pieces), 2)):
+        if n == question_index:
+            continue
+        before = "".join(pieces[:i])
+        blank = (len(before), len(before) + len(pieces[i]))
+        fill = query_string_fill(backend, "".join(pieces), blank)
+        if fill is None:
+            return None
+        pieces[i] = fill
+    return "".join(pieces)

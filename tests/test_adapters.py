@@ -25,6 +25,7 @@ from clozegen.adapters import (
     _prefix_length,
 )
 from clozegen.backends import CONTRADICTION, ENTAILMENT, NEUTRAL
+from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
 from clozegen.errors import BackendError, ContractViolation, SequenceLengthError
 
 SPECIALS = ["[PAD]", "[CLS]", "[SEP]", "[MASK]", "[UNK]", "</s>"]
@@ -244,6 +245,20 @@ def test_fill_mask_top_fill_is_read_at_the_true_mask_position(checkpoints, model
     assert len(preds) == 3
     assert all(a.probability >= b.probability for a, b in zip(preds, preds[1:]))
     assert 0.5 < preds[0].probability < 1.0
+
+
+@pytest.mark.parametrize("model_id", ["cls-mlm", "eos-mlm"])
+def test_prefill_masks_a_glued_blank_at_its_true_position(checkpoints, model_id):
+    mlm = HuggingFaceMaskedLM(model_id)
+    text = "the dog ran _. the cat _ on a mat"
+    passage = ClozePassage("p", text, [ClozeQuestion("home", []), ClozeQuestion("sat", [])])
+    # the word after the left neighbour in WORDS: "home" after "ran" for the
+    # glued blank, "sat" after "cat" for the one the offsets map
+    filled = [prepare_context(passage, qi, "passage", "model", mlm).context for qi in (1, 0)]
+    assert filled == [
+        "the dog ran home. the cat _ on a mat",
+        "the dog ran _. the cat sat on a mat",
+    ]
 
 
 def test_prefix_length_under_special_token_frames():

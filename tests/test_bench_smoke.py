@@ -1,11 +1,20 @@
 """Smoke run of the benchmark: it must pass its own checks, find every traced
-layer, see one lockstep decode call per item, and batch NLI pairs."""
+layer, see one lockstep decode call per item, and batch NLI pairs. The
+benchmark's masked LM also prefills a CLOTH passage in process, since the
+smoke run's workload has no blanks."""
 
 import json
 import os
+import random
+import re
 import subprocess
 import sys
+from collections import Counter
 from pathlib import Path
+
+from clozegen.data import load_cloth, prepare_context
+
+from tests.oracles import query_string_prefill
 
 ROOT = Path(__file__).resolve().parents[1]
 
@@ -33,3 +42,23 @@ def test_bench_long_passage_smoke():
         + metrics["backends.nli.pairs_pairwise"]["value"]
     )
     assert metrics["backends.nli.passes"]["value"] < pairs
+
+
+def test_bench_tokenizer_prefill_matches_oracle(tmp_path, monkeypatch):
+    monkeypatch.syspath_prepend(str(ROOT / "bench"))
+    import inputs
+    import models
+
+    inputs.write_cloth(tmp_path, random.Random(3), passages=1, sentences=8, blanks=5)
+    (passage,) = load_cloth(tmp_path)
+    # the tokenizer splits punctuation off words, so a glued blank is masked too
+    assert re.search(r"_[.?!]", passage.text_with_blanks)
+    counts = Counter()
+    mlm = models.BenchMaskedLM(counts)
+    mlm.phase = "prefill"
+    blanks = len(passage.questions)
+    for qi in range(blanks):
+        passes = counts["mlm_passes_prefill"]
+        prepared = prepare_context(passage, qi, "passage", "model", mlm_backend=mlm)
+        assert counts["mlm_passes_prefill"] - passes == blanks - 1
+        assert prepared.context == query_string_prefill(mlm, passage.text_with_blanks, qi)

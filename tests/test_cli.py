@@ -301,38 +301,115 @@ def test_evaluate_bad_item_is_one_error_line(mock_config_path, tmp_path, capsys,
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
 
 
-def test_evaluate_isolates_failed_question(mock_config_path, tmp_path, capsys):
-    # a blank glued to punctuation cannot be masked for model prefill, so
+# The prefill queries of CLOTH_DOC: each masks one blank, the other stays raw.
+PREFILL_BLANK0 = "Tom went to the [MASK] after school. He bought a _ there."
+PREFILL_BLANK1 = "Tom went to the _ after school. He bought a [MASK] there."
+
+
+def _mock_without_prefill(tmp_path, *queries):
+    """The mock document, with no masked-LM prediction for each query."""
+    doc = make_mock_document()
+    doc["predictions"] += [
+        {"fingerprint": q, "position": q.split().index("[MASK]"), "top": []}
+        for q in queries
+    ]
+    path = tmp_path / "mock-no-prefill.json"
+    path.write_text(json.dumps(doc), encoding="utf-8")
+    return path
+
+
+def test_evaluate_isolates_failed_question(tmp_path, capsys):
+    # the masked LM has no fill for blank 0 when question 1 prefills it, so
     # question 1 fails; question 0 is still scored and reported
+    mock = _mock_without_prefill(tmp_path, PREFILL_BLANK0)
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps({**CLOTH_DOC, "article": "Tom ran _. He bought a _ there."}),
-        encoding="utf-8",
-    )
+    bad.write_text(json.dumps(CLOTH_DOC), encoding="utf-8")
     report_path = tmp_path / "report.json"
-    code = main(_evaluate_args(mock_config_path, bad, report_path))
+    code = main(_evaluate_args(mock, bad, report_path))
     assert code == 2
     report = json.loads(report_path.read_text(encoding="utf-8"))
     assert report["item_count"] == 1
     assert [item["item_id"] for item in report["per_item"]] == ["bad#0"]
     err = capsys.readouterr().err.splitlines()
     assert len(err) == 1 and err[0].startswith("error: bad#1: ")
+    assert err == ["error: bad#1: backend returned no predictions for prefill"]
 
 
-def test_evaluate_all_questions_failed_writes_no_report(mock_config_path, tmp_path, capsys):
+def test_evaluate_all_questions_failed_writes_no_report(tmp_path, capsys):
+    mock = _mock_without_prefill(tmp_path, PREFILL_BLANK0, PREFILL_BLANK1)
     bad = tmp_path / "bad.json"
-    bad.write_text(
-        json.dumps({**CLOTH_DOC, "article": "Tom ran _. He bought a _."}),
-        encoding="utf-8",
-    )
+    bad.write_text(json.dumps(CLOTH_DOC), encoding="utf-8")
     report_path = tmp_path / "report.json"
-    code = main(_evaluate_args(mock_config_path, bad, report_path))
+    code = main(_evaluate_args(mock, bad, report_path))
     assert code == 2
     assert not report_path.exists()
     captured = capsys.readouterr()
     assert captured.out == ""
     err = captured.err.splitlines()
     assert [line.split(": ")[1] for line in err] == ["bad#0", "bad#1"]
+
+
+def test_evaluate_prefills_blank_glued_to_punctuation(mock_config_path, tmp_path):
+    # "_." is masked as its own token, the way generation masks an answer
+    glued = tmp_path / "glued.json"
+    glued.write_text(
+        json.dumps({**CLOTH_DOC, "article": "Tom ran _. He bought a _ there."}),
+        encoding="utf-8",
+    )
+    report_path = tmp_path / "report.json"
+    assert main(_evaluate_args(mock_config_path, glued, report_path)) == 0
+    assert json.loads(report_path.read_text(encoding="utf-8"))["item_count"] == 2
+
+
+NOT_UTF8 = b'{"article": "caf\xe9 _"}'
+TRACE_ENTRY = {"candidate": "a", "stage": "answer-entailment"}
+
+# case -> (subcommand, the role of the bad file, its bytes)
+BAD_FILES = {
+    "cloth-not-utf8": ("evaluate", "input", NOT_UTF8),
+    "pairs-not-utf8": ("generate", "input", NOT_UTF8),
+    "mock-not-utf8": ("generate", "mock", NOT_UTF8),
+    "trace-not-utf8": ("trace", "input", NOT_UTF8),
+    "trace-entry-not-object": ("trace", "input", {"id": "x", "trace": ["a"]}),
+    "trace-verdicts-not-strings": (
+        "trace", "input", {"id": "x", "trace": [{**TRACE_ENTRY, "verdicts": [1, 2]}]}
+    ),
+    "mock-salt-not-integer": ("generate", "mock", {"salt": "x"}),
+    "mock-length-not-integer": ("generate", "mock", {"max_sequence_length": [512]}),
+    "mock-vocabulary-not-list": ("generate", "mock", {"vocabulary": 5}),
+}
+
+
+@pytest.mark.parametrize("case", list(BAD_FILES))
+def test_bad_input_file_is_one_error_line_naming_it(
+    case, mock_config_path, pairs_path, cloth_path, tmp_path, capsys
+):
+    command, role, content = BAD_FILES[case]
+    bad = tmp_path / "bad-file.json"
+    if role == "mock" and isinstance(content, dict):
+        content = {**make_mock_document(), **content}
+    if isinstance(content, dict):
+        content = json.dumps(content).encode("utf-8")
+    bad.write_bytes(content)
+    if command == "trace":
+        argv = ["trace", str(bad)]
+    else:
+        mock = bad if role == "mock" else mock_config_path
+        given = {"generate": pairs_path, "evaluate": cloth_path}[command]
+        argv = [
+            command,
+            str(bad if role == "input" else given),
+            "--model",
+            f"mock:{mock}",
+            "--nli-model",
+            f"mock:{mock}",
+            "--output",
+            str(tmp_path / "out.json"),
+        ]
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and err.startswith("error: ")
+    assert "bad-file.json" in err
 
 
 def test_cloth_preset_hyperparameters():

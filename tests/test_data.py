@@ -19,7 +19,7 @@ from clozegen.data import (
 from clozegen.errors import ConfigError, ContractViolation, ParseError, ResolveError, SpanError
 
 from tests.conftest import table_entry
-from tests.oracles import ends_with_abbreviation_regex
+from tests.oracles import ends_with_abbreviation_regex, query_string_prefill
 
 
 # --- CLOTH loading ---------------------------------------------------------
@@ -357,3 +357,38 @@ def test_prepare_context_warnings_are_clean(tmp_path):
     with warnings.catch_warnings():
         warnings.simplefilter("error")
         prepare_context(passage, 0, "passage", "gold")
+
+
+def test_model_prefill_matches_query_string_oracle():
+    # blanks delimited by spaces, or glued to punctuation, which the oracle
+    # cannot mask under MockMaskedLM's whitespace tokenizer
+    words = ["tom", "ran", "home", "the", "cat", "sat", "on", "a", "mat", "and"]
+    glued_shapes = ["_.", "_,", "(_)"]
+    rnd = random.Random(41)
+    compared = oracle_failed = 0
+    for trial in range(150):
+        parts = []
+        for _ in range(rnd.randint(2, 5)):
+            parts += rnd.sample(words, rnd.randint(1, 4))
+            parts.append(rnd.choice(glued_shapes) if rnd.random() < 0.3 else "_")
+        text = " ".join(parts + rnd.sample(words, rnd.randint(0, 3)))
+        blanks = len(BLANK_RE.findall(text))
+        passage = ClozePassage("p", text, [ClozeQuestion("x", ["y"])] * blanks)
+        mlm = MockMaskedLM(
+            vocabulary=words,
+            fallback="seeded",
+            salt=trial,
+            max_sequence_length=rnd.choice([512, 6]),
+        )
+        for qi in range(blanks):
+            prepared = prepare_context(passage, qi, "passage", "model", mlm_backend=mlm)
+            start, end = prepared.answer_span
+            assert prepared.context[start:end] == "_"
+            assert len(BLANK_RE.findall(prepared.context)) == 1
+            expected = query_string_prefill(mlm, text, qi)
+            if expected is None:
+                oracle_failed += 1
+            else:
+                assert prepared.context == expected
+                compared += 1
+    assert compared > 100 and oracle_failed > 100
