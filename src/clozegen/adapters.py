@@ -87,10 +87,13 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
     def tokenize_with_offsets(self, text: str) -> list[tuple[str, int, int]] | None:
         if not getattr(self._tokenizer, "is_fast", False):
             return None
-        encoding = self._tokenizer(
-            text, add_special_tokens=False, return_offsets_mapping=True
-        )
-        tokens = self._tokenizer.convert_ids_to_tokens(encoding["input_ids"])
+        try:
+            encoding = self._tokenizer(
+                text, add_special_tokens=False, return_offsets_mapping=True
+            )
+            tokens = self._tokenizer.convert_ids_to_tokens(encoding["input_ids"])
+        except Exception as exc:
+            raise BackendError(f"tokenization failed: {exc}") from exc
         return [
             (tok, start, end)
             for tok, (start, end) in zip(tokens, encoding["offset_mapping"])

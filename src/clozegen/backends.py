@@ -50,8 +50,8 @@ class BackendInfo:
     def __post_init__(self):
         if self.max_sequence_length <= 0:
             raise ContractViolation("max_sequence_length must be positive")
-        if not self.mask_token:
-            raise ContractViolation("mask_token must be nonempty")
+        if not isinstance(self.mask_token, str) or not self.mask_token:
+            raise ContractViolation("mask_token must be a nonempty string")
 
 
 def fingerprint(tokens: Sequence[str]) -> str:
@@ -203,21 +203,24 @@ class MockMaskedLM(MaskedLanguageModel):
         for entry in doc.get("predictions", []):
             try:
                 key = (str(entry["fingerprint"]), int(entry["position"]))
-                table[key] = [(t, p) for t, p in entry["top"]]
+                table[key] = [(t, float(p)) for t, p in entry["top"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: malformed predictions entry: {entry!r}") from exc
         vocabulary = doc.get("vocabulary", [])
         if not isinstance(vocabulary, list):
             raise ParseError(f"{path}: field 'vocabulary' must be a list")
-        return cls(
-            mask_token=doc.get("mask_token", DEFAULT_MASK_TOKEN),
-            vocabulary=vocabulary,
-            table=table,
-            fallback=doc.get("fallback", "uniform"),
-            salt=_int_field(doc, "salt", 0, path),
-            max_sequence_length=_int_field(doc, "max_sequence_length", 512, path),
-            name=doc.get("name", "mock-mlm"),
-        )
+        try:
+            return cls(
+                mask_token=doc.get("mask_token", DEFAULT_MASK_TOKEN),
+                vocabulary=vocabulary,
+                table=table,
+                fallback=doc.get("fallback", "uniform"),
+                salt=_int_field(doc, "salt", 0, path),
+                max_sequence_length=_int_field(doc, "max_sequence_length", 512, path),
+                name=doc.get("name", "mock-mlm"),
+            )
+        except ContractViolation as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
     def info(self) -> BackendInfo:
         return self._info
@@ -301,11 +304,14 @@ class MockNliClassifier(NliClassifier):
             except (TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: malformed nli entry: {entry!r}") from exc
             table[(str(premise), str(hypothesis))] = str(label)
-        return cls(
-            table=table,
-            default=doc.get("nli_default", NEUTRAL),
-            name=doc.get("name", "mock-nli"),
-        )
+        try:
+            return cls(
+                table=table,
+                default=str(doc.get("nli_default", NEUTRAL)),
+                name=doc.get("name", "mock-nli"),
+            )
+        except ContractViolation as exc:
+            raise ParseError(f"{path}: {exc}") from exc
 
     def classify_nli(self, premise: str, hypothesis: str) -> str:
         self._check_pair(premise, hypothesis)

@@ -147,6 +147,8 @@ def _parse_cloth_file(path: Path) -> ClozePassage:
             f"has {len(answers)}"
         )
     blanks = len(BLANK_RE.findall(article))
+    if not blanks:
+        raise ParseError(f"{path.name}: 'article' has no blanks")
     if blanks != len(answers):
         raise ParseError(
             f"{path.name}: 'article' has {blanks} blanks but 'answers' has "
@@ -184,43 +186,44 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
             line = line.strip()
             if not line:
                 continue
+            where = f"{path}: line {lineno}"
             try:
                 record = json.loads(line)
             except json.JSONDecodeError as exc:
-                raise ParseError(f"line {lineno}: invalid JSON: {exc}") from exc
+                raise ParseError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
-                raise ParseError(f"line {lineno}: expected a JSON object")
+                raise ParseError(f"{where}: expected a JSON object")
             context = record.get("context")
             if not isinstance(context, str) or not context:
-                raise ParseError(f"line {lineno}: field 'context' must be a nonempty string")
+                raise ParseError(f"{where}: field 'context' must be a nonempty string")
             pair_id = str(record.get("id", f"pair-{lineno}"))
             if "answer_start" in record or "answer_end" in record:
                 try:
                     span = (int(record["answer_start"]), int(record["answer_end"]))
                 except (KeyError, TypeError, ValueError) as exc:
                     raise ParseError(
-                        f"line {lineno}: fields 'answer_start'/'answer_end' must both "
+                        f"{where}: fields 'answer_start'/'answer_end' must both "
                         "be integers"
                     ) from exc
             elif "answer_text" in record:
                 answer_text = str(record["answer_text"])
                 if not answer_text:
-                    raise ParseError(f"line {lineno}: field 'answer_text' is empty")
+                    raise ParseError(f"{where}: field 'answer_text' is empty")
                 start = context.find(answer_text)
                 if start < 0:
                     raise ResolveError(
-                        f"line {lineno}: answer_text {answer_text!r} not found in context"
+                        f"{where}: answer_text {answer_text!r} not found in context"
                     )
                 if context.find(answer_text, start + 1) >= 0:
                     warnings.warn(
-                        f"line {lineno}: answer_text occurs more than once; "
+                        f"{where}: answer_text occurs more than once; "
                         "using the first occurrence",
                         stacklevel=2,
                     )
                 span = (start, start + len(answer_text))
             else:
                 raise ParseError(
-                    f"line {lineno}: need 'answer_start'/'answer_end' or 'answer_text'"
+                    f"{where}: need 'answer_start'/'answer_end' or 'answer_text'"
                 )
             pairs.append(ContextAnswerPair(id=pair_id, context=context, answer_span=span))
     return pairs

@@ -7,10 +7,11 @@ narrow: the first decoded position branches into ``k * m_s`` hypotheses,
 every later position extends each hypothesis with its single most
 probable fill, conditioning on everything already committed.
 
-The contexts of all sampled mask counts are decoded in lockstep: each
-decode step is one ``fill_mask_batch`` call over every live hypothesis of
-every context that still has a slot to fill, so a request makes as many
-masked-LM passes as its largest mask count.
+The contexts of all sampled mask counts are decoded in one lockstep loop:
+each decode step is one ``fill_mask_batch`` call over every live hypothesis
+of every context that still has a slot to fill, so a request makes as many
+masked-LM passes as its largest mask count. The branch is step 0 of that
+loop: it asks for the ``k * m_s`` top fills where later steps ask for one.
 """
 
 from __future__ import annotations
@@ -40,7 +41,8 @@ class GenerationConfig:
     """Knobs for one generation request.
 
     ``n_mask`` = 0 means "use the answer's token count". ``m_s`` = None
-    resolves at run time to 10 for single-mask requests and 7 otherwise.
+    resolves at run time (:func:`resolve_search_multiplier`) to 10 for
+    single-mask requests and 7 otherwise.
     """
 
     n_mask: int = 0
@@ -62,6 +64,13 @@ class GenerationConfig:
             raise ContractViolation("m_s must be >= 1")
         object.__setattr__(self, "strategy", canonical_strategy(self.strategy))
         object.__setattr__(self, "avg", canonical_average(self.avg))
+
+
+def resolve_search_multiplier(config: GenerationConfig, resolved_mask_count: int) -> int:
+    """Explicit ``m_s`` when set, else 10 for single-mask runs and 7 otherwise."""
+    if config.m_s is not None:
+        return config.m_s
+    return 10 if resolved_mask_count == 1 else 7
 
 
 def canonical_strategy(name: str) -> str:
@@ -275,16 +284,17 @@ def generate_candidates(
     jobs: Sequence[tuple[MaskedContext, list[int]]],
     branch_width: int,
 ) -> list[Candidate]:
-    """Branch-then-greedy decoding of several masked contexts in lockstep.
+    """Branch-then-greedy decoding of several masked contexts in one loop.
 
-    Each job is a masked context with its decode order. The first position
-    in a job's order expands into its ``branch_width`` most probable fills;
-    each later position extends every hypothesis with that hypothesis's
-    single top prediction, queried on the partially filled tokens so later
-    steps condition on earlier commitments. Step ``s`` of every job is one
-    ``fill_mask_batch`` call, so a request makes as many backend calls as
-    its longest decode order. Returns each job's candidates (at most
-    ``branch_width``, in first-step probability order), jobs in input order.
+    Each job is a masked context with its decode order and starts as one
+    unfilled hypothesis. Step ``s`` fills the ``s``-th position of every
+    job's order with one ``fill_mask_batch`` call over all live hypotheses,
+    queried on the partially filled tokens so later steps condition on
+    earlier commitments. Step 0 copies each hypothesis once per fill of its
+    ``branch_width`` best; later steps commit the single top fill in place.
+    A hypothesis with no prediction is dropped with a ``RuntimeWarning``.
+    Returns each job's candidates (at most ``branch_width``, in first-step
+    probability order), jobs in input order.
     """
     jobs = list(jobs)
     for ctx, order in jobs:
@@ -295,32 +305,11 @@ def generate_candidates(
             )
     if branch_width < 1:
         raise ContractViolation("branch_width must be >= 1")
-    if not jobs:
-        return []
 
-    # live[j]: job j's hypotheses as (partially filled tokens, step probabilities)
-    live: list[list[tuple[list[str], list[float]]]] = []
-    first_preds = backend.fill_mask_batch(
-        [(ctx.tokens, ctx.mask_positions[order[0]]) for ctx, order in jobs],
-        branch_width,
-    )
-    for (ctx, order), preds in zip(jobs, first_preds):
-        if not preds:
-            warnings.warn(
-                "backend returned no predictions for the first mask position; "
-                "no candidates generated",
-                RuntimeWarning,
-                stacklevel=2,
-            )
-        position = ctx.mask_positions[order[0]]
-        hypotheses = []
-        for pred in preds:
-            tokens = list(ctx.tokens)
-            tokens[position] = pred.token
-            hypotheses.append((tokens, [pred.probability]))
-        live.append(hypotheses)
-
-    for step in range(1, max(len(order) for _, order in jobs)):
+    # live[j]: job j's hypotheses as (partially filled tokens, step probabilities);
+    # each job starts as one hypothesis over its masked tokens, copied at step 0
+    live = [[(ctx.tokens, [])] for ctx, _ in jobs]
+    for step in range(max((len(order) for _, order in jobs), default=0)):
         owners, queries = [], []
         for j, (ctx, order) in enumerate(jobs):
             if step < len(order):
@@ -331,8 +320,9 @@ def generate_candidates(
                 live[j] = []
         if not queries:
             break
-        for (j, position, hypothesis), preds in zip(
-            owners, backend.fill_mask_batch(queries, 1)
+        top_k = branch_width if step == 0 else 1
+        for (j, position, (tokens, probs)), preds in zip(
+            owners, backend.fill_mask_batch(queries, top_k)
         ):
             if not preds:
                 warnings.warn(
@@ -341,11 +331,10 @@ def generate_candidates(
                     RuntimeWarning,
                     stacklevel=2,
                 )
-                continue
-            tokens, probs = hypothesis
-            tokens[position] = preds[0].token
-            probs.append(preds[0].probability)
-            live[j].append(hypothesis)
+            for pred in preds[:top_k]:
+                filled = list(tokens) if step == 0 else tokens
+                filled[position] = pred.token
+                live[j].append((filled, probs + [pred.probability]))
 
     candidates = []
     for (ctx, _), hypotheses in zip(jobs, live):

@@ -29,6 +29,7 @@ from .generation import (
     mask_count_interval,
     rank_candidates,
     resolve_mask_count,
+    resolve_search_multiplier,
     sample_mask_counts,
     window_context,
 )
@@ -58,13 +59,6 @@ class RenderedCloze:
     @property
     def answer_letter(self) -> str:
         return OPTION_LETTERS[self.answer_index]
-
-
-def resolve_search_multiplier(config: GenerationConfig, resolved_mask_count: int) -> int:
-    """Explicit ``m_s`` when set, else 10 for single-mask runs and 7 otherwise."""
-    if config.m_s is not None:
-        return config.m_s
-    return 10 if resolved_mask_count == 1 else 7
 
 
 def generate_distractors(

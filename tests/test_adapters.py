@@ -349,6 +349,17 @@ def test_unmappable_label_raises_backend_error(checkpoints):
         HuggingFaceNli("raw-nli")
 
 
+def test_offsets_tokenizer_failure_is_backend_error(checkpoints):
+    class BrokenTokenizer(FakeTokenizer):
+        def __call__(self, text, text_pair=None, **kwargs):
+            raise RuntimeError("tokenizer crashed")
+
+    checkpoints["broken-tokenizer"] = (BrokenTokenizer(), FakeMaskedLM())
+    mlm = HuggingFaceMaskedLM("broken-tokenizer")
+    with pytest.raises(BackendError, match="tokenization failed"):
+        mlm.tokenize_with_offsets("the cat")
+
+
 def test_failures_surface_as_backend_error(checkpoints, monkeypatch):
     checkpoints["broken-mlm"] = (FakeTokenizer(), FakeMaskedLM(fail=True))
     checkpoints["broken-nli"] = (FakeTokenizer(), FakeNli(fail=True))

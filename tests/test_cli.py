@@ -377,6 +377,18 @@ BAD_FILES = {
     "mock-salt-not-integer": ("generate", "mock", {"salt": "x"}),
     "mock-length-not-integer": ("generate", "mock", {"max_sequence_length": [512]}),
     "mock-vocabulary-not-list": ("generate", "mock", {"vocabulary": 5}),
+    "mock-mask-token-not-string": ("generate", "mock", {"mask_token": 5}),
+    "mock-probability-not-number": (
+        "generate",
+        "mock",
+        {"predictions": [{"fingerprint": "a", "position": 0, "top": [["b", "x"]]}]},
+    ),
+    "mock-unknown-nli-label": ("generate", "mock", {"nli_default": "maybe"}),
+    "pairs-bad-json": ("generate", "input", b'{"context": "a b", "answer_text": "a"}\n{oops'),
+    "pairs-answer-not-found": ("generate", "input", {"context": "a b", "answer_text": "zzz"}),
+    "cloth-without-blanks": (
+        "evaluate", "input", {"article": "No blank here.", "options": [], "answers": []}
+    ),
 }
 
 

@@ -348,6 +348,16 @@ def test_generate_empty_backend_warns_and_returns_nothing():
         assert generate_candidates(mlm, [(ctx, [0])], branch_width=2) == []
 
 
+def test_generate_stops_when_every_hypothesis_dies():
+    ctx = build_masked_context(["x", "y", "z"], (1, 2), 3, "[MASK]")
+    first = (fingerprint(ctx.tokens), ctx.mask_positions[0])
+    # no vocabulary: every query but the first step's gets no predictions
+    mlm = CountingMLM(MockMaskedLM(table={first: [("a", 0.9), ("b", 0.5)]}))
+    with pytest.warns(RuntimeWarning):
+        assert generate_candidates(mlm, [(ctx, [0, 1, 2])], branch_width=2) == []
+    assert mlm.batches == [(1, 2), (2, 1)]
+
+
 def test_generate_validates_order_and_width():
     mlm = MockMaskedLM(vocabulary=["a"])
     ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]")
