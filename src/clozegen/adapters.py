@@ -19,12 +19,18 @@ from .backends import (
     MaskedLanguageModel,
     NliClassifier,
     TokenPrediction,
+    _check_text,
     sort_predictions,
 )
-from .errors import BackendError, ContractViolation
+from .errors import BackendError
 
 
-def _import_torch_and_transformers():
+def _load_checkpoint(model_id, model_class, what, device, cache_dir):
+    """``(torch, tokenizer, model, device)`` for ``model_id``, the model in eval mode.
+
+    ``model_class`` names the ``transformers`` auto class; ``device`` defaults
+    to CUDA when available, else the CPU. Failures are ``BackendError``.
+    """
     try:
         import torch
         import transformers
@@ -33,7 +39,17 @@ def _import_torch_and_transformers():
             "torch and transformers are required for HuggingFace adapters; "
             "install the 'hf' extra"
         ) from exc
-    return torch, transformers
+    try:
+        tokenizer = transformers.AutoTokenizer.from_pretrained(model_id, cache_dir=cache_dir)
+        model = getattr(transformers, model_class).from_pretrained(
+            model_id, cache_dir=cache_dir
+        )
+    except Exception as exc:
+        raise BackendError(f"failed to load {what} {model_id!r}: {exc}") from exc
+    device = device or ("cuda" if torch.cuda.is_available() else "cpu")
+    model.to(device)
+    model.eval()
+    return torch, tokenizer, model, device
 
 
 class HuggingFaceMaskedLM(MaskedLanguageModel):
@@ -46,22 +62,11 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
         cache_dir: str | None = None,
         max_length: int | None = None,
     ):
-        torch, transformers = _import_torch_and_transformers()
-        self._torch = torch
-        try:
-            self._tokenizer = transformers.AutoTokenizer.from_pretrained(
-                model_id, cache_dir=cache_dir
-            )
-            self._model = transformers.AutoModelForMaskedLM.from_pretrained(
-                model_id, cache_dir=cache_dir
-            )
-        except Exception as exc:
-            raise BackendError(f"failed to load masked LM {model_id!r}: {exc}") from exc
+        self._torch, self._tokenizer, self._model, self._device = _load_checkpoint(
+            model_id, "AutoModelForMaskedLM", "masked LM", device, cache_dir
+        )
         if self._tokenizer.mask_token is None:
             raise BackendError(f"{model_id!r} has no mask token; not an MLM checkpoint")
-        self._device = device or ("cuda" if torch.cuda.is_available() else "cpu")
-        self._model.to(self._device)
-        self._model.eval()
         declared = max_length or int(self._tokenizer.model_max_length)
         specials = self._tokenizer.num_special_tokens_to_add()
         self._info = BackendInfo(
@@ -74,8 +79,7 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
         return self._info
 
     def tokenize(self, text: str) -> list[str]:
-        if not text:
-            raise ContractViolation("text must be nonempty")
+        _check_text(text)
         try:
             return self._tokenizer.tokenize(text)
         except Exception as exc:
@@ -180,22 +184,9 @@ class HuggingFaceNli(NliClassifier):
         device: str | None = None,
         cache_dir: str | None = None,
     ):
-        torch, transformers = _import_torch_and_transformers()
-        self._torch = torch
-        try:
-            self._tokenizer = transformers.AutoTokenizer.from_pretrained(
-                model_id, cache_dir=cache_dir
-            )
-            self._model = (
-                transformers.AutoModelForSequenceClassification.from_pretrained(
-                    model_id, cache_dir=cache_dir
-                )
-            )
-        except Exception as exc:
-            raise BackendError(f"failed to load NLI model {model_id!r}: {exc}") from exc
-        self._device = device or ("cuda" if torch.cuda.is_available() else "cpu")
-        self._model.to(self._device)
-        self._model.eval()
+        self._torch, self._tokenizer, self._model, self._device = _load_checkpoint(
+            model_id, "AutoModelForSequenceClassification", "NLI model", device, cache_dir
+        )
         self._labels = {
             int(i): _normalize_label(str(label))
             for i, label in self._model.config.id2label.items()

@@ -17,6 +17,7 @@ from __future__ import annotations
 import hashlib
 import heapq
 import json
+import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
@@ -185,38 +186,33 @@ class MockMaskedLM(MaskedLanguageModel):
         self.salt = salt
         self.table: dict[tuple[str, int], list[TokenPrediction]] = {}
         for key, preds in (table or {}).items():
-            self.table[key] = sort_predictions(
-                [TokenPrediction(str(t), float(p)) for t, p in preds]
-            )
-        for preds in self.table.values():
-            for pred in preds:
+            converted = [TokenPrediction(str(t), float(p)) for t, p in preds]
+            for pred in converted:
                 if not 0.0 <= pred.probability <= 1.0:
                     raise ContractViolation(
                         f"mock probability {pred.probability} outside [0, 1]"
                     )
+            self.table[key] = sort_predictions(converted)
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "MockMaskedLM":
         """Build from a mock-configuration JSON document (see README)."""
         doc = _load_mock_document(path)
         table = {}
-        for entry in doc.get("predictions", []):
+        for entry in _typed_field(doc, "predictions", list, [], path):
             try:
                 key = (str(entry["fingerprint"]), int(entry["position"]))
                 table[key] = [(t, float(p)) for t, p in entry["top"]]
             except (KeyError, TypeError, ValueError) as exc:
                 raise ParseError(f"{path}: malformed predictions entry: {entry!r}") from exc
-        vocabulary = doc.get("vocabulary", [])
-        if not isinstance(vocabulary, list):
-            raise ParseError(f"{path}: field 'vocabulary' must be a list")
         try:
             return cls(
                 mask_token=doc.get("mask_token", DEFAULT_MASK_TOKEN),
-                vocabulary=vocabulary,
+                vocabulary=_typed_field(doc, "vocabulary", list, [], path, items=str),
                 table=table,
                 fallback=doc.get("fallback", "uniform"),
-                salt=_int_field(doc, "salt", 0, path),
-                max_sequence_length=_int_field(doc, "max_sequence_length", 512, path),
+                salt=_typed_field(doc, "salt", int, 0, path),
+                max_sequence_length=_typed_field(doc, "max_sequence_length", int, 512, path),
                 name=doc.get("name", "mock-mlm"),
             )
         except ContractViolation as exc:
@@ -234,13 +230,8 @@ class MockMaskedLM(MaskedLanguageModel):
 
     def tokenize_with_offsets(self, text: str) -> list[tuple[str, int, int]]:
         _check_text(text)
-        out = []
-        pos = 0
-        for token in text.split():
-            start = text.index(token, pos)
-            out.append((token, start, start + len(token)))
-            pos = start + len(token)
-        return out
+        # \S+ runs are exactly the tokens of str.split(): both split on str.isspace()
+        return [(m.group(), *m.span()) for m in re.finditer(r"\S+", text)]
 
     def fill_mask(
         self, tokens: Sequence[str], mask_position: int, top_k: int
@@ -298,7 +289,7 @@ class MockNliClassifier(NliClassifier):
     def from_json_file(cls, path: str | Path) -> "MockNliClassifier":
         doc = _load_mock_document(path)
         table = {}
-        for entry in doc.get("nli", []):
+        for entry in _typed_field(doc, "nli", list, [], path):
             try:
                 premise, hypothesis, label = entry
             except (TypeError, ValueError) as exc:
@@ -328,10 +319,15 @@ def _load_mock_document(path: str | Path) -> dict:
     return doc
 
 
-def _int_field(doc: dict, key: str, default: int, path: str | Path) -> int:
+_TYPE_NAMES = {int: "an integer", list: "a list", str: "strings"}
+
+
+def _typed_field(doc: dict, key: str, kind: type, default, path: str | Path, items=None):
+    """``doc.get(key, default)`` if exactly a ``kind`` (a bool is no int) of ``items``."""
     value = doc.get(key, default)
-    if type(value) is not int:  # also rejects bool, an int subclass
-        raise ParseError(f"{path}: field {key!r} must be an integer")
+    if type(value) is not kind or (items and any(type(v) is not items for v in value)):
+        of_items = f" of {_TYPE_NAMES[items]}" if items else ""
+        raise ParseError(f"{path}: field {key!r} must be {_TYPE_NAMES[kind]}{of_items}")
     return value
 
 

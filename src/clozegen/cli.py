@@ -18,6 +18,7 @@ import json
 import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
+from dataclasses import fields
 from pathlib import Path
 
 from . import data, metrics
@@ -94,18 +95,22 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def _add_generation_flags(parser: argparse.ArgumentParser) -> None:
-    parser.add_argument("--strategy", choices=STRATEGIES, default="ctl")
-    parser.add_argument("--avg", choices=AVERAGES, default="geometric")
-    parser.add_argument("--n-mask", type=int, default=0)
-    parser.add_argument("--dispersion", type=int, default=1)
-    parser.add_argument("--top-k", type=int, default=3, dest="top_k")
+    """One flag per ``GenerationConfig`` field; an omitted flag keeps the field's default."""
+    omitted = argparse.SUPPRESS
+    parser.add_argument("--strategy", choices=STRATEGIES, default=omitted)
+    parser.add_argument("--avg", choices=AVERAGES, default=omitted)
+    parser.add_argument("--n-mask", type=int, default=omitted)
+    parser.add_argument("--dispersion", type=int, default=omitted)
+    parser.add_argument("--top-k", type=int, default=omitted, dest="k", metavar="TOP_K")
     parser.add_argument(
         "--search-multiplier",
         type=int,
-        default=None,
+        default=omitted,
+        dest="m_s",
+        metavar="SEARCH_MULTIPLIER",
         help="branch factor multiplier (default: 10 single-mask, 7 otherwise)",
     )
-    parser.add_argument("--seed", type=int, default=0)
+    parser.add_argument("--seed", type=int, default=omitted)
 
 
 def make_backend(spec: str | None, flag: str, mock_class, hf_class):
@@ -118,15 +123,8 @@ def make_backend(spec: str | None, flag: str, mock_class, hf_class):
 
 
 def config_from_args(args: argparse.Namespace) -> GenerationConfig:
-    values = {
-        "n_mask": args.n_mask,
-        "dispersion": args.dispersion,
-        "k": args.top_k,
-        "m_s": args.search_multiplier,
-        "strategy": args.strategy,
-        "avg": args.avg,
-        "seed": args.seed,
-    }
+    given = vars(args)
+    values = {f.name: given[f.name] for f in fields(GenerationConfig) if f.name in given}
     if getattr(args, "preset", None) == "cloth":
         values.update(CLOTH_PRESET)
     return GenerationConfig(**values)

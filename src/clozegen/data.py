@@ -225,7 +225,10 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
                 raise ParseError(
                     f"{where}: need 'answer_start'/'answer_end' or 'answer_text'"
                 )
-            pairs.append(ContextAnswerPair(id=pair_id, context=context, answer_span=span))
+            try:
+                pairs.append(ContextAnswerPair(id=pair_id, context=context, answer_span=span))
+            except SpanError as exc:
+                raise SpanError(f"{where}: {exc}") from exc
     return pairs
 
 

@@ -140,11 +140,15 @@ class FakeModel:
         self.calls = 0
         self.fail = fail
         self.config = types.SimpleNamespace(id2label=id2label or MNLI_LABELS)
+        self.devices = []
+        self.in_eval_mode = False
 
     def to(self, device):
+        self.devices.append(device)
         return self
 
     def eval(self):
+        self.in_eval_mode = True
         return self
 
     def __call__(self, input_ids, attention_mask=None, **kwargs):
@@ -358,6 +362,21 @@ def test_offsets_tokenizer_failure_is_backend_error(checkpoints):
     mlm = HuggingFaceMaskedLM("broken-tokenizer")
     with pytest.raises(BackendError, match="tokenization failed"):
         mlm.tokenize_with_offsets("the cat")
+
+
+@pytest.mark.parametrize(
+    "adapter, model_id", [(HuggingFaceMaskedLM, "cls-mlm"), (HuggingFaceNli, "nli")]
+)
+@pytest.mark.parametrize("cuda", [False, True])
+def test_checkpoint_is_placed_on_its_device_in_eval_mode(
+    checkpoints, monkeypatch, adapter, model_id, cuda
+):
+    monkeypatch.setattr(sys.modules["torch"].cuda, "is_available", lambda: cuda)
+    model = checkpoints[model_id][1]
+    adapter(model_id)
+    adapter(model_id, device="cpu")
+    assert model.devices == ["cuda" if cuda else "cpu", "cpu"]
+    assert model.in_eval_mode
 
 
 def test_failures_surface_as_backend_error(checkpoints, monkeypatch):

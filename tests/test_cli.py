@@ -3,6 +3,7 @@ import json
 import pytest
 
 from clozegen.cli import build_parser, config_from_args, main
+from clozegen.generation import GenerationConfig
 
 from tests.test_pipeline import AFTER_FORCE, AFTER_SLAM, CONTEXT, ONE_MASK, SENTENCE, SHUT_V, SLAM_V, TWO_MASK
 
@@ -389,6 +390,13 @@ BAD_FILES = {
     "cloth-without-blanks": (
         "evaluate", "input", {"article": "No blank here.", "options": [], "answers": []}
     ),
+    "mock-predictions-not-list": ("generate", "mock", {"predictions": 5}),
+    "mock-predictions-null": ("generate", "mock", {"predictions": None}),
+    "mock-nli-not-list": ("generate", "mock", {"nli": 5}),
+    "mock-vocabulary-item-not-string": ("generate", "mock", {"vocabulary": [5, 6]}),
+    "pairs-span-outside-context": (
+        "generate", "input", {"context": "a b", "answer_start": 1, "answer_end": 99}
+    ),
 }
 
 
@@ -445,6 +453,9 @@ def test_default_flags_match_reported_best_configuration():
     assert config.strategy == "ctl"
     assert config.avg == "geometric"
     assert config.m_s is None
+    assert config == GenerationConfig()
+    evaluate = parser.parse_args(["evaluate", "in.json"])
+    assert config_from_args(evaluate) == GenerationConfig()
 
 
 def test_trace_rendering(tmp_path, capsys):
