@@ -5,8 +5,8 @@ to try (the dispersion interval adds neighboring lengths), decode each
 masked variant with branch-then-greedy search, merge and rank everything,
 drop verbatim answer copies, then run the entailment selector on the
 sentence containing the blank. The result carries the ranked candidates,
-the final distractors, the elimination trace and per-stage timings, and
-it renders into a presentable multiple-choice item.
+the final distractors and the elimination trace, and it renders into a
+presentable multiple-choice item.
 """
 
 import json
@@ -54,7 +54,6 @@ for c in result.all_candidates:
 print()
 print("distractors:", result.distractor_set.distractors)
 print("eliminations:", [(e.candidate, e.stage) for e in result.distractor_set.trace])
-print("timing keys:", sorted(result.timing))
 print()
 
 item = render_cloze(CONTEXT, SPAN, result.distractor_set, shuffle_seed=4)

@@ -23,7 +23,7 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import ContractViolation, ParseError, SequenceLengthError
+from .errors import ContractViolation, ParseError, SequenceLengthError, read_field
 
 ENTAILMENT = "entailment"
 NEUTRAL = "neutral"
@@ -199,21 +199,20 @@ class MockMaskedLM(MaskedLanguageModel):
         """Build from a mock-configuration JSON document (see README)."""
         doc = _load_mock_document(path)
         table = {}
-        for entry in _typed_field(doc, "predictions", list, [], path):
-            try:
-                key = (str(entry["fingerprint"]), int(entry["position"]))
-                table[key] = [(t, float(p)) for t, p in entry["top"]]
-            except (KeyError, TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: malformed predictions entry: {entry!r}") from exc
+        for i, entry in enumerate(read_field(doc, "predictions", [dict], path, [])):
+            where = f"{path}: predictions[{i}]"
+            text = read_field(entry, "fingerprint", str, where)
+            position = read_field(entry, "position", int, where)
+            table[text, position] = read_field(entry, "top", [(str, float)], where)
         try:
             return cls(
-                mask_token=doc.get("mask_token", DEFAULT_MASK_TOKEN),
-                vocabulary=_typed_field(doc, "vocabulary", list, [], path, items=str),
+                mask_token=read_field(doc, "mask_token", str, path, DEFAULT_MASK_TOKEN),
+                vocabulary=read_field(doc, "vocabulary", [str], path, []),
                 table=table,
-                fallback=doc.get("fallback", "uniform"),
-                salt=_typed_field(doc, "salt", int, 0, path),
-                max_sequence_length=_typed_field(doc, "max_sequence_length", int, 512, path),
-                name=doc.get("name", "mock-mlm"),
+                fallback=read_field(doc, "fallback", str, path, "uniform"),
+                salt=read_field(doc, "salt", int, path, 0),
+                max_sequence_length=read_field(doc, "max_sequence_length", int, path, 512),
+                name=read_field(doc, "name", str, path, "mock-mlm"),
             )
         except ContractViolation as exc:
             raise ParseError(f"{path}: {exc}") from exc
@@ -288,18 +287,12 @@ class MockNliClassifier(NliClassifier):
     @classmethod
     def from_json_file(cls, path: str | Path) -> "MockNliClassifier":
         doc = _load_mock_document(path)
-        table = {}
-        for entry in _typed_field(doc, "nli", list, [], path):
-            try:
-                premise, hypothesis, label = entry
-            except (TypeError, ValueError) as exc:
-                raise ParseError(f"{path}: malformed nli entry: {entry!r}") from exc
-            table[(str(premise), str(hypothesis))] = str(label)
+        triples = read_field(doc, "nli", [(str, str, str)], path, [])
         try:
             return cls(
-                table=table,
-                default=str(doc.get("nli_default", NEUTRAL)),
-                name=doc.get("name", "mock-nli"),
+                table={(premise, hypothesis): label for premise, hypothesis, label in triples},
+                default=read_field(doc, "nli_default", str, path, NEUTRAL),
+                name=read_field(doc, "name", str, path, "mock-nli"),
             )
         except ContractViolation as exc:
             raise ParseError(f"{path}: {exc}") from exc
@@ -317,18 +310,6 @@ def _load_mock_document(path: str | Path) -> dict:
     if not isinstance(doc, dict):
         raise ParseError(f"{path}: mock configuration must be a JSON object")
     return doc
-
-
-_TYPE_NAMES = {int: "an integer", list: "a list", str: "strings"}
-
-
-def _typed_field(doc: dict, key: str, kind: type, default, path: str | Path, items=None):
-    """``doc.get(key, default)`` if exactly a ``kind`` (a bool is no int) of ``items``."""
-    value = doc.get(key, default)
-    if type(value) is not kind or (items and any(type(v) is not items for v in value)):
-        of_items = f" of {_TYPE_NAMES[items]}" if items else ""
-        raise ParseError(f"{path}: field {key!r} must be {_TYPE_NAMES[kind]}{of_items}")
-    return value
 
 
 def load_mock_backends(path: str | Path) -> tuple[MockMaskedLM, MockNliClassifier]:

@@ -24,7 +24,7 @@ from pathlib import Path
 from . import data, metrics
 from .adapters import HuggingFaceMaskedLM, HuggingFaceNli
 from .backends import MockMaskedLM, MockNliClassifier
-from .errors import ClozegenError, ConfigError, ParseError
+from .errors import ClozegenError, ConfigError, ParseError, read_field
 from .generation import AVERAGES, GenerationConfig, STRATEGIES
 from .pipeline import generate_distractors, result_to_dict
 from .selection import STAGES
@@ -214,24 +214,19 @@ def run_trace(args: argparse.Namespace) -> int:
     if not records:
         raise ParseError(f"{path}: no records found")
     for record in records:
-        if not isinstance(record, dict) or not isinstance(record.get("trace"), list):
-            raise ParseError(f"{path}: record has no trace list")
+        if not isinstance(record, dict):
+            raise ParseError(f"{path}: record {record!r} is not an object")
         label = record.get("id", "<result>")
-        entries = record["trace"]
+        entries = read_field(record, "trace", [dict], path)
         if not entries:
             print(f"{label}: no eliminations")
             continue
         print(f"{label}:")
         for entry in entries:
-            if not isinstance(entry, dict):
-                raise ParseError(f"{path}: trace entry {entry!r} is not an object")
             stage = entry.get("stage")
             if stage not in STAGES:
                 raise ParseError(f"{path}: unknown trace stage {stage!r}")
-            try:
-                verdicts = "/".join(entry.get("verdicts", []))
-            except TypeError as exc:
-                raise ParseError(f"{path}: trace verdicts must be strings") from exc
+            verdicts = "/".join(read_field(entry, "verdicts", [str], path, []))
             print(
                 f"  - {entry.get('candidate')!r} removed at {stage} "
                 f"vs {entry.get('counterpart')!r} (verdicts: {verdicts})"

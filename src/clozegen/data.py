@@ -21,11 +21,13 @@ from dataclasses import dataclass
 from pathlib import Path
 
 from .backends import MaskedLanguageModel
-from .errors import ConfigError, ContractViolation, ParseError, ResolveError, SpanError
+from .errors import (
+    ConfigError, ContractViolation, ParseError, ResolveError, SpanError, read_field
+)
 from .generation import build_masked_context, map_char_span, window_context
 
 BLANK_RE = re.compile(r"_+")
-ANSWER_LETTERS = "ABCD"
+ANSWER_LETTERS = ("A", "B", "C", "D")
 
 INPUT_PASSAGE = "passage"
 INPUT_SENTENCE = "sentence"
@@ -132,15 +134,9 @@ def _parse_cloth_file(path: Path) -> ClozePassage:
     if not isinstance(doc, dict):
         raise ParseError(f"{path.name}: expected a JSON object")
 
-    article = doc.get("article")
-    options = doc.get("options")
-    answers = doc.get("answers")
-    if not isinstance(article, str) or not article:
-        raise ParseError(f"{path.name}: field 'article' must be a nonempty string")
-    if not isinstance(options, list):
-        raise ParseError(f"{path.name}: field 'options' must be a list")
-    if not isinstance(answers, list):
-        raise ParseError(f"{path.name}: field 'answers' must be a list")
+    article = read_field(doc, "article", str, path.name)
+    options = read_field(doc, "options", [(str, str, str, str)], path.name)
+    answers = read_field(doc, "answers", [str], path.name)
     if len(options) != len(answers):
         raise ParseError(
             f"{path.name}: 'options' has {len(options)} entries but 'answers' "
@@ -157,18 +153,13 @@ def _parse_cloth_file(path: Path) -> ClozePassage:
 
     questions = []
     for i, (opts, letter) in enumerate(zip(options, answers)):
-        if not isinstance(opts, list) or len(opts) != 4:
-            raise ParseError(f"{path.name}: options[{i}] must have exactly 4 entries")
         if letter not in ANSWER_LETTERS:
-            raise ParseError(f"{path.name}: answers[{i}] is {letter!r}, not A-D")
+            raise ParseError(f"{path.name}: answers[{i}] is {letter!r}, not one of A-D")
         idx = ANSWER_LETTERS.index(letter)
-        if not str(opts[idx]).strip():
+        if not opts[idx].strip():
             raise ParseError(f"{path.name}: options[{i}] has a blank answer option")
         questions.append(
-            ClozeQuestion(
-                answer=str(opts[idx]),
-                distractors=[str(o) for j, o in enumerate(opts) if j != idx],
-            )
+            ClozeQuestion(answer=opts[idx], distractors=opts[:idx] + opts[idx + 1 :])
         )
     return ClozePassage(id=path.stem, text_with_blanks=article, questions=questions)
 
@@ -193,20 +184,15 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
                 raise ParseError(f"{where}: invalid JSON: {exc}") from exc
             if not isinstance(record, dict):
                 raise ParseError(f"{where}: expected a JSON object")
-            context = record.get("context")
-            if not isinstance(context, str) or not context:
-                raise ParseError(f"{where}: field 'context' must be a nonempty string")
-            pair_id = str(record.get("id", f"pair-{lineno}"))
+            context = read_field(record, "context", str, where)
+            pair_id = read_field(record, "id", str, where, f"pair-{lineno}")
             if "answer_start" in record or "answer_end" in record:
-                try:
-                    span = (int(record["answer_start"]), int(record["answer_end"]))
-                except (KeyError, TypeError, ValueError) as exc:
-                    raise ParseError(
-                        f"{where}: fields 'answer_start'/'answer_end' must both "
-                        "be integers"
-                    ) from exc
+                span = (
+                    read_field(record, "answer_start", int, where),
+                    read_field(record, "answer_end", int, where),
+                )
             elif "answer_text" in record:
-                answer_text = str(record["answer_text"])
+                answer_text = read_field(record, "answer_text", str, where)
                 if not answer_text:
                     raise ParseError(f"{where}: field 'answer_text' is empty")
                 start = context.find(answer_text)

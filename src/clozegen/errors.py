@@ -1,4 +1,5 @@
-"""Exception types shared across the package."""
+"""Exception types shared across the package, and the typed reader that
+every field of every input file goes through."""
 
 
 class ClozegenError(Exception):
@@ -31,3 +32,46 @@ class ResolveError(ClozegenError):
 
 class ConfigError(ClozegenError):
     """Invalid or incomplete configuration."""
+
+
+_REQUIRED = object()
+_KIND_NAMES = {str: "a string", int: "an integer", float: "a number", dict: "an object"}
+
+
+def read_field(doc: dict, key: str, kind, where: object, default=_REQUIRED):
+    """``doc[key]`` if it is of ``kind``, or ``default`` if the key is absent.
+
+    ``kind`` is a JSON type (``float`` is any number), ``[k]`` a list of
+    ``k`` values, or ``(k1, k2, ...)`` a list of exactly those values. Types
+    match exactly, so a bool is no number; nothing is converted. A mismatch,
+    or a missing field without a default, is a ParseError that begins with
+    ``where``, the file (and line) the field was read from.
+    """
+    if key not in doc:
+        if default is _REQUIRED:
+            raise ParseError(f"{where}: field {key!r} is missing")
+        return default
+    value = doc[key]
+    if type(value) is not kind:
+        _check(value, kind, where, key)
+    return value
+
+
+def _check(value, kind, where: object, name: str) -> None:
+    """Raise unless ``value`` fits ``kind``; not called when ``type(value) is kind``."""
+    if type(value) is list and type(kind) in (list, tuple):
+        kinds = kind * len(value) if type(kind) is list else kind
+        if len(kinds) == len(value):
+            for i, item in enumerate(value):
+                if type(item) is not kinds[i]:
+                    _check(item, kinds[i], where, f"{name}[{i}]")
+            return
+    elif kind is float and type(value) is int:
+        return
+    raise ParseError(f"{where}: field {name!r} must be {_describe(kind)}")
+
+
+def _describe(kind) -> str:
+    if type(kind) is tuple:
+        return f"a list of {len(kind)} values"
+    return "a list" if type(kind) is list else _KIND_NAMES[kind]

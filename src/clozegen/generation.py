@@ -18,7 +18,7 @@ from __future__ import annotations
 
 import math
 import warnings
-from dataclasses import dataclass, field, replace
+from dataclasses import dataclass, replace
 from typing import Sequence
 
 import numpy as np
@@ -93,8 +93,6 @@ class MaskedContext:
 
     tokens: list[str]
     mask_positions: list[int]
-    answer_text: str
-    original_tokens: list[str] = field(default_factory=list)
 
     def __post_init__(self):
         if not self.mask_positions:
@@ -200,7 +198,6 @@ def build_masked_context(
     answer_span: tuple[int, int],
     mask_count: int,
     mask_token: str,
-    answer_text: str | None = None,
 ) -> MaskedContext:
     """Replace the answer token span with ``mask_count`` mask tokens.
 
@@ -218,13 +215,9 @@ def build_masked_context(
     tokens = list(context_tokens[:start]) + [mask_token] * mask_count + list(
         context_tokens[end:]
     )
-    if answer_text is None:
-        answer_text = " ".join(context_tokens[start:end])
     return MaskedContext(
         tokens=tokens,
         mask_positions=list(range(start, start + mask_count)),
-        answer_text=answer_text,
-        original_tokens=list(context_tokens),
     )
 
 
@@ -250,8 +243,6 @@ def window_context(context: MaskedContext, max_length: int) -> MaskedContext:
     return MaskedContext(
         tokens=context.tokens[start:stop],
         mask_positions=[p - start for p in context.mask_positions],
-        answer_text=context.answer_text,
-        original_tokens=context.original_tokens,
     )
 
 

@@ -10,8 +10,7 @@ from __future__ import annotations
 
 import json
 import random
-import time
-from dataclasses import asdict, dataclass, field
+from dataclasses import asdict, dataclass
 
 import numpy as np
 
@@ -44,7 +43,6 @@ class GenerationResult:
     distractor_set: DistractorSet
     all_candidates: list[Candidate]
     config_echo: GenerationConfig
-    timing: dict[str, float] = field(default_factory=dict)
 
 
 @dataclass(frozen=True)
@@ -73,9 +71,7 @@ def generate_distractors(
     if not (0 <= start < end <= len(context)) or not context[start:end].strip():
         raise SpanError(f"answer span ({start}, {end}) invalid for the given context")
     answer_text = context[start:end]
-    timing: dict[str, float] = {}
 
-    t0 = time.perf_counter()
     tokens, token_span = map_char_span(mlm_backend, context, answer_span)
     answer_token_count = token_span[1] - token_span[0]
     resolved = resolve_mask_count(config, answer_token_count)
@@ -86,28 +82,21 @@ def generate_distractors(
     info = mlm_backend.info()
     jobs = []
     for count in counts:
-        masked = build_masked_context(
-            tokens, token_span, count, info.mask_token, answer_text=answer_text
-        )
+        masked = build_masked_context(tokens, token_span, count, info.mask_token)
         masked = window_context(masked, info.max_sequence_length)
         jobs.append((masked, decode_order(config.strategy, count)))
     candidates = generate_candidates(mlm_backend, jobs, branch_width)
     ranked = drop_answer_matches(rank_candidates(candidates, config.avg), answer_text)
-    timing["csg_ms"] = (time.perf_counter() - t0) * 1000.0
 
-    t1 = time.perf_counter()
     sentence, sentence_span = extract_sentence(context, answer_span)
     distractor_set = select_distractors(
         nli_backend, sentence, answer_text, ranked, config.k, answer_span=sentence_span
     )
-    timing["ds_ms"] = (time.perf_counter() - t1) * 1000.0
-    timing["total_ms"] = timing["csg_ms"] + timing["ds_ms"]
 
     return GenerationResult(
         distractor_set=distractor_set,
         all_candidates=ranked,
         config_echo=config,
-        timing=timing,
     )
 
 
@@ -135,7 +124,7 @@ def render_cloze(
 
 
 def result_to_dict(result: GenerationResult) -> dict:
-    """Wire format for a result; timing is excluded so output is reproducible."""
+    """Wire format for a result."""
     return {
         "distractors": list(result.distractor_set.distractors),
         "candidates": [

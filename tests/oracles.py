@@ -212,7 +212,7 @@ def query_string_fill(backend, text, blank):
         return None
     position = tokens.index(info.mask_token)
     masked = window_context(
-        MaskedContext(tokens=tokens, mask_positions=[position], answer_text=""),
+        MaskedContext(tokens=tokens, mask_positions=[position]),
         info.max_sequence_length,
     )
     predictions = backend.fill_mask(masked.tokens, masked.mask_positions[0], 1)

@@ -1,5 +1,6 @@
 """Smoke run of the benchmark: it must pass its own checks, find every traced
-layer, see one lockstep decode call per item, and batch NLI pairs. The
+layer, reproduce the reference distractors and model-call counts, see one
+lockstep decode call per item, and batch NLI pairs. The
 benchmark's masked LM also prefills a CLOTH passage in process, since the
 smoke run's workload has no blanks."""
 
@@ -31,7 +32,18 @@ def test_bench_long_passage_smoke():
     output = child.stdout + child.stderr
     assert child.returncode == 0, output
     assert '"correct": true' in output
-    assert "absent layers: none" in output.splitlines()
+    lines = output.splitlines()
+    assert "absent layers: none" in lines
+    # criterion 6 on the benchmark's own inputs: the distractors and every
+    # model call of the seed-7 pool are those of the reference run
+    assert (
+        "distractors_sha256 "
+        "41bcdc2b8600fc18be37540ade6b48de6888834f35f94bd47b9f77434fb16ee7"
+    ) in lines
+    assert (
+        'pool_counts {"mlm_passes_decode": 1250, "mlm_queries": 24500, '
+        '"nli_pairs_answer": 2404, "nli_pairs_pairwise": 2224, "nli_passes": 2864}'
+    ) in lines
     metrics = json.loads(child.stdout.splitlines()[-1])["metrics"]
     # 1- and 2-word answers sample mask counts {1, 2} and {1, 2, 3}: 2.5 steps
     assert metrics["backends.mlm.passes_decode"]["value"] == 2.5

@@ -397,6 +397,52 @@ BAD_FILES = {
     "pairs-span-outside-context": (
         "generate", "input", {"context": "a b", "answer_start": 1, "answer_end": 99}
     ),
+    # each field must be of its JSON type; none is converted
+    "pairs-id-null": ("generate", "input", {"id": None, "context": "a b", "answer_text": "a"}),
+    "pairs-answer-text-not-string": (
+        "generate", "input", {"context": "a 5 b", "answer_text": 5}
+    ),
+    "pairs-offsets-not-integers": (
+        "generate", "input", {"context": "a b", "answer_start": "0", "answer_end": 1.9}
+    ),
+    "pairs-offset-bool": (
+        "generate", "input", {"context": "ab c", "answer_start": True, "answer_end": 2}
+    ),
+    "cloth-option-not-string": (
+        "evaluate",
+        "input",
+        {**CLOTH_DOC, "options": [[1, None, "store", True], ["book", "ball", "pen", "hat"]]},
+    ),
+    "cloth-answer-empty": ("evaluate", "input", {**CLOTH_DOC, "answers": ["", "A"]}),
+    "cloth-answer-two-letters": ("evaluate", "input", {**CLOTH_DOC, "answers": ["BC", "A"]}),
+    "cloth-answer-not-string": ("evaluate", "input", {**CLOTH_DOC, "answers": [1, "A"]}),
+    "mock-position-not-integer": (
+        "generate",
+        "mock",
+        {"predictions": [{"fingerprint": "a", "position": 0.5, "top": [["b", 0.5]]}]},
+    ),
+    "mock-probability-string": (
+        "generate",
+        "mock",
+        {"predictions": [{"fingerprint": "a", "position": 0, "top": [["b", "0.5"]]}]},
+    ),
+    "mock-probability-bool": (
+        "generate",
+        "mock",
+        {"predictions": [{"fingerprint": "a", "position": 0, "top": [["b", True]]}]},
+    ),
+    "mock-fingerprint-not-string": (
+        "generate",
+        "mock",
+        {"predictions": [{"fingerprint": 5, "position": 0, "top": [["b", 0.5]]}]},
+    ),
+    "mock-token-not-string": (
+        "generate",
+        "mock",
+        {"predictions": [{"fingerprint": "a", "position": 0, "top": [[7, 0.5]]}]},
+    ),
+    "mock-name-not-string": ("generate", "mock", {"name": ["x"]}),
+    "mock-nli-entry-not-strings": ("generate", "mock", {"nli": [[1, 2, "entailment"]]}),
 }
 
 

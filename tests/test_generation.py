@@ -86,8 +86,6 @@ def test_build_masked_context_replaces_span():
     ctx = build_masked_context(["t1", "a1", "a2", "t2"], (1, 3), 2, "[MASK]")
     assert ctx.tokens == ["t1", "[MASK]", "[MASK]", "t2"]
     assert ctx.mask_positions == [1, 2]
-    assert ctx.answer_text == "a1 a2"
-    assert ctx.original_tokens == ["t1", "a1", "a2", "t2"]
 
 
 def test_build_masked_context_count_may_exceed_answer_length():
@@ -107,19 +105,11 @@ def test_masked_context_requires_uniform_mask_tokens():
     from clozegen.generation import MaskedContext
 
     with pytest.raises(ContractViolation):
-        MaskedContext(
-            tokens=["a", "[MASK]", "oops"],
-            mask_positions=[1, 2],
-            answer_text="x",
-        )
+        MaskedContext(tokens=["a", "[MASK]", "oops"], mask_positions=[1, 2])
     with pytest.raises(ContractViolation):
-        MaskedContext(tokens=["a", "[MASK]"], mask_positions=[], answer_text="x")
+        MaskedContext(tokens=["a", "[MASK]"], mask_positions=[])
     with pytest.raises(ContractViolation):
-        MaskedContext(
-            tokens=["[MASK]", "a", "[MASK]"],
-            mask_positions=[0, 2],
-            answer_text="x",
-        )
+        MaskedContext(tokens=["[MASK]", "a", "[MASK]"], mask_positions=[0, 2])
 
 
 def test_window_context_noop_and_symmetric_trim():

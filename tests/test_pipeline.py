@@ -81,7 +81,6 @@ def test_generate_distractors_golden_scenario():
         ("shut", "pairwise-entailment", "slam shut")
     ]
     assert result.config_echo == GOLDEN_CONFIG
-    assert set(result.timing) == {"csg_ms", "ds_ms", "total_ms"}
     assert set(result.distractor_set.distractors) <= {c.text for c in result.all_candidates}
 
 
