@@ -16,14 +16,13 @@ from __future__ import annotations
 
 import hashlib
 import heapq
-import json
 import re
 from abc import ABC, abstractmethod
 from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import ContractViolation, ParseError, SequenceLengthError, read_field
+from .errors import ContractViolation, ParseError, SequenceLengthError, read_field, read_json
 
 ENTAILMENT = "entailment"
 NEUTRAL = "neutral"
@@ -197,7 +196,7 @@ class MockMaskedLM(MaskedLanguageModel):
     @classmethod
     def from_json_file(cls, path: str | Path) -> "MockMaskedLM":
         """Build from a mock-configuration JSON document (see README)."""
-        doc = _load_mock_document(path)
+        doc = read_json(path)
         table = {}
         for i, entry in enumerate(read_field(doc, "predictions", [dict], path, [])):
             where = f"{path}: predictions[{i}]"
@@ -286,7 +285,7 @@ class MockNliClassifier(NliClassifier):
 
     @classmethod
     def from_json_file(cls, path: str | Path) -> "MockNliClassifier":
-        doc = _load_mock_document(path)
+        doc = read_json(path)
         triples = read_field(doc, "nli", [(str, str, str)], path, [])
         try:
             return cls(
@@ -300,16 +299,6 @@ class MockNliClassifier(NliClassifier):
     def classify_nli(self, premise: str, hypothesis: str) -> str:
         self._check_pair(premise, hypothesis)
         return self.table.get((premise, hypothesis), self.default)
-
-
-def _load_mock_document(path: str | Path) -> dict:
-    try:
-        doc = json.loads(Path(path).read_text(encoding="utf-8"))
-    except ValueError as exc:  # bad JSON or not UTF-8
-        raise ParseError(f"{path}: not valid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path}: mock configuration must be a JSON object")
-    return doc
 
 
 def load_mock_backends(path: str | Path) -> tuple[MockMaskedLM, MockNliClassifier]:

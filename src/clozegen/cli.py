@@ -24,7 +24,7 @@ from pathlib import Path
 from . import data, metrics
 from .adapters import HuggingFaceMaskedLM, HuggingFaceNli
 from .backends import MockMaskedLM, MockNliClassifier
-from .errors import ClozegenError, ConfigError, ParseError, read_field
+from .errors import ClozegenError, ConfigError, ParseError, read_field, read_json_lines
 from .generation import AVERAGES, GenerationConfig, STRATEGIES
 from .pipeline import generate_distractors, result_to_dict
 from .selection import STAGES
@@ -205,32 +205,32 @@ def run_evaluate(args: argparse.Namespace) -> int:
 
 
 def run_trace(args: argparse.Namespace) -> int:
-    path = args.input
-    try:
-        text = Path(path).read_text(encoding="utf-8")
-        records = [json.loads(line) for line in text.splitlines() if line.strip()]
-    except ValueError as exc:  # bad JSON or not UTF-8
-        raise ParseError(f"{path}: {exc}") from exc
-    if not records:
-        raise ParseError(f"{path}: no records found")
-    for record in records:
-        if not isinstance(record, dict):
-            raise ParseError(f"{path}: record {record!r} is not an object")
-        label = record.get("id", "<result>")
-        entries = read_field(record, "trace", [dict], path)
-        if not entries:
-            print(f"{label}: no eliminations")
+    found = False
+    for _, where, record in read_json_lines(args.input):
+        found = True
+        label = read_field(record, "id", str, where, "<result>")
+        if "error" in record:
+            error = read_field(record, "error", dict, where)
+            kind = read_field(error, "type", str, where)
+            message = read_field(error, "message", str, where)
+            print(f"{label}: failed ({kind}: {message})")
             continue
-        print(f"{label}:")
-        for entry in entries:
-            stage = entry.get("stage")
+        entries = read_field(record, "trace", [dict], where)
+        print(f"{label}:" if entries else f"{label}: no eliminations")
+        for i, entry in enumerate(entries):
+            at = f"{where}: trace[{i}]"
+            stage = read_field(entry, "stage", str, at)
             if stage not in STAGES:
-                raise ParseError(f"{path}: unknown trace stage {stage!r}")
-            verdicts = "/".join(read_field(entry, "verdicts", [str], path, []))
+                raise ParseError(f"{at}: unknown trace stage {stage!r}")
+            candidate = read_field(entry, "candidate", str, at)
+            counterpart = read_field(entry, "counterpart", str, at)
+            verdicts = "/".join(read_field(entry, "verdicts", [str], at, []))
             print(
-                f"  - {entry.get('candidate')!r} removed at {stage} "
-                f"vs {entry.get('counterpart')!r} (verdicts: {verdicts})"
+                f"  - {candidate!r} removed at {stage} vs {counterpart!r} "
+                f"(verdicts: {verdicts})"
             )
+    if not found:
+        raise ParseError(f"{args.input}: no records found")
     return 0
 
 

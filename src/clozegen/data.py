@@ -14,7 +14,6 @@ punctuation is masked like any answer span.
 
 from __future__ import annotations
 
-import json
 import re
 import warnings
 from dataclasses import dataclass
@@ -22,7 +21,8 @@ from pathlib import Path
 
 from .backends import MaskedLanguageModel
 from .errors import (
-    ConfigError, ContractViolation, ParseError, ResolveError, SpanError, read_field
+    ConfigError, ContractViolation, ParseError, ResolveError, SpanError, read_field,
+    read_json, read_json_lines,
 )
 from .generation import build_masked_context, map_char_span, window_context
 
@@ -65,16 +65,6 @@ class ClozePassage:
     def blank_spans(self) -> list[tuple[int, int]]:
         return [m.span() for m in BLANK_RE.finditer(self.text_with_blanks)]
 
-    def to_dict(self) -> dict:
-        return {
-            "id": self.id,
-            "text_with_blanks": self.text_with_blanks,
-            "questions": [
-                {"answer": q.answer, "distractors": list(q.distractors)}
-                for q in self.questions
-            ],
-        }
-
 
 @dataclass(frozen=True)
 class ContextAnswerPair:
@@ -88,10 +78,6 @@ class ContextAnswerPair:
         start, end = self.answer_span
         if not (0 <= start < end <= len(self.context)):
             raise SpanError(f"span ({start}, {end}) outside context of pair {self.id!r}")
-
-    @property
-    def answer_text(self) -> str:
-        return self.context[self.answer_span[0] : self.answer_span[1]]
 
 
 @dataclass(frozen=True)
@@ -125,39 +111,31 @@ def load_cloth(path: str | Path) -> list[ClozePassage]:
 
 
 def _parse_cloth_file(path: Path) -> ClozePassage:
-    try:
-        doc = json.loads(path.read_text(encoding="utf-8"))
-    except FileNotFoundError:
-        raise
-    except (OSError, ValueError) as exc:  # ValueError: bad JSON or not UTF-8
-        raise ParseError(f"{path.name}: unreadable or invalid JSON: {exc}") from exc
-    if not isinstance(doc, dict):
-        raise ParseError(f"{path.name}: expected a JSON object")
-
-    article = read_field(doc, "article", str, path.name)
-    options = read_field(doc, "options", [(str, str, str, str)], path.name)
-    answers = read_field(doc, "answers", [str], path.name)
+    doc = read_json(path)
+    article = read_field(doc, "article", str, path)
+    options = read_field(doc, "options", [(str, str, str, str)], path)
+    answers = read_field(doc, "answers", [str], path)
     if len(options) != len(answers):
         raise ParseError(
-            f"{path.name}: 'options' has {len(options)} entries but 'answers' "
+            f"{path}: 'options' has {len(options)} entries but 'answers' "
             f"has {len(answers)}"
         )
     blanks = len(BLANK_RE.findall(article))
     if not blanks:
-        raise ParseError(f"{path.name}: 'article' has no blanks")
+        raise ParseError(f"{path}: 'article' has no blanks")
     if blanks != len(answers):
         raise ParseError(
-            f"{path.name}: 'article' has {blanks} blanks but 'answers' has "
+            f"{path}: 'article' has {blanks} blanks but 'answers' has "
             f"{len(answers)} entries"
         )
 
     questions = []
     for i, (opts, letter) in enumerate(zip(options, answers)):
         if letter not in ANSWER_LETTERS:
-            raise ParseError(f"{path.name}: answers[{i}] is {letter!r}, not one of A-D")
+            raise ParseError(f"{path}: answers[{i}] is {letter!r}, not one of A-D")
         idx = ANSWER_LETTERS.index(letter)
         if not opts[idx].strip():
-            raise ParseError(f"{path.name}: options[{i}] has a blank answer option")
+            raise ParseError(f"{path}: options[{i}] has a blank answer option")
         questions.append(
             ClozeQuestion(answer=opts[idx], distractors=opts[:idx] + opts[idx + 1 :])
         )
@@ -172,58 +150,39 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
     context resolves the span (a repeated occurrence emits a warning).
     """
     pairs = []
-    with open(path, encoding="utf-8") as handle:
-        for lineno, line in enumerate(_utf8_lines(handle, path), start=1):
-            line = line.strip()
-            if not line:
-                continue
-            where = f"{path}: line {lineno}"
-            try:
-                record = json.loads(line)
-            except json.JSONDecodeError as exc:
-                raise ParseError(f"{where}: invalid JSON: {exc}") from exc
-            if not isinstance(record, dict):
-                raise ParseError(f"{where}: expected a JSON object")
-            context = read_field(record, "context", str, where)
-            pair_id = read_field(record, "id", str, where, f"pair-{lineno}")
-            if "answer_start" in record or "answer_end" in record:
-                span = (
-                    read_field(record, "answer_start", int, where),
-                    read_field(record, "answer_end", int, where),
+    for lineno, where, record in read_json_lines(path):
+        context = read_field(record, "context", str, where)
+        pair_id = read_field(record, "id", str, where, f"pair-{lineno}")
+        if "answer_start" in record or "answer_end" in record:
+            span = (
+                read_field(record, "answer_start", int, where),
+                read_field(record, "answer_end", int, where),
+            )
+        elif "answer_text" in record:
+            answer_text = read_field(record, "answer_text", str, where)
+            if not answer_text:
+                raise ParseError(f"{where}: field 'answer_text' is empty")
+            start = context.find(answer_text)
+            if start < 0:
+                raise ResolveError(
+                    f"{where}: answer_text {answer_text!r} not found in context"
                 )
-            elif "answer_text" in record:
-                answer_text = read_field(record, "answer_text", str, where)
-                if not answer_text:
-                    raise ParseError(f"{where}: field 'answer_text' is empty")
-                start = context.find(answer_text)
-                if start < 0:
-                    raise ResolveError(
-                        f"{where}: answer_text {answer_text!r} not found in context"
-                    )
-                if context.find(answer_text, start + 1) >= 0:
-                    warnings.warn(
-                        f"{where}: answer_text occurs more than once; "
-                        "using the first occurrence",
-                        stacklevel=2,
-                    )
-                span = (start, start + len(answer_text))
-            else:
-                raise ParseError(
-                    f"{where}: need 'answer_start'/'answer_end' or 'answer_text'"
+            if context.find(answer_text, start + 1) >= 0:
+                warnings.warn(
+                    f"{where}: answer_text occurs more than once; "
+                    "using the first occurrence",
+                    stacklevel=2,
                 )
-            try:
-                pairs.append(ContextAnswerPair(id=pair_id, context=context, answer_span=span))
-            except SpanError as exc:
-                raise SpanError(f"{where}: {exc}") from exc
+            span = (start, start + len(answer_text))
+        else:
+            raise ParseError(
+                f"{where}: need 'answer_start'/'answer_end' or 'answer_text'"
+            )
+        try:
+            pairs.append(ContextAnswerPair(id=pair_id, context=context, answer_span=span))
+        except SpanError as exc:
+            raise SpanError(f"{where}: {exc}") from exc
     return pairs
-
-
-def _utf8_lines(handle, path: str | Path):
-    """The lines of a file opened as UTF-8; bytes that are not UTF-8 are a ParseError."""
-    try:
-        yield from handle
-    except UnicodeDecodeError as exc:
-        raise ParseError(f"{path}: not UTF-8 text: {exc}") from exc
 
 
 def extract_sentence(text: str, span: tuple[int, int]) -> tuple[str, tuple[int, int]]:

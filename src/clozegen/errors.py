@@ -1,5 +1,7 @@
-"""Exception types shared across the package, and the typed reader that
-every field of every input file goes through."""
+"""Exception types shared across the package, the two readers that every
+input file goes through, and the typed reader for every field."""
+
+import json
 
 
 class ClozegenError(Exception):
@@ -32,6 +34,48 @@ class ResolveError(ClozegenError):
 
 class ConfigError(ClozegenError):
     """Invalid or incomplete configuration."""
+
+
+def read_json(path) -> dict:
+    """The one JSON object in the file at ``path``.
+
+    Bytes that are not UTF-8, invalid JSON or a document that is not an
+    object are a ParseError naming the file; an OSError passes through.
+    """
+    with open(path, "rb") as handle:
+        return _json_object(_utf8(handle.read(), path), path)
+
+
+def read_json_lines(path):
+    """Yield ``(line number, where, object)`` for each nonblank line of ``path``.
+
+    Lines end only at ``\\n``, and the file is read one line at a time.
+    ``where`` names the file and the line, and every ParseError raised for
+    a line begins with it.
+    """
+    with open(path, "rb") as handle:
+        for lineno, line in enumerate(handle, start=1):
+            where = f"{path}: line {lineno}"
+            text = _utf8(line, where)
+            if text.strip():
+                yield lineno, where, _json_object(text, where)
+
+
+def _utf8(data: bytes, where: object) -> str:
+    try:
+        return data.decode("utf-8")
+    except UnicodeDecodeError as exc:
+        raise ParseError(f"{where}: not UTF-8 text: {exc}") from exc
+
+
+def _json_object(text: str, where: object) -> dict:
+    try:
+        doc = json.loads(text)
+    except ValueError as exc:
+        raise ParseError(f"{where}: invalid JSON: {exc}") from exc
+    if type(doc) is not dict:
+        raise ParseError(f"{where}: expected a JSON object")
+    return doc
 
 
 _REQUIRED = object()

@@ -43,11 +43,6 @@ class EvalReport:
     item_count: int
 
 
-def match(candidate: str, gold: str) -> bool:
-    """Exact match after lowercasing and whitespace collapsing."""
-    return normalize_text(candidate) == normalize_text(gold)
-
-
 def compute_item(
     generated: Sequence[str], gold: Sequence[str], item_id: str = ""
 ) -> EvalItemResult:

@@ -363,7 +363,7 @@ def test_evaluate_prefills_blank_glued_to_punctuation(mock_config_path, tmp_path
 
 
 NOT_UTF8 = b'{"article": "caf\xe9 _"}'
-TRACE_ENTRY = {"candidate": "a", "stage": "answer-entailment"}
+TRACE_ENTRY = {"candidate": "a", "stage": "answer-entailment", "counterpart": "b"}
 
 # case -> (subcommand, the role of the bad file, its bytes)
 BAD_FILES = {
@@ -375,6 +375,10 @@ BAD_FILES = {
     "trace-verdicts-not-strings": (
         "trace", "input", {"id": "x", "trace": [{**TRACE_ENTRY, "verdicts": [1, 2]}]}
     ),
+    "trace-candidate-not-string": (
+        "trace", "input", {"id": "x", "trace": [{**TRACE_ENTRY, "candidate": 5}]}
+    ),
+    "trace-record-not-object": ("trace", "input", b'{"id": "x", "trace": []}\n["x"]'),
     "mock-salt-not-integer": ("generate", "mock", {"salt": "x"}),
     "mock-length-not-integer": ("generate", "mock", {"max_sequence_length": [512]}),
     "mock-vocabulary-not-list": ("generate", "mock", {"vocabulary": 5}),
@@ -476,6 +480,9 @@ def test_bad_input_file_is_one_error_line_naming_it(
     err = capsys.readouterr().err
     assert len(err.splitlines()) == 1 and err.startswith("error: ")
     assert "bad-file.json" in err
+    if role == "input" and command in ("generate", "trace"):
+        last_line = content.count(b"\n") + 1  # each bad record is its file's last line
+        assert f"bad-file.json: line {last_line}:" in err
 
 
 def test_cloth_preset_hyperparameters():
@@ -548,6 +555,26 @@ def test_trace_error_paths(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     missing.write_text(json.dumps({"id": "x"}), encoding="utf-8")
     assert main(["trace", str(missing)]) == 1
+
+
+def test_trace_reads_failed_items_and_unicode_line_separators(
+    mock_config_path, tmp_path, capsys
+):
+    records = [
+        {"id": "ok\u2028\u2029\u0085", "context": CONTEXT, "answer_text": "door"},
+        {"id": "bad", "context": "see the    gap here", "answer_start": 3, "answer_end": 4},
+    ]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(
+        "".join(json.dumps(r, ensure_ascii=False) + "\n" for r in records), encoding="utf-8"
+    )
+    out = tmp_path / "out.jsonl"
+    assert main(_generate_args(mock_config_path, pairs, out)) == 2
+    capsys.readouterr()
+    assert main(["trace", str(out)]) == 0
+    first, second, end = capsys.readouterr().out.split("\n")
+    assert first == "ok\u2028\u2029\u0085: no eliminations"
+    assert second.startswith("bad: failed (SpanError: ") and end == ""
 
 
 def test_generate_end_to_end_via_trace(mock_config_path, pairs_path, tmp_path, capsys):

@@ -9,7 +9,6 @@ from clozegen.metrics import (
     compute_item,
     evaluate_dataset,
     format_report_table,
-    match,
     report_to_dict,
     report_to_json,
 )
@@ -17,12 +16,6 @@ from clozegen.metrics import (
 from tests.oracles import brute_force_metrics
 
 GOLD = ["g1", "g2", "g3"]
-
-
-def test_match_normalization():
-    assert match("Open", "open")
-    assert match("new  york", "new york")
-    assert not match("opened", "open")
 
 
 def test_compute_item_top_hit():
