@@ -175,11 +175,10 @@ class MockMaskedLM(MaskedLanguageModel):
         fallback: str = "uniform",
         salt: int = 0,
         max_sequence_length: int = 512,
-        name: str = "mock-mlm",
     ):
         if fallback not in ("uniform", "seeded"):
             raise ContractViolation(f"unknown fallback mode {fallback!r}")
-        self._info = BackendInfo(name, max_sequence_length, mask_token)
+        self._info = BackendInfo("mock-mlm", max_sequence_length, mask_token)
         self.vocabulary = list(vocabulary)
         self.fallback = fallback
         self.salt = salt
@@ -211,7 +210,6 @@ class MockMaskedLM(MaskedLanguageModel):
                 fallback=read_field(doc, "fallback", str, path, "uniform"),
                 salt=read_field(doc, "salt", int, path, 0),
                 max_sequence_length=read_field(doc, "max_sequence_length", int, path, 512),
-                name=read_field(doc, "name", str, path, "mock-mlm"),
             )
         except ContractViolation as exc:
             raise ParseError(f"{path}: {exc}") from exc
@@ -271,11 +269,9 @@ class MockNliClassifier(NliClassifier):
         self,
         table: dict[tuple[str, str], str] | None = None,
         default: str = NEUTRAL,
-        name: str = "mock-nli",
     ):
         if default not in NLI_LABELS:
             raise ContractViolation(f"unknown NLI label {default!r}")
-        self.name = name
         self.default = default
         self.table = {}
         for pair, label in (table or {}).items():
@@ -291,7 +287,6 @@ class MockNliClassifier(NliClassifier):
             return cls(
                 table={(premise, hypothesis): label for premise, hypothesis, label in triples},
                 default=read_field(doc, "nli_default", str, path, NEUTRAL),
-                name=read_field(doc, "name", str, path, "mock-nli"),
             )
         except ContractViolation as exc:
             raise ParseError(f"{path}: {exc}") from exc

@@ -17,11 +17,10 @@ loop: it asks for the ``k * m_s`` top fills where later steps ask for one.
 from __future__ import annotations
 
 import math
+import random
 import warnings
 from dataclasses import dataclass, replace
 from typing import Sequence
-
-import numpy as np
 
 from .backends import MaskedLanguageModel
 from .errors import ContractViolation, SpanError
@@ -62,6 +61,8 @@ class GenerationConfig:
             raise ContractViolation("k must be >= 1")
         if self.m_s is not None and self.m_s < 1:
             raise ContractViolation("m_s must be >= 1")
+        if self.seed < 0:
+            raise ContractViolation("seed must be >= 0")
         object.__setattr__(self, "strategy", canonical_strategy(self.strategy))
         object.__setattr__(self, "avg", canonical_average(self.avg))
 
@@ -145,24 +146,20 @@ def mask_count_interval(n_mask: int, dispersion: int) -> tuple[int, int]:
     return max(n_mask - dispersion, 1), n_mask + dispersion
 
 
-def sample_mask_counts(
-    interval: tuple[int, int], rng: np.random.Generator | int
-) -> list[int]:
+def sample_mask_counts(interval: tuple[int, int], seed: int) -> list[int]:
     """Draw up to three distinct mask counts uniformly from the interval.
 
     Returns min(3, interval size) values without replacement, ascending.
-    Deterministic for a fixed seed or generator state.
+    Deterministic for a fixed seed; an interval of at most three counts is
+    returned whole, whatever the seed.
     """
     low, high = interval
     if low > high:
         raise ContractViolation(f"empty interval ({low}, {high})")
     if low < 1:
         raise ContractViolation("mask counts must be >= 1")
-    if isinstance(rng, (int, np.integer)):
-        rng = np.random.default_rng(int(rng))
     size = min(3, high - low + 1)
-    drawn = rng.choice(np.arange(low, high + 1), size=size, replace=False)
-    return sorted(int(v) for v in drawn)
+    return sorted(random.Random(seed).sample(range(low, high + 1), size))
 
 
 def map_char_span(

@@ -12,8 +12,6 @@ import json
 import random
 from dataclasses import asdict, dataclass
 
-import numpy as np
-
 from .backends import MaskedLanguageModel, NliClassifier
 from .data import extract_sentence
 from .errors import ContractViolation, SpanError
@@ -76,8 +74,7 @@ def generate_distractors(
     answer_token_count = token_span[1] - token_span[0]
     resolved = resolve_mask_count(config, answer_token_count)
     branch_width = config.k * resolve_search_multiplier(config, resolved)
-    rng = np.random.default_rng(config.seed)
-    counts = sample_mask_counts(mask_count_interval(resolved, config.dispersion), rng)
+    counts = sample_mask_counts(mask_count_interval(resolved, config.dispersion), config.seed)
 
     info = mlm_backend.info()
     jobs = []

@@ -235,6 +235,7 @@ def test_mock_json_document_round_trip(tmp_path):
         ],
         "nli": [["p", "h", "entailment"]],
         "nli_default": "contradiction",
+        "name": ["x"],  # not a mock field: ignored like any unknown key
     }
     path = tmp_path / "mock.json"
     path.write_text(json.dumps(doc), encoding="utf-8")

@@ -133,6 +133,14 @@ def test_unwritable_output_is_one_error_line(mock_config_path, pairs_path, tmp_p
     assert "no-such-dir" in err
 
 
+def test_negative_seed_is_one_error_line(mock_config_path, pairs_path, tmp_path, capsys):
+    out = tmp_path / "out.jsonl"
+    assert main(_generate_args(mock_config_path, pairs_path, out, ["--seed=-1"])) == 1
+    err = capsys.readouterr().err
+    assert err == "error: seed must be >= 0\n"
+    assert not out.exists()
+
+
 def test_generate_deterministic_output_files(mock_config_path, pairs_path, tmp_path):
     out1 = tmp_path / "run1.jsonl"
     out2 = tmp_path / "run2.jsonl"
@@ -445,7 +453,6 @@ BAD_FILES = {
         "mock",
         {"predictions": [{"fingerprint": "a", "position": 0, "top": [[7, 0.5]]}]},
     ),
-    "mock-name-not-string": ("generate", "mock", {"name": ["x"]}),
     "mock-nli-entry-not-strings": ("generate", "mock", {"nli": [[1, 2, "entailment"]]}),
 }
 

@@ -3,7 +3,6 @@ import math
 import random
 import warnings
 
-import numpy as np
 import pytest
 
 from clozegen.backends import MockMaskedLM, MockNliClassifier, fingerprint
@@ -49,13 +48,15 @@ def test_mask_count_interval():
 
 
 def test_sample_mask_counts_degenerate_and_full_interval():
-    assert sample_mask_counts((4, 4), rng=0) == [4]
-    assert sample_mask_counts((2, 4), rng=123) == [2, 3, 4]
+    assert sample_mask_counts((4, 4), seed=0) == [4]
+    assert sample_mask_counts((2, 4), seed=123) == [2, 3, 4]
+    with pytest.raises(ContractViolation):
+        sample_mask_counts((3, 2), seed=0)
 
 
 def test_sample_mask_counts_seed_zero_snapshot():
-    # regression snapshot: frozen from the first run of the seeded RNG
-    assert sample_mask_counts((1, 5), rng=0) == [3, 4, 5]
+    # regression snapshot: random.Random's draw on CPython 3.11
+    assert sample_mask_counts((1, 5), seed=0) == [1, 4, 5]
 
 
 def test_sample_mask_counts_deterministic_and_in_bounds():
@@ -64,19 +65,12 @@ def test_sample_mask_counts_deterministic_and_in_bounds():
         low = rnd.randint(1, 6)
         high = low + rnd.randint(0, 6)
         seed = rnd.randint(0, 10_000)
-        once = sample_mask_counts((low, high), rng=seed)
-        again = sample_mask_counts((low, high), rng=seed)
+        once = sample_mask_counts((low, high), seed=seed)
+        again = sample_mask_counts((low, high), seed=seed)
         assert once == again
         assert len(once) == min(3, high - low + 1)
         assert len(set(once)) == len(once)
         assert all(low <= v <= high for v in once)
-
-
-def test_sample_mask_counts_accepts_generator():
-    rng = np.random.default_rng(0)
-    assert sample_mask_counts((1, 5), rng=rng) == [3, 4, 5]
-    with pytest.raises(ContractViolation):
-        sample_mask_counts((3, 2), rng=0)
 
 
 # --- masking -------------------------------------------------------------

@@ -1,4 +1,8 @@
 import math
+import os
+import subprocess
+import sys
+from pathlib import Path
 
 import pytest
 
@@ -258,3 +262,31 @@ def test_package_root_exports_public_names():
     assert len(set(PACKAGE_NAMES)) == 53
     missing = [name for name in PACKAGE_NAMES if not hasattr(clozegen, name)]
     assert missing == []
+
+
+# Run in a fresh interpreter: the test process itself may have numpy loaded.
+NUMPY_FREE_RUN = """
+import sys
+
+import clozegen.cli
+from clozegen import GenerationConfig, MockMaskedLM, MockNliClassifier, generate_distractors
+
+context = "The boy will open the door."
+config = GenerationConfig(n_mask=3, dispersion=2)  # five counts: the seed is consulted
+mlm = MockMaskedLM(vocabulary=["shut", "lock", "slam", "kick"])
+result = generate_distractors(context, (13, 17), config, mlm, MockNliClassifier())
+assert result.distractor_set.distractors
+assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+"""
+
+
+def test_library_and_cli_run_without_numpy():
+    src = Path(__file__).resolve().parent.parent / "src"
+    completed = subprocess.run(
+        [sys.executable, "-c", NUMPY_FREE_RUN],
+        env={**os.environ, "PYTHONPATH": str(src)},
+        capture_output=True,
+        text=True,
+        timeout=60,
+    )
+    assert completed.returncode == 0, completed.stderr
