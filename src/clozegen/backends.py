@@ -186,9 +186,9 @@ class MockMaskedLM(MaskedLanguageModel):
         for key, preds in (table or {}).items():
             converted = [TokenPrediction(str(t), float(p)) for t, p in preds]
             for pred in converted:
-                if not 0.0 <= pred.probability <= 1.0:
+                if not 0.0 < pred.probability <= 1.0:
                     raise ContractViolation(
-                        f"mock probability {pred.probability} outside [0, 1]"
+                        f"mock probability {pred.probability} outside (0, 1]"
                     )
             self.table[key] = sort_predictions(converted)
 

@@ -23,7 +23,7 @@ from dataclasses import dataclass, replace
 from typing import Sequence
 
 from .backends import MaskedLanguageModel
-from .errors import ContractViolation, SpanError
+from .errors import BackendError, ContractViolation, SpanError
 
 L2R = "l2r"
 R2L = "r2l"
@@ -280,7 +280,8 @@ def generate_candidates(
     queried on the partially filled tokens so later steps condition on
     earlier commitments. Step 0 copies each hypothesis once per fill of its
     ``branch_width`` best; later steps commit the single top fill in place.
-    A hypothesis with no prediction is dropped with a ``RuntimeWarning``.
+    A hypothesis with no prediction is dropped with a ``RuntimeWarning``; a
+    batch reply without one prediction list per query is a ``BackendError``.
     Returns each job's candidates (at most ``branch_width``, in first-step
     probability order), jobs in input order.
     """
@@ -309,9 +310,10 @@ def generate_candidates(
         if not queries:
             break
         top_k = branch_width if step == 0 else 1
-        for (j, position, (tokens, probs)), preds in zip(
-            owners, backend.fill_mask_batch(queries, top_k)
-        ):
+        replies = backend.fill_mask_batch(queries, top_k)
+        if len(replies) != len(queries):
+            raise BackendError(f"{len(replies)} fill-mask replies for {len(queries)} queries")
+        for (j, position, (tokens, probs)), preds in zip(owners, replies):
             if not preds:
                 warnings.warn(
                     f"backend returned no predictions at position {position}; "

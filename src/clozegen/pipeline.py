@@ -10,6 +10,7 @@ from __future__ import annotations
 
 import json
 import random
+import string
 from dataclasses import asdict, dataclass
 
 from .backends import MaskedLanguageModel, NliClassifier
@@ -33,7 +34,7 @@ from .generation import (
 from .selection import DistractorSet, select_distractors
 
 BLANK_MARKER = "_____"
-OPTION_LETTERS = "ABCDEFGHIJ"
+OPTION_LETTERS = string.ascii_uppercase
 
 
 @dataclass
@@ -103,9 +104,11 @@ def render_cloze(
     distractor_set: DistractorSet,
     shuffle_seed: int = 0,
 ) -> RenderedCloze:
-    """Turn a generation result into a stem plus shuffled options."""
+    """Turn a generation result into a stem plus shuffled options, A to Z."""
     if not distractor_set.distractors:
         raise ContractViolation("cannot render a cloze item without distractors")
+    if len(distractor_set.distractors) >= len(OPTION_LETTERS):
+        raise ContractViolation(f"more than {len(OPTION_LETTERS)} options to letter")
     start, end = answer_span
     if not (0 <= start < end <= len(context)):
         raise SpanError(f"answer span ({start}, {end}) outside context")

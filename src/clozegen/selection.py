@@ -10,12 +10,15 @@ classified. A pair counts as entailing only when the classifier says
 entailment in *both* argument orders; neutral or contradictory verdicts
 retain the candidate.
 
-The scan runs in waves. Each resumes it at the first undecided candidate,
-advances it over the verdicts known so far and collects, for every
-candidate certain to be reached, the next pair its checks need; one
+The scan runs in waves, all in one loop. Each wave resumes it at the first
+undecided candidate, advances it over the verdicts known so far and
+collects, for every candidate certain to be reached (its kept and undecided
+predecessors number fewer than ``k``), the next pair its checks need; one
 ``classify_nli_batch`` call classifies them all. So the classifier sees
 exactly the pairs of a one-pair-at-a-time scan, in as many passes as the
-longest chain of verdicts that depend on one another.
+longest chain of verdicts that depend on one another. A batch reply must
+hold one of the three verdicts per pair, or the scan fails with
+``BackendError``.
 
 Every removal is recorded in an elimination trace so a final set can be
 audited after the fact.
@@ -26,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .backends import ENTAILMENT, NliClassifier
-from .errors import SpanError
+from .backends import ENTAILMENT, NLI_LABELS, NliClassifier
+from .errors import BackendError, SpanError
 from .generation import Candidate, normalize_text
 
 STAGE_ANSWER = "answer-entailment"
@@ -104,59 +107,44 @@ def select_distractors(
     sentences = [context] + [context[:start] + t + context[end:] for t in texts[1:]]
     verdicts: dict[tuple[str, str], str] = {}
     kept: list[int] = []
-    removed: dict[int, int] = {}
-    start, needed = _scan_wave(sentences, k, verdicts, kept, removed, 1)
-    while needed:
-        verdicts.update(zip(needed, nli_backend.classify_nli_batch(needed)))
-        start, needed = _scan_wave(sentences, k, verdicts, kept, removed, start)
+    removed: dict[int, int] = {}  # candidate -> counterpart, 0 for the answer
+    first = 1  # first undecided candidate: every one before it is settled
+    while True:
+        needed: list[tuple[str, str]] = []
+        undecided = 0
+        for i in range(first, len(sentences)):
+            if len(kept) + undecided == k:  # the rest may never be reached
+                break
+            # behind an undecided candidate, i may never be reached either: a
+            # pass or a pending pair counts it undecided; a removal is not recorded
+            for j in (0, *kept):
+                verdict = _two_way(verdicts, sentences[i], sentences[j])
+                if verdict is True:
+                    if not undecided:
+                        removed[i] = j
+                    break
+                if verdict is not False:
+                    if not undecided:
+                        first = i
+                    needed.append(verdict)
+                    undecided += 1
+                    break
+            else:
+                if undecided:
+                    undecided += 1
+                else:
+                    kept.append(i)
+        if not needed:
+            break
+        labels = nli_backend.classify_nli_batch(needed)
+        if len(labels) != len(needed) or not NLI_LABELS.issuperset(labels):
+            raise BackendError(f"NLI labels {set(labels)} for {len(needed)} pairs")
+        verdicts.update(zip(needed, labels))
     trace = [
         TraceEntry(texts[i], STAGES[j > 0], texts[j], (ENTAILMENT, ENTAILMENT))
         for i, j in sorted(removed.items(), key=lambda item: (item[1] > 0, item[0]))
     ]
     return DistractorSet([texts[i] for i in kept], answer, trace, len(kept) < k)
-
-
-def _scan_wave(
-    sentences: list[str],
-    k: int,
-    verdicts: dict[tuple[str, str], str],
-    kept: list[int],
-    removed: dict[int, int],
-    start: int,
-) -> tuple[int, list[tuple[str, str]]]:
-    """Advance the best-first scan from ``start`` as far as ``verdicts`` settle it.
-
-    ``sentences`` holds the answer sentence, then each candidate's. Settled
-    candidates join ``kept`` or ``removed`` (mapped to their counterpart, 0
-    for the answer) in place. Returns the first undecided candidate, where
-    the next wave resumes, and the next pair each candidate certain to be
-    reached still needs: one whose kept and undecided predecessors number
-    fewer than ``k``. Later candidates than the first undecided one cannot
-    be known kept; they are checked against the kept ones before it.
-    """
-    needed: list[tuple[str, str]] = []
-    undecided = 0
-    for i in range(start, len(sentences)):
-        if len(kept) + undecided == k:
-            break
-        for j in (0, *kept):
-            verdict = _two_way(verdicts, sentences[i], sentences[j])
-            if verdict is True:
-                if not undecided:
-                    removed[i] = j
-                break
-            if verdict is not False:
-                if not undecided:
-                    start = i
-                needed.append(verdict)
-                undecided += 1
-                break
-        else:
-            if undecided:
-                undecided += 1
-            else:
-                kept.append(i)
-    return start, needed
 
 
 def _two_way(

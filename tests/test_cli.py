@@ -438,6 +438,11 @@ BAD_FILES = {
         "mock",
         {"predictions": [{"fingerprint": "a", "position": 0, "top": [["b", "0.5"]]}]},
     ),
+    "mock-probability-zero": (
+        "generate",
+        "mock",
+        {"predictions": [{"fingerprint": "a", "position": 0, "top": [["b", 0.0]]}]},
+    ),
     "mock-probability-bool": (
         "generate",
         "mock",

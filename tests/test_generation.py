@@ -6,7 +6,7 @@ import warnings
 import pytest
 
 from clozegen.backends import MockMaskedLM, MockNliClassifier, fingerprint
-from clozegen.errors import ContractViolation, SpanError
+from clozegen.errors import BackendError, ContractViolation, SpanError
 from clozegen.generation import (
     STRATEGIES,
     GenerationConfig,
@@ -340,6 +340,18 @@ def test_generate_stops_when_every_hypothesis_dies():
     with pytest.warns(RuntimeWarning):
         assert generate_candidates(mlm, [(ctx, [0, 1, 2])], branch_width=2) == []
     assert mlm.batches == [(1, 2), (2, 1)]
+
+
+def test_generate_rejects_a_short_batch_reply():
+    class FirstListOnly(MockMaskedLM):
+        def fill_mask_batch(self, queries, top_k):
+            return super().fill_mask_batch(queries, top_k)[:1]
+
+    mlm = FirstListOnly(vocabulary=["a", "b", "c"])
+    ctx = build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]")
+    # step 0 sends one query; step 1 sends one per branch and gets one list back
+    with pytest.raises(BackendError):
+        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
 
 
 def test_generate_validates_order_and_width():

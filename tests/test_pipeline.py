@@ -239,6 +239,20 @@ def test_render_cloze_underfilled_and_empty():
         render_cloze(CONTEXT, ANSWER_SPAN, _distractor_set([]), 0)
 
 
+def test_render_cloze_letters_every_option():
+    # the cloth preset's k=10 gives 11 options
+    distractors = _distractor_set([f"d{i}" for i in range(10)])
+    for seed in range(50):
+        rendered = render_cloze(CONTEXT, ANSWER_SPAN, distractors, seed)
+        assert rendered.answer_letter == "ABCDEFGHIJK"[rendered.answer_index], seed
+
+
+def test_render_cloze_rejects_more_options_than_letters():
+    distractors = _distractor_set([f"d{i}" for i in range(26)])
+    with pytest.raises(ContractViolation):
+        render_cloze(CONTEXT, ANSWER_SPAN, distractors, 0)
+
+
 PACKAGE_NAMES = [
     "BackendError", "BackendInfo", "Candidate", "ClozePassage", "ClozeQuestion",
     "ClozegenError", "ConfigError", "ContextAnswerPair", "ContractViolation",

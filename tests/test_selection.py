@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from clozegen.backends import CONTRADICTION, ENTAILMENT, NEUTRAL, MockNliClassifier
-from clozegen.errors import SpanError
+from clozegen.errors import BackendError, SpanError
 from clozegen.selection import (
     STAGE_ANSWER,
     STAGE_PAIRWISE,
@@ -81,6 +81,34 @@ def test_pairwise_stage_prefix_when_no_entailments():
         nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2
     )
     assert result.distractors == ["shut", "seal"]
+
+
+class _BadReplyNli(MockNliClassifier):
+    """Answers each batch with ``reply(pairs)``; stops a runaway scan at 50 batches."""
+
+    def __init__(self, reply):
+        super().__init__()
+        self.reply = reply
+        self.batches = 0
+
+    def classify_nli_batch(self, pairs):
+        self.batches += 1
+        if self.batches > 50:
+            raise RuntimeError("selection still asking after 50 batches")
+        return self.reply(pairs)
+
+
+@pytest.mark.parametrize(
+    "reply",
+    [lambda pairs: [], lambda pairs: ["ENTAILMENT"] * len(pairs)],
+    ids=["short", "unknown-label"],
+)
+def test_select_distractors_rejects_a_bad_batch_reply(reply):
+    nli = _BadReplyNli(reply)
+    with pytest.raises(BackendError):
+        select_distractors(
+            nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2
+        )
 
 
 def test_select_distractors_scenarios():
