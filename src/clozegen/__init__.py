@@ -47,12 +47,10 @@ from .generation import (
     MaskedContext,
     build_masked_context,
     decode_order,
+    decode_plan,
     generate_candidates,
-    mask_count_interval,
     rank_candidates,
     rank_score,
-    resolve_mask_count,
-    sample_mask_counts,
     score_candidate,
 )
 from .metrics import EvalItemResult, EvalReport, compute_item, evaluate_dataset

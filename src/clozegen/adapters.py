@@ -22,7 +22,7 @@ from .backends import (
     _check_text,
     sort_predictions,
 )
-from .errors import BackendError
+from .errors import BackendError, ContractViolation
 
 
 def _load_checkpoint(model_id, model_class, what, device, cache_dir):
@@ -62,12 +62,14 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
         cache_dir: str | None = None,
         max_length: int | None = None,
     ):
+        if max_length is not None and max_length < 1:
+            raise ContractViolation("max_length must be >= 1")
         self._torch, self._tokenizer, self._model, self._device = _load_checkpoint(
             model_id, "AutoModelForMaskedLM", "masked LM", device, cache_dir
         )
         if self._tokenizer.mask_token is None:
             raise BackendError(f"{model_id!r} has no mask token; not an MLM checkpoint")
-        declared = max_length or int(self._tokenizer.model_max_length)
+        declared = int(self._tokenizer.model_max_length) if max_length is None else max_length
         specials = self._tokenizer.num_special_tokens_to_add()
         self._info = BackendInfo(
             name=model_id,

@@ -147,7 +147,8 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
 
     Each line carries either explicit ``answer_start``/``answer_end``
     character offsets or an ``answer_text`` whose first occurrence in the
-    context resolves the span (a repeated occurrence emits a warning).
+    context resolves the span (a repeated occurrence emits a warning). A
+    file without records is a ParseError.
     """
     pairs = []
     for lineno, where, record in read_json_lines(path):
@@ -182,6 +183,8 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
             pairs.append(ContextAnswerPair(id=pair_id, context=context, answer_span=span))
         except SpanError as exc:
             raise SpanError(f"{where}: {exc}") from exc
+    if not pairs:
+        raise ParseError(f"{path}: no records found")
     return pairs
 
 

@@ -40,8 +40,7 @@ class GenerationConfig:
     """Knobs for one generation request.
 
     ``n_mask`` = 0 means "use the answer's token count". ``m_s`` = None
-    resolves at run time (:func:`resolve_search_multiplier`) to 10 for
-    single-mask requests and 7 otherwise.
+    is resolved per request by :func:`decode_plan`.
     """
 
     n_mask: int = 0
@@ -65,13 +64,6 @@ class GenerationConfig:
             raise ContractViolation("seed must be >= 0")
         object.__setattr__(self, "strategy", canonical_strategy(self.strategy))
         object.__setattr__(self, "avg", canonical_average(self.avg))
-
-
-def resolve_search_multiplier(config: GenerationConfig, resolved_mask_count: int) -> int:
-    """Explicit ``m_s`` when set, else 10 for single-mask runs and 7 otherwise."""
-    if config.m_s is not None:
-        return config.m_s
-    return 10 if resolved_mask_count == 1 else 7
 
 
 def canonical_strategy(name: str) -> str:
@@ -130,36 +122,22 @@ def normalize_text(text: str) -> str:
     return " ".join(text.lower().split())
 
 
-def resolve_mask_count(config: GenerationConfig, answer_token_count: int) -> int:
-    """Number of mask tokens to use: the answer's own token count when
-    ``n_mask`` is 0, otherwise the explicit override."""
+def decode_plan(config: GenerationConfig, answer_token_count: int) -> tuple[list[int], int]:
+    """Ascending mask counts to decode and the branch width for one request.
+
+    The base count is ``n_mask``, or the answer's token count when ``n_mask``
+    is 0. ``random.Random(seed)`` draws up to three distinct counts from
+    ``[max(base - dispersion, 1), base + dispersion]``, so an interval of at
+    most three counts is used whole. The branch width is ``k * m_s``; an
+    unset ``m_s`` is 10 for a base count of 1 and 7 otherwise.
+    """
     if answer_token_count < 1:
         raise ContractViolation("answer_token_count must be >= 1")
-    return answer_token_count if config.n_mask == 0 else config.n_mask
-
-
-def mask_count_interval(n_mask: int, dispersion: int) -> tuple[int, int]:
-    """Inclusive interval of mask counts widened by the dispersion knob,
-    clamped below at 1."""
-    if n_mask < 1:
-        raise ContractViolation("n_mask must be >= 1")
-    return max(n_mask - dispersion, 1), n_mask + dispersion
-
-
-def sample_mask_counts(interval: tuple[int, int], seed: int) -> list[int]:
-    """Draw up to three distinct mask counts uniformly from the interval.
-
-    Returns min(3, interval size) values without replacement, ascending.
-    Deterministic for a fixed seed; an interval of at most three counts is
-    returned whole, whatever the seed.
-    """
-    low, high = interval
-    if low > high:
-        raise ContractViolation(f"empty interval ({low}, {high})")
-    if low < 1:
-        raise ContractViolation("mask counts must be >= 1")
-    size = min(3, high - low + 1)
-    return sorted(random.Random(seed).sample(range(low, high + 1), size))
+    base = config.n_mask or answer_token_count
+    low, high = max(base - config.dispersion, 1), base + config.dispersion
+    counts = random.Random(config.seed).sample(range(low, high + 1), min(3, high - low + 1))
+    m_s = config.m_s if config.m_s is not None else (10 if base == 1 else 7)
+    return sorted(counts), config.k * m_s
 
 
 def map_char_span(

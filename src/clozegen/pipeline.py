@@ -1,6 +1,6 @@
 """End-to-end orchestration for one (context, answer span) request.
 
-Resolves the mask-count interval, decodes candidates for all sampled
+Plans the mask counts and branch width, decodes candidates for all sampled
 counts in one lockstep call, merges and ranks them, then hands the ranked
 list to the entailment-based selector. Entailment comparisons always run on the
 sentence containing the answer, extracted from the original context.
@@ -21,14 +21,11 @@ from .generation import (
     GenerationConfig,
     build_masked_context,
     decode_order,
+    decode_plan,
     drop_answer_matches,
     generate_candidates,
     map_char_span,
-    mask_count_interval,
     rank_candidates,
-    resolve_mask_count,
-    resolve_search_multiplier,
-    sample_mask_counts,
     window_context,
 )
 from .selection import DistractorSet, select_distractors
@@ -72,10 +69,7 @@ def generate_distractors(
     answer_text = context[start:end]
 
     tokens, token_span = map_char_span(mlm_backend, context, answer_span)
-    answer_token_count = token_span[1] - token_span[0]
-    resolved = resolve_mask_count(config, answer_token_count)
-    branch_width = config.k * resolve_search_multiplier(config, resolved)
-    counts = sample_mask_counts(mask_count_interval(resolved, config.dispersion), config.seed)
+    counts, branch_width = decode_plan(config, token_span[1] - token_span[0])
 
     info = mlm_backend.info()
     jobs = []

@@ -63,10 +63,15 @@ class DistractorSet:
 
 
 def two_way_entails(nli_backend: NliClassifier, text_a: str, text_b: str) -> bool:
-    """True only when both (a, b) and (b, a) classify as entailment."""
-    if nli_backend.classify_nli(text_a, text_b) != ENTAILMENT:
-        return False
-    return nli_backend.classify_nli(text_b, text_a) == ENTAILMENT
+    """True only when both (a, b) and (b, a) classify as entailment, asking (b, a)
+    only if (a, b) does; a label outside ``NLI_LABELS`` is a ``BackendError``."""
+    for premise, hypothesis in ((text_a, text_b), (text_b, text_a)):
+        label = nli_backend.classify_nli(premise, hypothesis)
+        if label not in NLI_LABELS:
+            raise BackendError(f"unknown NLI label {label!r}")
+        if label != ENTAILMENT:
+            return False
+    return True
 
 
 def _resolve_span(

@@ -296,6 +296,12 @@ def test_masked_lm_info_and_tokenization(checkpoints):
     assert HuggingFaceMaskedLM("slow-mlm").tokenize_with_offsets("the cat") is None
 
 
+@pytest.mark.parametrize("max_length", [0, -5])
+def test_masked_lm_rejects_a_max_length_below_one(checkpoints, max_length):
+    with pytest.raises(ContractViolation):
+        HuggingFaceMaskedLM("cls-mlm", max_length=max_length)
+
+
 def test_classify_nli_batch_equals_per_pair_classify_nli(checkpoints):
     nli = HuggingFaceNli("nli")
     tokenizer, model = checkpoints["nli"]

@@ -141,6 +141,19 @@ def test_negative_seed_is_one_error_line(mock_config_path, pairs_path, tmp_path,
     assert not out.exists()
 
 
+@pytest.mark.parametrize("content", ["", "\n  \n\n"], ids=["empty", "blank-lines"])
+def test_generate_on_a_pairs_file_without_records_is_one_error_line(
+    mock_config_path, tmp_path, capsys, content
+):
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text(content, encoding="utf-8")
+    mock = f"mock:{mock_config_path}"
+    assert main(["generate", str(pairs), "--model", mock, "--nli-model", mock]) == 1
+    captured = capsys.readouterr()
+    assert captured.err == f"error: {pairs}: no records found\n"
+    assert captured.out == ""
+
+
 def test_generate_deterministic_output_files(mock_config_path, pairs_path, tmp_path):
     out1 = tmp_path / "run1.jsonl"
     out2 = tmp_path / "run2.jsonl"

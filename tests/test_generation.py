@@ -12,13 +12,11 @@ from clozegen.generation import (
     GenerationConfig,
     build_masked_context,
     decode_order,
+    decode_plan,
     drop_answer_matches,
     generate_candidates,
-    mask_count_interval,
     rank_candidates,
     rank_score,
-    resolve_mask_count,
-    sample_mask_counts,
     score_candidate,
     window_context,
 )
@@ -28,45 +26,42 @@ from tests.conftest import CountingMLM, make_candidate
 from tests.oracles import brute_force_candidates
 
 
-# --- mask-count resolution and sampling ---------------------------------
+# --- decode plan: mask-count resolution and sampling ---------------------
 
 
 def test_resolve_mask_count():
-    assert resolve_mask_count(GenerationConfig(n_mask=0), 3) == 3
-    assert resolve_mask_count(GenerationConfig(n_mask=1), 3) == 1
-    assert resolve_mask_count(GenerationConfig(n_mask=0), 1) == 1
+    assert decode_plan(GenerationConfig(n_mask=0, dispersion=0), 3)[0] == [3]
+    assert decode_plan(GenerationConfig(n_mask=1, dispersion=0), 3)[0] == [1]
+    assert decode_plan(GenerationConfig(n_mask=0, dispersion=0), 1)[0] == [1]
     with pytest.raises(ContractViolation):
-        resolve_mask_count(GenerationConfig(), 0)
+        decode_plan(GenerationConfig(), 0)
 
 
 def test_mask_count_interval():
-    assert mask_count_interval(3, 1) == (2, 4)
-    assert mask_count_interval(1, 2) == (1, 3)
-    assert mask_count_interval(4, 0) == (4, 4)
-    with pytest.raises(ContractViolation):
-        mask_count_interval(0, 1)
+    assert decode_plan(GenerationConfig(n_mask=3, dispersion=1), 1)[0] == [2, 3, 4]
+    assert decode_plan(GenerationConfig(n_mask=1, dispersion=2), 5)[0] == [1, 2, 3]
+    assert decode_plan(GenerationConfig(n_mask=4, dispersion=0), 1)[0] == [4]
 
 
 def test_sample_mask_counts_degenerate_and_full_interval():
-    assert sample_mask_counts((4, 4), seed=0) == [4]
-    assert sample_mask_counts((2, 4), seed=123) == [2, 3, 4]
-    with pytest.raises(ContractViolation):
-        sample_mask_counts((3, 2), seed=0)
+    assert decode_plan(GenerationConfig(n_mask=4, dispersion=0, seed=0), 1)[0] == [4]
+    assert decode_plan(GenerationConfig(n_mask=3, dispersion=1, seed=123), 1)[0] == [2, 3, 4]
 
 
 def test_sample_mask_counts_seed_zero_snapshot():
     # regression snapshot: random.Random's draw on CPython 3.11
-    assert sample_mask_counts((1, 5), seed=0) == [1, 4, 5]
+    assert decode_plan(GenerationConfig(n_mask=3, dispersion=2, seed=0), 1)[0] == [1, 4, 5]
 
 
 def test_sample_mask_counts_deterministic_and_in_bounds():
     rnd = random.Random(5)
     for _ in range(50):
-        low = rnd.randint(1, 6)
-        high = low + rnd.randint(0, 6)
-        seed = rnd.randint(0, 10_000)
-        once = sample_mask_counts((low, high), seed=seed)
-        again = sample_mask_counts((low, high), seed=seed)
+        base = rnd.randint(1, 9)
+        dispersion = rnd.randint(0, 6)
+        config = GenerationConfig(dispersion=dispersion, seed=rnd.randint(0, 10_000))
+        low, high = max(base - dispersion, 1), base + dispersion
+        once, _ = decode_plan(config, base)
+        again, _ = decode_plan(config, base)
         assert once == again
         assert len(once) == min(3, high - low + 1)
         assert len(set(once)) == len(once)
@@ -487,8 +482,8 @@ def test_generate_distractors_one_batch_call_per_decode_step():
         generate_distractors(
             context, (start, start + len(answer)), config, mlm, MockNliClassifier()
         )
-        interval = mask_count_interval(len(answer.split()), config.dispersion)
-        counts = sample_mask_counts(interval, config.seed)
+        counts, branch_width = decode_plan(config, len(answer.split()))
+        assert branch_width == width
         assert len(mlm.batches) == max(counts)
         assert mlm.batches[0] == (len(counts), width)
         # one query per hypothesis per decode step, as when each was its own pass

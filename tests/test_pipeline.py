@@ -8,12 +8,11 @@ import pytest
 
 from clozegen.backends import ENTAILMENT, MockMaskedLM, MockNliClassifier
 from clozegen.errors import ContractViolation, SpanError
-from clozegen.generation import GenerationConfig
+from clozegen.generation import GenerationConfig, decode_plan
 from clozegen.pipeline import (
     generate_distractors,
     map_char_span,
     render_cloze,
-    resolve_search_multiplier,
     result_to_dict,
     result_to_json,
 )
@@ -134,9 +133,9 @@ def test_default_config_is_best_reported_setup():
 
 
 def test_resolve_search_multiplier_defaults():
-    assert resolve_search_multiplier(GenerationConfig(), 1) == 10
-    assert resolve_search_multiplier(GenerationConfig(), 2) == 7
-    assert resolve_search_multiplier(GenerationConfig(m_s=4), 1) == 4
+    assert decode_plan(GenerationConfig(), 1)[1] == 3 * 10
+    assert decode_plan(GenerationConfig(), 2)[1] == 3 * 7
+    assert decode_plan(GenerationConfig(m_s=4), 1)[1] == 3 * 4
 
 
 def test_map_char_span_aligned_and_subtoken():
@@ -261,11 +260,11 @@ PACKAGE_NAMES = [
     "MockMaskedLM", "MockNliClassifier", "NEUTRAL", "NliClassifier", "ParseError",
     "PreparedContext", "RenderedCloze", "ResolveError", "SequenceLengthError",
     "SpanError", "TokenPrediction", "TraceEntry", "build_masked_context",
-    "compute_item", "decode_order", "evaluate_dataset", "extract_sentence",
-    "fill_target", "generate_candidates", "generate_distractors", "load_cloth",
-    "load_mock_backends", "load_pairs", "mask_count_interval", "prepare_context",
-    "rank_candidates", "rank_score", "render_cloze", "resolve_mask_count",
-    "result_to_dict", "result_to_json", "sample_mask_counts", "score_candidate",
+    "compute_item", "decode_order", "decode_plan", "evaluate_dataset",
+    "extract_sentence", "fill_target", "generate_candidates", "generate_distractors",
+    "load_cloth", "load_mock_backends", "load_pairs", "prepare_context",
+    "rank_candidates", "rank_score", "render_cloze", "result_to_dict",
+    "result_to_json", "score_candidate",
     "select_distractors", "two_way_entails",
 ]
 
@@ -273,7 +272,7 @@ PACKAGE_NAMES = [
 def test_package_root_exports_public_names():
     import clozegen
 
-    assert len(set(PACKAGE_NAMES)) == 53
+    assert len(set(PACKAGE_NAMES)) == 51
     missing = [name for name in PACKAGE_NAMES if not hasattr(clozegen, name)]
     assert missing == []
 

@@ -8,6 +8,7 @@ from clozegen.errors import BackendError, SpanError
 from clozegen.selection import (
     STAGE_ANSWER,
     STAGE_PAIRWISE,
+    DistractorSet,
     select_distractors,
     two_way_entails,
     verify_distractor_set,
@@ -178,6 +179,17 @@ def test_select_distractors_post_hoc_verification():
             answer_span=ANSWER_SPAN,
         )
         assert verify_distractor_set(nli, CONTEXT, result, ANSWER_SPAN), scenario["name"]
+
+
+def test_verify_distractor_set_rejects_an_unknown_label():
+    class UpperCaseNli(MockNliClassifier):
+        def classify_nli(self, premise, hypothesis):
+            return "ENTAILMENT"
+
+    with pytest.raises(BackendError):
+        verify_distractor_set(
+            UpperCaseNli(), CONTEXT, DistractorSet(["shut", "close"], ANSWER)
+        )
 
 
 def test_select_distractors_empty_input():
