@@ -54,8 +54,7 @@ print("underfilled:            ", result.underfilled)
 print()
 print("elimination trace:")
 for entry in result.trace:
-    print(f"  {entry.candidate!r} fell at {entry.stage} against "
-          f"{entry.counterpart!r} (verdicts {entry.verdicts[0]}/{entry.verdicts[1]})")
+    print(f"  {entry.candidate!r} fell at {entry.stage} against {entry.counterpart!r}")
 print()
 print("'stand by' survived: its sentence entails the answer sentence, but")
 print("not the other way around, and one-way agreement is not enough.")

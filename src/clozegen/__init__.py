@@ -62,11 +62,6 @@ from .pipeline import (
     result_to_dict,
     result_to_json,
 )
-from .selection import (
-    DistractorSet,
-    TraceEntry,
-    select_distractors,
-    two_way_entails,
-)
+from .selection import DistractorSet, TraceEntry, select_distractors
 
 __version__ = "0.1.0"

@@ -40,6 +40,8 @@ CLOTH_PRESET = {
     "strategy": "l2r",
     "avg": "geometric",
 }
+# The flags whose names differ from their GenerationConfig field.
+PRESET_FLAGS = {"k": "--top-k", "m_s": "--search-multiplier"}
 
 
 def build_parser() -> argparse.ArgumentParser:
@@ -126,6 +128,10 @@ def config_from_args(args: argparse.Namespace) -> GenerationConfig:
     given = vars(args)
     values = {f.name: given[f.name] for f in fields(GenerationConfig) if f.name in given}
     if getattr(args, "preset", None) == "cloth":
+        clashes = [name for name in CLOTH_PRESET if name in values]
+        if clashes:
+            flags = ", ".join(PRESET_FLAGS.get(n, "--" + n.replace("_", "-")) for n in clashes)
+            raise ConfigError(f"--preset cloth sets {flags}")
         values.update(CLOTH_PRESET)
     return GenerationConfig(**values)
 
@@ -224,11 +230,7 @@ def run_trace(args: argparse.Namespace) -> int:
                 raise ParseError(f"{at}: unknown trace stage {stage!r}")
             candidate = read_field(entry, "candidate", str, at)
             counterpart = read_field(entry, "counterpart", str, at)
-            verdicts = "/".join(read_field(entry, "verdicts", [str], at, []))
-            print(
-                f"  - {candidate!r} removed at {stage} vs {counterpart!r} "
-                f"(verdicts: {verdicts})"
-            )
+            print(f"  - {candidate!r} removed at {stage} vs {counterpart!r}")
     if not found:
         raise ParseError(f"{args.input}: no records found")
     return 0

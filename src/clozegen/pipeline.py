@@ -132,13 +132,8 @@ def result_to_dict(result: GenerationResult) -> dict:
             for c in result.all_candidates
         ],
         "trace": [
-            {
-                "candidate": entry.candidate,
-                "stage": entry.stage,
-                "counterpart": entry.counterpart,
-                "verdicts": list(entry.verdicts),
-            }
-            for entry in result.distractor_set.trace
+            {"candidate": e.candidate, "stage": e.stage, "counterpart": e.counterpart}
+            for e in result.distractor_set.trace
         ],
         "config": asdict(result.config_echo),
     }

@@ -20,8 +20,9 @@ longest chain of verdicts that depend on one another. A batch reply must
 hold one of the three verdicts per pair, or the scan fails with
 ``BackendError``.
 
-Every removal is recorded in an elimination trace so a final set can be
-audited after the fact.
+Every removal is recorded in an elimination trace, and
+``verify_distractor_set`` audits a final set after the fact. Both send their
+pairs through one checked batch call, ``_classify_pairs``.
 """
 
 from __future__ import annotations
@@ -40,16 +41,12 @@ STAGES = (STAGE_ANSWER, STAGE_PAIRWISE)
 
 @dataclass(frozen=True)
 class TraceEntry:
-    """Why one candidate was eliminated.
-
-    ``verdicts`` holds the classifier labels for (removed -> counterpart,
-    counterpart -> removed); removal requires both to be entailment.
-    """
+    """Why one candidate was eliminated: its sentence and the counterpart's
+    entail each other both ways."""
 
     candidate: str
     stage: str
     counterpart: str
-    verdicts: tuple[str, str]
 
 
 @dataclass
@@ -62,16 +59,15 @@ class DistractorSet:
     underfilled: bool = False
 
 
-def two_way_entails(nli_backend: NliClassifier, text_a: str, text_b: str) -> bool:
-    """True only when both (a, b) and (b, a) classify as entailment, asking (b, a)
-    only if (a, b) does; a label outside ``NLI_LABELS`` is a ``BackendError``."""
-    for premise, hypothesis in ((text_a, text_b), (text_b, text_a)):
-        label = nli_backend.classify_nli(premise, hypothesis)
-        if label not in NLI_LABELS:
-            raise BackendError(f"unknown NLI label {label!r}")
-        if label != ENTAILMENT:
-            return False
-    return True
+def _classify_pairs(nli_backend: NliClassifier, pairs: list[tuple[str, str]]) -> list[str]:
+    """One ``classify_nli_batch`` call over ``pairs`` (none when empty); a reply
+    without one of ``NLI_LABELS`` per pair is a ``BackendError``."""
+    if not pairs:
+        return []
+    labels = nli_backend.classify_nli_batch(pairs)
+    if len(labels) != len(pairs) or not NLI_LABELS.issuperset(labels):
+        raise BackendError(f"NLI labels {set(labels)} for {len(pairs)} pairs")
+    return labels
 
 
 def _resolve_span(
@@ -141,12 +137,9 @@ def select_distractors(
                     kept.append(i)
         if not needed:
             break
-        labels = nli_backend.classify_nli_batch(needed)
-        if len(labels) != len(needed) or not NLI_LABELS.issuperset(labels):
-            raise BackendError(f"NLI labels {set(labels)} for {len(needed)} pairs")
-        verdicts.update(zip(needed, labels))
+        verdicts.update(zip(needed, _classify_pairs(nli_backend, needed)))
     trace = [
-        TraceEntry(texts[i], STAGES[j > 0], texts[j], (ENTAILMENT, ENTAILMENT))
+        TraceEntry(texts[i], STAGES[j > 0], texts[j])
         for i, j in sorted(removed.items(), key=lambda item: (item[1] > 0, item[0]))
     ]
     return DistractorSet([texts[i] for i in kept], answer, trace, len(kept) < k)
@@ -155,7 +148,8 @@ def select_distractors(
 def _two_way(
     verdicts: dict[tuple[str, str], str], text_a: str, text_b: str
 ) -> bool | tuple[str, str]:
-    """``two_way_entails`` over known verdicts, or the pair it needs next."""
+    """Whether a and b entail each other both ways by the known verdicts, or the
+    pair that decides it next: (b, a) is needed only once (a, b) entails."""
     for pair in ((text_a, text_b), (text_b, text_a)):
         label = verdicts.get(pair)
         if label is None:
@@ -171,14 +165,17 @@ def verify_distractor_set(
     result: DistractorSet,
     answer_span: tuple[int, int] | None = None,
 ) -> bool:
-    """Post-hoc audit: no kept pair mutually entails and none equals the answer."""
+    """Post-hoc audit: no kept pair mutually entails and none equals the answer.
+
+    One batch classifies every pair in rank order, a second the reverse of
+    each pair that entailed.
+    """
     start, end = _resolve_span(context, result.answer, answer_span)
     answer_key = normalize_text(result.answer)
     if any(normalize_text(d) == answer_key for d in result.distractors):
         return False
     texts = [context[:start] + d + context[end:] for d in result.distractors]
-    for i in range(len(texts)):
-        for j in range(i + 1, len(texts)):
-            if two_way_entails(nli_backend, texts[i], texts[j]):
-                return False
-    return True
+    forward = [(a, b) for i, a in enumerate(texts) for b in texts[i + 1 :]]
+    labels = _classify_pairs(nli_backend, forward)
+    reverse = [(b, a) for (a, b), label in zip(forward, labels) if label == ENTAILMENT]
+    return ENTAILMENT not in _classify_pairs(nli_backend, reverse)

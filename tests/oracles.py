@@ -4,7 +4,8 @@ Everything here re-derives expected behavior from first principles and is
 kept free of the code paths under test: the search oracle replays the
 branch-then-greedy process with its own bookkeeping, the eager selection
 oracle runs the two elimination stages one after the other, the sequential
-selection oracle classifies one ordered pair at a time, the abbreviation
+selection oracle and the per-pair audit classify one ordered pair at a time,
+the abbreviation
 oracle keeps the regex form of the look-back, the prefill oracle masks a
 blank by splicing the mask string into the text, and the metric
 oracle works on explicit 0/1 relevance vectors.
@@ -16,14 +17,7 @@ import re
 from clozegen.backends import ENTAILMENT
 from clozegen.data import _ABBREVIATIONS
 from clozegen.generation import MaskedContext, window_context
-from clozegen.selection import (
-    STAGE_ANSWER,
-    STAGE_PAIRWISE,
-    DistractorSet,
-    TraceEntry,
-    _resolve_span,
-    two_way_entails,
-)
+from clozegen.selection import STAGE_ANSWER, STAGE_PAIRWISE, DistractorSet, TraceEntry
 
 
 def brute_force_candidates(backend, masked_context, order, branch_width):
@@ -107,6 +101,32 @@ def brute_force_metrics(generated, gold):
     return p_at_1, f1, mrr, ndcg
 
 
+def two_way_entails(nli_backend, text_a, text_b):
+    """Both (a, b) and (b, a) classify as entailment; (b, a) is asked only if (a, b) is."""
+    return (
+        nli_backend.classify_nli(text_a, text_b) == ENTAILMENT
+        and nli_backend.classify_nli(text_b, text_a) == ENTAILMENT
+    )
+
+
+def per_pair_audit(nli_backend, sentences):
+    """No two sentences entail each other both ways, asked one pair at a time in
+    rank order and stopping at the first that does."""
+    return not any(
+        two_way_entails(nli_backend, a, b)
+        for i, a in enumerate(sentences)
+        for b in sentences[i + 1 :]
+    )
+
+
+def find_span(context, answer, answer_span=None):
+    """``answer_span``, or else the first occurrence of ``answer`` in ``context``."""
+    if answer_span is not None:
+        return answer_span
+    start = context.index(answer)
+    return start, start + len(answer)
+
+
 def eager_selection(nli, context, answer, answer_span, candidates, k):
     """Both elimination stages run eagerly, one after the other.
 
@@ -120,16 +140,10 @@ def eager_selection(nli, context, answer, answer_span, candidates, k):
     def sentence(text):
         return context[:start] + text + context[end:]
 
-    def both_ways(a, b):
-        return (
-            nli.classify_nli(a, b) == ENTAILMENT
-            and nli.classify_nli(b, a) == ENTAILMENT
-        )
-
     trace = []
     survivors = []
     for text in candidates:
-        if both_ways(sentence(text), context):
+        if two_way_entails(nli, sentence(text), context):
             trace.append((text, STAGE_ANSWER, answer))
         else:
             survivors.append(text)
@@ -137,7 +151,9 @@ def eager_selection(nli, context, answer, answer_span, candidates, k):
     for text in survivors:
         if len(kept) == k:
             break
-        match = next((o for o in kept if both_ways(sentence(text), sentence(o))), None)
+        match = next(
+            (o for o in kept if two_way_entails(nli, sentence(text), sentence(o))), None
+        )
         if match is None:
             kept.append(text)
         else:
@@ -155,7 +171,7 @@ def sequential_selection(nli_backend, context, answer, candidates, k, answer_spa
     """
     if not candidates:
         return DistractorSet([], answer, [], underfilled=True)
-    start, end = _resolve_span(context, answer, answer_span)
+    start, end = find_span(context, answer, answer_span)
     answer_trace = []
     pairwise_trace = []
     kept = []  # (candidate text, its sentence)
@@ -164,9 +180,7 @@ def sequential_selection(nli_backend, context, answer, candidates, k, answer_spa
             break
         sentence = context[:start] + candidate.text + context[end:]
         if two_way_entails(nli_backend, sentence, context):
-            answer_trace.append(
-                TraceEntry(candidate.text, STAGE_ANSWER, answer, (ENTAILMENT, ENTAILMENT))
-            )
+            answer_trace.append(TraceEntry(candidate.text, STAGE_ANSWER, answer))
             continue
         match = next(
             (text for text, other in kept if two_way_entails(nli_backend, sentence, other)),
@@ -175,9 +189,7 @@ def sequential_selection(nli_backend, context, answer, candidates, k, answer_spa
         if match is None:
             kept.append((candidate.text, sentence))
         else:
-            pairwise_trace.append(
-                TraceEntry(candidate.text, STAGE_PAIRWISE, match, (ENTAILMENT, ENTAILMENT))
-            )
+            pairwise_trace.append(TraceEntry(candidate.text, STAGE_PAIRWISE, match))
     return DistractorSet(
         distractors=[text for text, _ in kept],
         answer=answer,

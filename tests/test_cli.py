@@ -393,9 +393,6 @@ BAD_FILES = {
     "mock-not-utf8": ("generate", "mock", NOT_UTF8),
     "trace-not-utf8": ("trace", "input", NOT_UTF8),
     "trace-entry-not-object": ("trace", "input", {"id": "x", "trace": ["a"]}),
-    "trace-verdicts-not-strings": (
-        "trace", "input", {"id": "x", "trace": [{**TRACE_ENTRY, "verdicts": [1, 2]}]}
-    ),
     "trace-candidate-not-string": (
         "trace", "input", {"id": "x", "trace": [{**TRACE_ENTRY, "candidate": 5}]}
     ),
@@ -522,6 +519,18 @@ def test_cloth_preset_hyperparameters():
     assert config.avg == "geometric"
 
 
+def test_cloth_preset_rejects_the_flags_it_sets(
+    mock_config_path, cloth_path, tmp_path, capsys
+):
+    out = tmp_path / "report.json"
+    args = _evaluate_args(mock_config_path, cloth_path, out, "--top-k", "5", "--strategy", "ctl")
+    assert main(args) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --preset cloth sets --top-k, --strategy\n"
+    assert captured.out == "" and not out.exists()
+    assert main(_evaluate_args(mock_config_path, cloth_path, out, "--seed", "3")) == 0
+
+
 def test_default_flags_match_reported_best_configuration():
     parser = build_parser()
     args = parser.parse_args(["generate", "in.jsonl"])
@@ -563,7 +572,8 @@ def test_trace_rendering(tmp_path, capsys):
     out = capsys.readouterr().out
     assert out.count("removed at") == 2
     assert "r2: no eliminations" in out
-    assert "'shut' removed at pairwise-entailment vs 'slam shut'" in out
+    assert "'shut' removed at pairwise-entailment vs 'slam shut'\n" in out
+    assert "verdicts" not in out  # files written before the key was dropped still read
 
 
 def test_trace_error_paths(tmp_path, capsys):

@@ -6,7 +6,13 @@ from pathlib import Path
 
 import pytest
 
-from clozegen.backends import ENTAILMENT, MockMaskedLM, MockNliClassifier
+from clozegen.backends import (
+    ENTAILMENT,
+    NEUTRAL,
+    MockMaskedLM,
+    MockNliClassifier,
+    NliClassifier,
+)
 from clozegen.errors import ContractViolation, SpanError
 from clozegen.generation import GenerationConfig, decode_plan
 from clozegen.pipeline import (
@@ -16,7 +22,7 @@ from clozegen.pipeline import (
     result_to_dict,
     result_to_json,
 )
-from clozegen.selection import DistractorSet
+from clozegen.selection import DistractorSet, verify_distractor_set
 
 from tests.conftest import CountingMLM, table_entry
 
@@ -110,8 +116,32 @@ def test_result_dict_schema():
         "seed": 0,
     }
     entry = payload["trace"][0]
-    assert set(entry) == {"candidate", "stage", "counterpart", "verdicts"}
-    assert entry["verdicts"] == ["entailment", "entailment"]
+    assert set(entry) == {"candidate", "stage", "counterpart"}
+
+
+class BatchOnlyNli(NliClassifier):
+    """Answers every batch from a table (neutral when absent); a single-pair
+    ``classify_nli`` call fails the test."""
+
+    def __init__(self, table):
+        self.table = table
+
+    def classify_nli(self, premise, hypothesis):
+        raise AssertionError(f"classify_nli({premise!r}, {hypothesis!r}) called")
+
+    def classify_nli_batch(self, pairs):
+        return [self.table.get(pair, NEUTRAL) for pair in pairs]
+
+
+def test_selection_and_audit_use_only_batch_nli_calls():
+    mlm, nli = golden_backends()
+    batch_only = BatchOnlyNli(nli.table)
+    result = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, batch_only)
+    chosen = result.distractor_set
+    assert chosen.distractors == ["slam shut", "force ajar"]
+    assert verify_distractor_set(batch_only, SENTENCE, chosen, ANSWER_SPAN)
+    entailing = DistractorSet(["slam shut", "shut"], chosen.answer)
+    assert not verify_distractor_set(batch_only, SENTENCE, entailing, ANSWER_SPAN)
 
 
 def test_average_switch_changes_order_not_set():
@@ -265,14 +295,14 @@ PACKAGE_NAMES = [
     "load_cloth", "load_mock_backends", "load_pairs", "prepare_context",
     "rank_candidates", "rank_score", "render_cloze", "result_to_dict",
     "result_to_json", "score_candidate",
-    "select_distractors", "two_way_entails",
+    "select_distractors",
 ]
 
 
 def test_package_root_exports_public_names():
     import clozegen
 
-    assert len(set(PACKAGE_NAMES)) == 51
+    assert len(set(PACKAGE_NAMES)) == 50
     missing = [name for name in PACKAGE_NAMES if not hasattr(clozegen, name)]
     assert missing == []
 

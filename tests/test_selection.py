@@ -10,12 +10,11 @@ from clozegen.selection import (
     STAGE_PAIRWISE,
     DistractorSet,
     select_distractors,
-    two_way_entails,
     verify_distractor_set,
 )
 
 from tests.conftest import CountingNli, make_candidate
-from tests.oracles import eager_selection, sequential_selection
+from tests.oracles import eager_selection, per_pair_audit, sequential_selection
 from tests.selection_scenarios import (
     ANSWER,
     ANSWER_SPAN,
@@ -31,16 +30,6 @@ def _candidates(texts):
     return [
         make_candidate(text, [0.95 - 0.05 * i]) for i, text in enumerate(texts)
     ]
-
-
-def test_two_way_entails_requires_both_directions():
-    nli = MockNliClassifier(
-        table={("A", "B"): ENTAILMENT, ("B", "A"): ENTAILMENT, ("B", "C"): ENTAILMENT}
-    )
-    assert two_way_entails(nli, "A", "B") is True
-    assert two_way_entails(nli, "B", "C") is False  # reverse is neutral default
-    identity = MockNliClassifier(table={("X", "X"): ENTAILMENT})
-    assert two_way_entails(identity, "X", "X") is True
 
 
 def test_answer_stage_examples():
@@ -59,7 +48,6 @@ def test_answer_stage_examples():
     assert result.trace[0].candidate == "unlock"
     assert result.trace[0].stage == STAGE_ANSWER
     assert result.trace[0].counterpart == ANSWER
-    assert result.trace[0].verdicts == (ENTAILMENT, ENTAILMENT)
 
 
 def test_pairwise_stage_removes_lower_scored_of_pair():
@@ -127,7 +115,6 @@ def test_select_distractors_scenarios():
         assert result.underfilled is scenario["underfilled"], scenario["name"]
         got_trace = [(e.candidate, e.stage, e.counterpart) for e in result.trace]
         assert got_trace == scenario["expected_trace"], scenario["name"]
-        assert all(e.verdicts == (ENTAILMENT, ENTAILMENT) for e in result.trace)
         assert result.answer == ANSWER
 
 
@@ -190,6 +177,47 @@ def test_verify_distractor_set_rejects_an_unknown_label():
         verify_distractor_set(
             UpperCaseNli(), CONTEXT, DistractorSet(["shut", "close"], ANSWER)
         )
+
+
+def test_verify_distractor_set_rejects_an_answer_copy():
+    nli = CountingNli(MockNliClassifier())
+    copy = DistractorSet(["shut", " OPEN "], ANSWER)
+    assert verify_distractor_set(nli, CONTEXT, copy) is False
+    assert nli.calls == []
+
+
+def test_verify_distractor_set_needs_entailment_both_ways():
+    one_way = {(instantiate("shut"), instantiate("seal")): ENTAILMENT}
+    two_way = {**one_way, (instantiate("seal"), instantiate("shut")): ENTAILMENT}
+    result = DistractorSet(["shut", "seal", "lift"], ANSWER)
+    assert verify_distractor_set(MockNliClassifier(table=one_way), CONTEXT, result)
+    assert not verify_distractor_set(MockNliClassifier(table=two_way), CONTEXT, result)
+
+
+def test_verify_distractor_set_matches_the_per_pair_audit_in_two_batches():
+    rnd = random.Random(7781)
+    pool = [f"w{i}" for i in range(12)]
+    labels = (ENTAILMENT, ENTAILMENT, NEUTRAL, CONTRADICTION)
+    valid = 0
+    for trial in range(500):
+        texts = rnd.sample(pool, rnd.randint(0, 6))
+        sentences = [instantiate(t) for t in texts]
+        # each direction drawn on its own, so one-way entailments are common
+        table = {
+            (a, b): rnd.choice(labels) for a in sentences for b in sentences if a != b
+        }
+        batched = CountingNli(MockNliClassifier(table=table))
+        per_pair = CountingNli(MockNliClassifier(table=table))
+        got = verify_distractor_set(
+            batched, CONTEXT, DistractorSet(texts, ANSWER), ANSWER_SPAN
+        )
+        assert got is per_pair_audit(per_pair, sentences), f"trial {trial}"
+        if got:
+            valid += 1
+            assert len(batched.batches) <= 2, f"trial {trial}"
+            assert sum(batched.batches) == len(batched.calls), f"trial {trial}"
+            assert Counter(batched.calls) == Counter(per_pair.calls), f"trial {trial}"
+    assert valid > 100
 
 
 def test_select_distractors_empty_input():
