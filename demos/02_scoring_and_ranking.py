@@ -5,19 +5,20 @@ per-step probabilities. Products shrink with length, so a three-token
 candidate can never beat a one-token candidate on the product alone.
 Ranking therefore uses a length-normalized average of the step
 probabilities: the r-th root of the product (geometric mean), or
-alternatively the harmonic mean.
+alternatively the harmonic mean. A candidate is scored once, under the
+request's average, when it is generated; ranking only sorts by that score.
 """
 
 from clozegen import Candidate, rank_candidates, rank_score, score_candidate
 
 
-def candidate(text, probs):
+def candidate(text, probs, avg):
     return Candidate(
         token_strings=text.split(),
         text=text,
         step_probabilities=list(probs),
         product_score=score_candidate(probs),
-        rank_score=rank_score(probs),
+        rank_score=rank_score(probs, avg),
         source_mask_count=len(probs),
     )
 
@@ -34,15 +35,15 @@ print(f"  probs={probs}: geometric={rank_score(probs, 'geometric'):.3f} "
       f"harmonic={rank_score(probs, 'harmonic'):.3f}")
 print()
 
-pool = [
-    candidate("steady", [0.45]),
-    candidate("spiky pair", [1.0, 0.25]),
-    candidate("long good fill", [0.9, 0.9, 0.9]),
-    candidate("Echo", [0.7]),
-    candidate("echo", [0.6]),
+fills = [
+    ("steady", [0.45]),
+    ("spiky pair", [1.0, 0.25]),
+    ("long good fill", [0.9, 0.9, 0.9]),
+    ("Echo", [0.7]),
+    ("echo", [0.6]),
 ]
 for avg in ("geometric", "harmonic"):
-    ranked = rank_candidates(pool, avg)
+    ranked = rank_candidates([candidate(text, probs, avg) for text, probs in fills])
     print(f"{avg} ranking:")
     for c in ranked:
         print(f"  {c.rank_score:.4f}  {c.text!r}  (from {c.source_mask_count} masks)")

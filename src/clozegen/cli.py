@@ -148,9 +148,9 @@ def _run_items(args: argparse.Namespace, items: list, run_one) -> list:
 
     Each item's entry is its result, or the ``ClozegenError`` it raised.
     """
+    config = config_from_args(args)  # bad flags fail before any model loads
     mlm = make_backend(args.model, "--model", MockMaskedLM, HuggingFaceMaskedLM)
     nli = make_backend(args.nli_model, "--nli-model", MockNliClassifier, HuggingFaceNli)
-    config = config_from_args(args)
 
     def attempt(item):
         try:

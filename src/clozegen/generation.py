@@ -19,7 +19,7 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass, replace
+from dataclasses import dataclass
 from typing import Sequence
 
 from .backends import MaskedLanguageModel
@@ -105,8 +105,8 @@ class Candidate:
 
     ``token_strings`` follow positional (textual) order while
     ``step_probabilities`` follow decode order; ``product_score`` is the
-    product of the step probabilities and ``rank_score`` its
-    length-normalized average used for cross-length ranking.
+    product of the step probabilities and ``rank_score`` their
+    length-normalized average under the request's ``avg`` (set once).
     """
 
     token_strings: list[str]
@@ -249,6 +249,7 @@ def generate_candidates(
     backend: MaskedLanguageModel,
     jobs: Sequence[tuple[MaskedContext, list[int]]],
     branch_width: int,
+    avg: str = GEOMETRIC,
 ) -> list[Candidate]:
     """Branch-then-greedy decoding of several masked contexts in one loop.
 
@@ -261,8 +262,9 @@ def generate_candidates(
     A hypothesis with no prediction is dropped with a ``RuntimeWarning``; a
     batch reply without one prediction list per query is a ``BackendError``.
     Returns each job's candidates (at most ``branch_width``, in first-step
-    probability order), jobs in input order.
+    probability order; ``rank_score`` under ``avg``), jobs in input order.
     """
+    avg = canonical_average(avg)
     jobs = list(jobs)
     for ctx, order in jobs:
         slots = len(ctx.mask_positions)
@@ -314,7 +316,7 @@ def generate_candidates(
                     text=backend.detokenize(token_strings),
                     step_probabilities=probs,
                     product_score=score_candidate(probs),
-                    rank_score=rank_score(probs, GEOMETRIC),
+                    rank_score=rank_score(probs, avg),
                     source_mask_count=len(ctx.mask_positions),
                 )
             )
@@ -323,7 +325,7 @@ def generate_candidates(
 
 def score_candidate(step_probabilities: list[float]) -> float:
     """Product of the per-step probabilities."""
-    _check_probabilities(step_probabilities, allow_zero=False)
+    _check_probabilities(step_probabilities)
     return math.prod(step_probabilities)
 
 
@@ -332,17 +334,11 @@ def rank_score(step_probabilities: list[float], avg: str = GEOMETRIC) -> float:
 
     Geometric: r-th root of the probability product. Harmonic:
     r / sum(1/p). Constant inputs return that constant exactly (both
-    means degenerate to it, so no rounding is introduced).
+    means degenerate to it, so no rounding is introduced). Every step
+    probability must be in (0, 1], as for :func:`score_candidate`.
     """
     avg = canonical_average(avg)
-    _check_probabilities(step_probabilities, allow_zero=True)
-    if any(p == 0.0 for p in step_probabilities):
-        warnings.warn(
-            "zero step probability; rank score forced to 0",
-            RuntimeWarning,
-            stacklevel=2,
-        )
-        return 0.0
+    _check_probabilities(step_probabilities)
     first = step_probabilities[0]
     if all(p == first for p in step_probabilities):
         return first
@@ -352,37 +348,26 @@ def rank_score(step_probabilities: list[float], avg: str = GEOMETRIC) -> float:
     return r / math.fsum(1.0 / p for p in step_probabilities)
 
 
-def _check_probabilities(values: list[float], allow_zero: bool) -> None:
+def _check_probabilities(values: list[float]) -> None:
     if not values:
         raise ContractViolation("step probabilities must be nonempty")
     for v in values:
-        if not 0.0 <= v <= 1.0 or (v == 0.0 and not allow_zero):
-            bound = "[0, 1]" if allow_zero else "(0, 1]"
-            raise ContractViolation(f"step probability {v} outside {bound}")
+        if not 0.0 < v <= 1.0:
+            raise ContractViolation(f"step probability {v} outside (0, 1]")
 
 
-def rank_candidates(candidates: list[Candidate], avg: str = GEOMETRIC) -> list[Candidate]:
+def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:
     """Merge candidates from all contexts into one ranked, deduplicated list.
 
-    Each candidate is rescored from its own step probabilities with the
-    requested average, sorted descending, with ties resolved toward the
-    shorter mask count and then lexicographic text. Duplicate texts
-    (case/whitespace-insensitive) collapse onto the best-ranked copy.
+    Candidates are sorted by their stored ``rank_score``, descending, with
+    ties resolved toward the shorter mask count and then lexicographic
+    text. Duplicate texts (case/whitespace-insensitive) collapse onto the
+    best-ranked copy.
     """
-    avg = canonical_average(avg)
-    rescored = [
-        replace(c, rank_score=rank_score(c.step_probabilities, avg)) for c in candidates
-    ]
-    rescored.sort(key=lambda c: (-c.rank_score, c.source_mask_count, c.text))
-    seen = set()
-    unique = []
-    for candidate in rescored:
-        key = normalize_text(candidate.text)
-        if key in seen:
-            continue
-        seen.add(key)
-        unique.append(candidate)
-    return unique
+    best = {}  # normalized text -> its best-ranked candidate, in rank order
+    for c in sorted(candidates, key=lambda c: (-c.rank_score, c.source_mask_count, c.text)):
+        best.setdefault(normalize_text(c.text), c)
+    return list(best.values())
 
 
 def drop_answer_matches(candidates: list[Candidate], answer_text: str) -> list[Candidate]:

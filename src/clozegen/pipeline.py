@@ -77,8 +77,8 @@ def generate_distractors(
         masked = build_masked_context(tokens, token_span, count, info.mask_token)
         masked = window_context(masked, info.max_sequence_length)
         jobs.append((masked, decode_order(config.strategy, count)))
-    candidates = generate_candidates(mlm_backend, jobs, branch_width)
-    ranked = drop_answer_matches(rank_candidates(candidates, config.avg), answer_text)
+    candidates = generate_candidates(mlm_backend, jobs, branch_width, config.avg)
+    ranked = drop_answer_matches(rank_candidates(candidates), answer_text)
 
     sentence, sentence_span = extract_sentence(context, answer_span)
     distractor_set = select_distractors(

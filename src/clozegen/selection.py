@@ -61,12 +61,15 @@ class DistractorSet:
 
 def _classify_pairs(nli_backend: NliClassifier, pairs: list[tuple[str, str]]) -> list[str]:
     """One ``classify_nli_batch`` call over ``pairs`` (none when empty); a reply
-    without one of ``NLI_LABELS`` per pair is a ``BackendError``."""
+    without one of the ``NLI_LABELS`` strings per pair is a ``BackendError``."""
     if not pairs:
         return []
     labels = nli_backend.classify_nli_batch(pairs)
-    if len(labels) != len(pairs) or not NLI_LABELS.issuperset(labels):
-        raise BackendError(f"NLI labels {set(labels)} for {len(pairs)} pairs")
+    if len(labels) != len(pairs) or not all(
+        isinstance(label, str) and label in NLI_LABELS for label in labels
+    ):
+        shown = ", ".join(sorted(set(map(repr, labels))))  # a label may be unhashable
+        raise BackendError(f"NLI labels {{{shown}}} for {len(pairs)} pairs")
     return labels
 
 

@@ -5,7 +5,8 @@ kept free of the code paths under test: the search oracle replays the
 branch-then-greedy process with its own bookkeeping, the eager selection
 oracle runs the two elimination stages one after the other, the sequential
 selection oracle and the per-pair audit classify one ordered pair at a time,
-the abbreviation
+the whole-request oracle chains the search oracle, its own scoring and
+ranking and the sequential selection oracle, the abbreviation
 oracle keeps the regex form of the look-back, the prefill oracle masks a
 blank by splicing the mask string into the text, and the metric
 oracle works on explicit 0/1 relevance vectors.
@@ -13,10 +14,11 @@ oracle works on explicit 0/1 relevance vectors.
 
 import math
 import re
+from types import SimpleNamespace
 
 from clozegen.backends import ENTAILMENT
 from clozegen.data import _ABBREVIATIONS
-from clozegen.generation import MaskedContext, window_context
+from clozegen.generation import MaskedContext, decode_plan, window_context
 from clozegen.selection import STAGE_ANSWER, STAGE_PAIRWISE, DistractorSet, TraceEntry
 
 
@@ -54,6 +56,82 @@ def brute_force_candidates(backend, masked_context, order, branch_width):
             strings = [fills[i] for i in range(len(positions))]
             results.append((strings, probs))
     return results
+
+
+def oracle_order(strategy, mask_count):
+    """Decode order by definition: l2r, r2l, or both ends inward (0, m-1, 1, ...)."""
+    slots = list(range(mask_count))
+    if strategy == "l2r":
+        return slots
+    if strategy == "r2l":
+        return slots[::-1]
+    return list(dict.fromkeys(i for pair in zip(slots, reversed(slots)) for i in pair))
+
+
+def oracle_rank_score(probs, avg):
+    """Length-normalized score by definition: a constant vector scores its
+    constant; otherwise the r-th root of the product (geometric) or
+    r / sum(1/p) (harmonic), over the sorted probabilities."""
+    if len(set(probs)) == 1:
+        return probs[0]
+    r = len(probs)
+    if avg == "geometric":
+        return math.prod(sorted(probs)) ** (1.0 / r)
+    return r / sum(1.0 / p for p in sorted(probs))
+
+
+def whole_request_oracle(mlm, nli, context, answer_span, sentence_bounds, config):
+    """One ``generate_distractors`` request, re-derived stage by stage.
+
+    ``context`` is whitespace-tokenized and ``answer_span`` lies on token
+    boundaries. For each mask count of ``decode_plan`` the answer tokens are
+    spliced out for that many mask tokens (the result must fit the model
+    window, so nothing is windowed) and ``brute_force_candidates`` enumerates
+    the fills. Fills are scored by ``oracle_rank_score``, sorted by (score
+    descending, mask count, text), deduplicated on case-folded,
+    whitespace-collapsed text keeping the first, and copies of the answer
+    are dropped. ``sequential_selection`` then picks from them against the
+    sentence ``context[sentence_bounds[0]:sentence_bounds[1]]``.
+
+    Returns the ranked ``(text, rank_score, step probabilities, mask
+    count)`` tuples and the ``DistractorSet``.
+    """
+    def norm(text):
+        return " ".join(text.lower().split())
+
+    start, end = answer_span
+    answer = context[start:end]
+    before, answer_tokens, after = (
+        context[:start].split(), answer.split(), context[end:].split()
+    )
+    info = mlm.info()
+    counts, branch_width = decode_plan(config, len(answer_tokens))
+    pool = []
+    for count in counts:
+        tokens = before + [info.mask_token] * count + after
+        assert len(tokens) <= info.max_sequence_length, "context would be windowed"
+        masked = MaskedContext(tokens, list(range(len(before), len(before) + count)))
+        order = oracle_order(config.strategy, count)
+        for strings, probs in brute_force_candidates(mlm, masked, order, branch_width):
+            text = mlm.detokenize(strings)
+            pool.append((text, oracle_rank_score(probs, config.avg), probs, count))
+    pool.sort(key=lambda c: (-c[1], c[3], c[0]))
+    seen = {norm(answer)}  # an answer copy is dropped like a duplicate
+    ranked = []
+    for candidate in pool:
+        if norm(candidate[0]) not in seen:
+            seen.add(norm(candidate[0]))
+            ranked.append(candidate)
+    s_start, s_end = sentence_bounds
+    chosen = sequential_selection(
+        nli,
+        context[s_start:s_end],
+        answer,
+        [SimpleNamespace(text=c[0]) for c in ranked],
+        config.k,
+        answer_span=(start - s_start, end - s_start),
+    )
+    return ranked, chosen
 
 
 def relevance_vector(generated, gold):

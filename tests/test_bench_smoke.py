@@ -1,6 +1,7 @@
-"""Smoke run of the benchmark: it must pass its own checks, find every traced
-layer, reproduce the reference distractors and model-call counts, see one
-lockstep decode call per item, and batch NLI pairs. The
+"""Smoke runs of the benchmark: on every workload it must pass its own checks,
+find every traced layer and reproduce the reference distractors and
+model-call counts; on long-passage it must also see one lockstep decode call
+per item and batch NLI pairs. The
 benchmark's masked LM also prefills a CLOTH passage in process, since the
 smoke run's workload has no blanks."""
 
@@ -12,6 +13,8 @@ import subprocess
 import sys
 from collections import Counter
 from pathlib import Path
+
+import pytest
 
 from clozegen.data import load_cloth, prepare_context
 
@@ -54,6 +57,41 @@ def test_bench_long_passage_smoke():
         + metrics["backends.nli.pairs_pairwise"]["value"]
     )
     assert metrics["backends.nli.passes"]["value"] < pairs
+
+
+# criterion 6 on the other two workloads: seed-7 distractors and model calls
+REFERENCE_RUNS = {
+    "multitoken-default": (
+        "558d5b94dbb54203e5b5d8898546cb68d8e8b2ccc2892598e60879f04d6f918e",
+        '{"mlm_passes_decode": 3999, "mlm_queries": 128937, "nli_pairs_answer": 4719, '
+        '"nli_pairs_pairwise": 4424, "nli_passes": 5657}',
+    ),
+    "cloth-evaluate": (
+        "a721118af463b4fec166d5c9c8ecf5b36e4b96e5d4b07747e830019bb86017c4",
+        '{"mlm_passes_decode": 1020, "mlm_passes_prefill": 16320, "mlm_queries": 17340, '
+        '"nli_pairs_answer": 22699, "nli_pairs_pairwise": 84555, "nli_passes": 35563}',
+    ),
+}
+
+
+@pytest.mark.parametrize("workload", sorted(REFERENCE_RUNS))
+def test_bench_workload_reproduces_reference(workload):
+    argv = [
+        sys.executable, "bench/run.py", "--workload", workload,
+        "--seed", "7", "--seconds", "0.5", "--trace", "1",
+    ]
+    child = subprocess.run(
+        argv, cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=300,
+    )
+    output = child.stdout + child.stderr
+    assert child.returncode == 0, output
+    assert '"correct": true' in output
+    lines = output.splitlines()
+    assert "absent layers: none" in lines
+    sha256, pool_counts = REFERENCE_RUNS[workload]
+    assert f"distractors_sha256 {sha256}" in lines
+    assert f"pool_counts {pool_counts}" in lines
 
 
 def test_bench_tokenizer_prefill_matches_oracle(tmp_path, monkeypatch):

@@ -531,6 +531,15 @@ def test_cloth_preset_rejects_the_flags_it_sets(
     assert main(_evaluate_args(mock_config_path, cloth_path, out, "--seed", "3")) == 0
 
 
+def test_flags_are_checked_before_any_backend_loads(cloth_path, tmp_path, capsys):
+    missing = tmp_path / "missing.json"  # loading either backend would fail
+    out = tmp_path / "report.json"
+    assert main(_evaluate_args(missing, cloth_path, out, "--top-k", "5")) == 1
+    captured = capsys.readouterr()
+    assert captured.err == "error: --preset cloth sets --top-k\n"
+    assert captured.out == "" and not out.exists()
+
+
 def test_default_flags_match_reported_best_configuration():
     parser = build_parser()
     args = parser.parse_args(["generate", "in.jsonl"])

@@ -181,11 +181,12 @@ def test_rank_score_divergence_between_means():
     assert rank_score([1.0, 0.25], "harmonic") == pytest.approx(0.4, abs=1e-12)
 
 
-def test_rank_score_zero_probability_harmonic_warns():
-    with pytest.warns(RuntimeWarning):
-        assert rank_score([0.5, 0.0], "harmonic") == 0.0
-    with pytest.warns(RuntimeWarning):
-        assert rank_score([0.5, 0.0], "geometric") == 0.0
+def test_rank_score_rejects_zero_probability():
+    # one rule for every score: a step probability must be in (0, 1]
+    for avg in ("geometric", "harmonic"):
+        for probs in ([0.5, 0.0], [0.0], [0.5, -0.1], [1.5]):
+            with pytest.raises(ContractViolation, match=r"outside \(0, 1\]"):
+                rank_score(probs, avg)
 
 
 def test_rank_score_geometric_matches_product_root():
@@ -245,13 +246,24 @@ def test_rank_candidates_tie_breaks():
 
 
 def test_rank_candidates_average_changes_order_not_set():
-    spiky = make_candidate("spiky", [1.0, 0.25])   # geo 0.5, harmonic 0.4
-    steady = make_candidate("steady", [0.45, 0.45])  # both 0.45
-    geo = rank_candidates([spiky, steady], "geometric")
-    har = rank_candidates([spiky, steady], "harmonic")
+    # each pool is scored under its average where it is made; ranking
+    # orders by the stored score and rescores nothing
+    pools = {}
+    for avg in ("geometric", "harmonic"):
+        pools[avg] = [
+            make_candidate("spiky", [1.0, 0.25], avg=avg),  # geo 0.5, harmonic 0.4
+            make_candidate("steady", [0.45, 0.45], avg=avg),  # both 0.45
+        ]
+    geo = rank_candidates(pools["geometric"])
+    har = rank_candidates(pools["harmonic"])
     assert [c.text for c in geo] == ["spiky", "steady"]
     assert [c.text for c in har] == ["steady", "spiky"]
     assert {c.text for c in geo} == {c.text for c in har}
+    for avg, ranked in (("geometric", geo), ("harmonic", har)):
+        assert {id(c) for c in ranked} == {id(c) for c in pools[avg]}  # not rescored copies
+        assert [c.rank_score for c in ranked] == sorted(
+            (c.rank_score for c in pools[avg]), reverse=True
+        )
 
 
 def test_drop_answer_matches_normalized():
@@ -356,6 +368,28 @@ def test_generate_validates_order_and_width():
         generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
     with pytest.raises(ContractViolation):
         generate_candidates(mlm, [(ctx, [0])], branch_width=0)
+
+
+def test_generate_scores_each_candidate_under_avg():
+    mlm = MockMaskedLM(vocabulary=["u", "v", "w"], fallback="seeded", salt=3)
+    ctx = build_masked_context(["p", "q", "r", "s"], (1, 3), 3, "[MASK]")
+    jobs = [(ctx, decode_order("ctl", 3))]
+    geo = generate_candidates(mlm, jobs, branch_width=3)  # geometric by default
+    har = generate_candidates(mlm, jobs, branch_width=3, avg="HARMONIC")
+    assert [c.step_probabilities for c in geo] == [c.step_probabilities for c in har]
+    for cands, avg in ((geo, "geometric"), (har, "harmonic")):
+        for c in cands:
+            assert c.rank_score == rank_score(c.step_probabilities, avg)
+    assert [c.rank_score for c in geo] != [c.rank_score for c in har]
+
+
+def test_generate_rejects_an_unknown_average_before_any_model_call():
+    mlm = CountingMLM(MockMaskedLM(vocabulary=["a"]))
+    ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]")
+    for jobs in ([], [(ctx, [0])]):
+        with pytest.raises(ContractViolation, match="unknown average"):
+            generate_candidates(mlm, jobs, branch_width=2, avg="median")
+    assert mlm.batches == []
 
 
 def test_generate_deterministic_across_runs():

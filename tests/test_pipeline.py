@@ -1,5 +1,8 @@
+import hashlib
+import itertools
 import math
 import os
+import random
 import subprocess
 import sys
 from pathlib import Path
@@ -7,6 +10,7 @@ from pathlib import Path
 import pytest
 
 from clozegen.backends import (
+    CONTRADICTION,
     ENTAILMENT,
     NEUTRAL,
     MockMaskedLM,
@@ -14,7 +18,7 @@ from clozegen.backends import (
     NliClassifier,
 )
 from clozegen.errors import ContractViolation, SpanError
-from clozegen.generation import GenerationConfig, decode_plan
+from clozegen.generation import GenerationConfig, decode_plan, rank_score
 from clozegen.pipeline import (
     generate_distractors,
     map_char_span,
@@ -25,6 +29,7 @@ from clozegen.pipeline import (
 from clozegen.selection import DistractorSet, verify_distractor_set
 
 from tests.conftest import CountingMLM, table_entry
+from tests.oracles import whole_request_oracle
 
 # --- scripted end-to-end scenario (expected values worked out by hand) ------
 
@@ -152,6 +157,81 @@ def test_average_switch_changes_order_not_set():
     )
     har = generate_distractors(CONTEXT, ANSWER_SPAN, har_config, mlm, nli)
     assert {c.text for c in geo.all_candidates} == {c.text for c in har.all_candidates}
+    for config, result in ((GOLDEN_CONFIG, geo), (har_config, har)):
+        for c in result.all_candidates:
+            assert c.rank_score == rank_score(c.step_probabilities, config.avg)
+
+
+class HashNli(NliClassifier):
+    """Verdict from a salted hash of the ordered pair: entailment for about
+    half of the pairs in each direction, so about a quarter entail both ways."""
+
+    def __init__(self, salt):
+        self.salt = salt
+
+    def classify_nli(self, premise, hypothesis):
+        self._check_pair(premise, hypothesis)
+        digest = hashlib.sha256(f"{self.salt}|{premise}|{hypothesis}".encode()).digest()
+        return (ENTAILMENT, ENTAILMENT, NEUTRAL, CONTRADICTION)[digest[0] % 4]
+
+
+FILLER = "we saw the cat sit on a mat then rain came down hard".split()
+FILL_WORDS = ["red", "Red", "door", "old", "blue", "the", "RED"]
+
+
+def _oracle_request(rnd):
+    """A short multi-sentence context whose answer is made of fill words, so
+    fills copy the answer and repeat each other up to case."""
+    sentences = [
+        " ".join(rnd.choices(FILLER, k=rnd.randint(2, 6))) + "."
+        for _ in range(rnd.randint(1, 3))
+    ]
+    target = rnd.randrange(len(sentences) + 1)
+    answer = " ".join(rnd.choices(FILL_WORDS[:4], k=rnd.randint(1, 3)))
+    words = rnd.choices(FILLER, k=rnd.randint(0, 4))
+    tail = rnd.choices(FILLER, k=rnd.randint(1, 3))  # keeps the period off the answer
+    left = " ".join(sentences[:target] + words)
+    sentence_start = len(" ".join(sentences[:target])) + (1 if target else 0)
+    start = len(left) + (1 if left else 0)
+    context = " ".join(sentences[:target] + words + [answer] + tail) + "."
+    sentence_end = len(context)
+    if sentences[target:]:
+        context += " " + " ".join(sentences[target:])
+    return context, (start, start + len(answer)), (sentence_start, sentence_end)
+
+
+def test_generate_distractors_matches_the_whole_request_oracle():
+    rnd = random.Random(2024)
+    grid = itertools.product(("geometric", "harmonic"), ("l2r", "r2l", "ctl"), (0, 1, 2))
+    reached = set()
+    for (avg, strategy, dispersion), _ in itertools.product(grid, range(6)):
+        context, span, bounds = _oracle_request(rnd)
+        config = GenerationConfig(
+            n_mask=rnd.choice([0, 0, 1, 2, 3]),
+            dispersion=dispersion,
+            k=rnd.randint(1, 4),
+            m_s=rnd.choice([None, 1, 2]),
+            strategy=strategy,
+            avg=avg,
+            seed=rnd.randrange(100),
+        )
+        mlm = MockMaskedLM(vocabulary=FILL_WORDS, fallback="seeded", salt=rnd.randrange(1000))
+        nli = HashNli(rnd.randrange(1000))
+        where = (context, span, config)
+        ranked, expected = whole_request_oracle(mlm, nli, context, span, bounds, config)
+        result = generate_distractors(context, span, config, mlm, nli)
+        got = result.all_candidates
+        assert [c.text for c in got] == [c[0] for c in ranked], where
+        assert [c.step_probabilities for c in got] == [c[2] for c in ranked], where
+        assert [c.source_mask_count for c in got] == [c[3] for c in ranked], where
+        for c, (_, score, _, _) in zip(got, ranked):
+            assert abs(c.rank_score - score) <= 1e-12, where
+        chosen = result.distractor_set
+        assert chosen.distractors == expected.distractors, where
+        assert chosen.underfilled is expected.underfilled, where
+        assert chosen.trace == expected.trace, where
+        reached.update(e.stage for e in chosen.trace)
+    assert reached == {"answer-entailment", "pairwise-entailment"}
 
 
 def test_default_config_is_best_reported_setup():

@@ -89,8 +89,12 @@ class _BadReplyNli(MockNliClassifier):
 
 @pytest.mark.parametrize(
     "reply",
-    [lambda pairs: [], lambda pairs: ["ENTAILMENT"] * len(pairs)],
-    ids=["short", "unknown-label"],
+    [
+        lambda pairs: [],
+        lambda pairs: ["ENTAILMENT"] * len(pairs),
+        lambda pairs: [[ENTAILMENT]] * len(pairs),  # unhashable: no TypeError either
+    ],
+    ids=["short", "unknown-label", "unhashable-label"],
 )
 def test_select_distractors_rejects_a_bad_batch_reply(reply):
     nli = _BadReplyNli(reply)
