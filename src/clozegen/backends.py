@@ -22,7 +22,9 @@ from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
-from .errors import ContractViolation, ParseError, SequenceLengthError, read_field, read_json
+from .errors import (
+    BackendError, ContractViolation, ParseError, SequenceLengthError, read_field, read_json,
+)
 
 ENTAILMENT = "entailment"
 NEUTRAL = "neutral"
@@ -149,6 +151,39 @@ class NliClassifier(ABC):
     def _check_pair(premise: str, hypothesis: str) -> None:
         if not premise or not hypothesis:
             raise ContractViolation("premise and hypothesis must be nonempty")
+
+
+def fill_masks(
+    backend: MaskedLanguageModel, queries: list[tuple[list[str], int]], top_k: int
+) -> list[list[TokenPrediction]]:
+    """One ``fill_mask_batch`` call over ``queries`` (none when empty); a reply
+    that is not a list holding, per query, a list of ``TokenPrediction`` with a
+    ``str`` token and a ``float`` probability is a ``BackendError``."""
+    if not queries:
+        return []
+    replies = backend.fill_mask_batch(queries, top_k)
+    if not isinstance(replies, list) or len(replies) != len(queries) or not all(
+        isinstance(preds, list)
+        and all(isinstance(p, TokenPrediction) for p in preds)
+        and all(isinstance(p.token, str) and isinstance(p.probability, float) for p in preds)
+        for preds in replies
+    ):
+        raise BackendError(f"malformed fill-mask reply for {len(queries)} queries")
+    return replies
+
+
+def classify_pairs(nli_backend: NliClassifier, pairs: list[tuple[str, str]]) -> list[str]:
+    """One ``classify_nli_batch`` call over ``pairs`` (none when empty); a reply
+    that is not a list holding one of the ``NLI_LABELS`` strings per pair is a
+    ``BackendError``."""
+    if not pairs:
+        return []
+    labels = nli_backend.classify_nli_batch(pairs)
+    if not isinstance(labels, list) or len(labels) != len(pairs) or not all(
+        isinstance(label, str) and label in NLI_LABELS for label in labels
+    ):
+        raise BackendError(f"malformed NLI reply for {len(pairs)} pairs")
+    return labels
 
 
 def _check_text(text: str) -> None:

@@ -8,8 +8,9 @@ rule-based sentence extractor used both for sentence-mode inputs and for
 the sentence-level entailment comparisons.
 
 Model prefill masks a blank through generation's own path
-(``map_char_span`` then ``build_masked_context``), so a blank glued to
-punctuation is masked like any answer span.
+(``map_char_span`` then one windowed ``build_masked_context`` call), so a
+blank glued to punctuation is masked like any answer span, and asks for
+its fill through the checked ``backends.fill_masks``.
 """
 
 from __future__ import annotations
@@ -19,12 +20,12 @@ import warnings
 from dataclasses import dataclass
 from pathlib import Path
 
-from .backends import MaskedLanguageModel
+from .backends import MaskedLanguageModel, fill_masks
 from .errors import (
-    ConfigError, ContractViolation, ParseError, ResolveError, SpanError, read_field,
-    read_json, read_json_lines,
+    BackendError, ConfigError, ContractViolation, ParseError, ResolveError, SpanError,
+    read_field, read_json, read_json_lines,
 )
-from .generation import build_masked_context, map_char_span, window_context
+from .generation import build_masked_context, map_char_span
 
 BLANK_RE = re.compile(r"_+")
 ANSWER_LETTERS = ("A", "B", "C", "D")
@@ -308,12 +309,10 @@ def _model_fill(backend: MaskedLanguageModel, text: str, blank: tuple[int, int])
     """Top-1 fill for one blank, masked the way generation masks an answer."""
     info = backend.info()
     tokens, span = map_char_span(backend, text, blank)
-    masked = window_context(
-        build_masked_context(tokens, span, 1, info.mask_token), info.max_sequence_length
-    )
-    predictions = backend.fill_mask(masked.tokens, masked.mask_positions[0], 1)
+    masked = build_masked_context(tokens, span, 1, info.mask_token, info.max_sequence_length)
+    (predictions,) = fill_masks(backend, [(masked.tokens, masked.mask_positions[0])], 1)
     if not predictions:
-        raise ContractViolation("backend returned no predictions for prefill")
+        raise BackendError("backend returned no predictions for prefill")
     return backend.detokenize([predictions[0].token])
 
 

@@ -8,7 +8,7 @@ every later position extends each hypothesis with its single most
 probable fill, conditioning on everything already committed.
 
 The contexts of all sampled mask counts are decoded in one lockstep loop:
-each decode step is one ``fill_mask_batch`` call over every live hypothesis
+each decode step is one checked ``fill_masks`` call over every live hypothesis
 of every context that still has a slot to fill, so a request makes as many
 masked-LM passes as its largest mask count. The branch is step 0 of that
 loop: it asks for the ``k * m_s`` top fills where later steps ask for one.
@@ -22,8 +22,8 @@ import warnings
 from dataclasses import dataclass
 from typing import Sequence
 
-from .backends import MaskedLanguageModel
-from .errors import BackendError, ContractViolation, SpanError
+from .backends import MaskedLanguageModel, fill_masks
+from .errors import ContractViolation, SpanError
 
 L2R = "l2r"
 R2L = "r2l"
@@ -52,6 +52,10 @@ class GenerationConfig:
     seed: int = 0
 
     def __post_init__(self):
+        for name in ("n_mask", "dispersion", "k", "m_s", "seed"):
+            value = getattr(self, name)
+            if type(value) is not int and (name != "m_s" or value is not None):
+                raise ContractViolation(f"{name} must be an integer, not {value!r}")
         if self.n_mask < 0:
             raise ContractViolation("n_mask must be >= 0")
         if self.dispersion < 0:
@@ -173,12 +177,16 @@ def build_masked_context(
     answer_span: tuple[int, int],
     mask_count: int,
     mask_token: str,
+    max_length: int | None = None,
 ) -> MaskedContext:
     """Replace the answer token span with ``mask_count`` mask tokens.
 
     The span is half-open ``[start, end)``; the mask count may differ from
     the span length (that is how dispersion produces variable-length
-    candidates). All tokens outside the span are preserved in order.
+    candidates). Tokens outside the span are kept in order, all of them
+    when ``max_length`` is None or the result fits in it; otherwise only a
+    window of ``max_length`` tokens around the mask run, split as evenly
+    between the two sides as the context allows.
     """
     start, end = answer_span
     if not (0 <= start < end <= len(context_tokens)):
@@ -187,38 +195,20 @@ def build_masked_context(
         )
     if mask_count < 1:
         raise ContractViolation("mask_count must be >= 1")
-    tokens = list(context_tokens[:start]) + [mask_token] * mask_count + list(
-        context_tokens[end:]
+    left, right = start, len(context_tokens) - end  # tokens kept on each side
+    if max_length is not None and left + mask_count + right > max_length:
+        if mask_count > max_length:
+            raise SpanError(
+                f"mask run of {mask_count} tokens cannot fit in window of {max_length}"
+            )
+        budget = max_length - mask_count
+        left = min(budget // 2, start)
+        right = min(budget - left, right)
+        left = min(budget - right, start)
+    tokens = list(context_tokens[start - left : start]) + [mask_token] * mask_count + list(
+        context_tokens[end : end + right]
     )
-    return MaskedContext(
-        tokens=tokens,
-        mask_positions=list(range(start, start + mask_count)),
-    )
-
-
-def window_context(context: MaskedContext, max_length: int) -> MaskedContext:
-    """Trim an over-long context to a symmetric token window around the
-    mask run, so wider surroundings are kept on both sides when possible."""
-    if len(context.tokens) <= max_length:
-        return context
-    first, last = context.mask_positions[0], context.mask_positions[-1]
-    run_length = last - first + 1
-    if run_length > max_length:
-        raise SpanError(
-            f"mask run of {run_length} tokens cannot fit in window of {max_length}"
-        )
-    budget = max_length - run_length
-    left_avail = first
-    right_avail = len(context.tokens) - last - 1
-    left = min(budget // 2, left_avail)
-    right = min(budget - left, right_avail)
-    left = min(budget - right, left_avail)
-    start = first - left
-    stop = last + 1 + right
-    return MaskedContext(
-        tokens=context.tokens[start:stop],
-        mask_positions=[p - start for p in context.mask_positions],
-    )
+    return MaskedContext(tokens, list(range(left, left + mask_count)))
 
 
 def decode_order(strategy: str, mask_count: int) -> list[int]:
@@ -255,12 +245,12 @@ def generate_candidates(
 
     Each job is a masked context with its decode order and starts as one
     unfilled hypothesis. Step ``s`` fills the ``s``-th position of every
-    job's order with one ``fill_mask_batch`` call over all live hypotheses,
+    job's order with one ``fill_masks`` call over all live hypotheses,
     queried on the partially filled tokens so later steps condition on
     earlier commitments. Step 0 copies each hypothesis once per fill of its
     ``branch_width`` best; later steps commit the single top fill in place.
     A hypothesis with no prediction is dropped with a ``RuntimeWarning``; a
-    batch reply without one prediction list per query is a ``BackendError``.
+    malformed reply is a ``BackendError`` (see ``fill_masks``).
     Returns each job's candidates (at most ``branch_width``, in first-step
     probability order; ``rank_score`` under ``avg``), jobs in input order.
     """
@@ -287,12 +277,8 @@ def generate_candidates(
                     owners.append((j, position, hypothesis))
                     queries.append((hypothesis[0], position))
                 live[j] = []
-        if not queries:
-            break
         top_k = branch_width if step == 0 else 1
-        replies = backend.fill_mask_batch(queries, top_k)
-        if len(replies) != len(queries):
-            raise BackendError(f"{len(replies)} fill-mask replies for {len(queries)} queries")
+        replies = fill_masks(backend, queries, top_k)
         for (j, position, (tokens, probs)), preds in zip(owners, replies):
             if not preds:
                 warnings.warn(

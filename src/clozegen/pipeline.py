@@ -26,7 +26,6 @@ from .generation import (
     generate_candidates,
     map_char_span,
     rank_candidates,
-    window_context,
 )
 from .selection import DistractorSet, select_distractors
 
@@ -74,8 +73,9 @@ def generate_distractors(
     info = mlm_backend.info()
     jobs = []
     for count in counts:
-        masked = build_masked_context(tokens, token_span, count, info.mask_token)
-        masked = window_context(masked, info.max_sequence_length)
+        masked = build_masked_context(
+            tokens, token_span, count, info.mask_token, info.max_sequence_length
+        )
         jobs.append((masked, decode_order(config.strategy, count)))
     candidates = generate_candidates(mlm_backend, jobs, branch_width, config.avg)
     ranked = drop_answer_matches(rank_candidates(candidates), answer_text)

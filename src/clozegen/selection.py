@@ -14,15 +14,14 @@ The scan runs in waves, all in one loop. Each wave resumes it at the first
 undecided candidate, advances it over the verdicts known so far and
 collects, for every candidate certain to be reached (its kept and undecided
 predecessors number fewer than ``k``), the next pair its checks need; one
-``classify_nli_batch`` call classifies them all. So the classifier sees
+``classify_pairs`` call classifies them all. So the classifier sees
 exactly the pairs of a one-pair-at-a-time scan, in as many passes as the
-longest chain of verdicts that depend on one another. A batch reply must
-hold one of the three verdicts per pair, or the scan fails with
-``BackendError``.
+longest chain of verdicts that depend on one another.
 
 Every removal is recorded in an elimination trace, and
 ``verify_distractor_set`` audits a final set after the fact. Both send their
-pairs through one checked batch call, ``_classify_pairs``.
+pairs through ``backends.classify_pairs``, which fails with ``BackendError``
+unless a reply holds one of the three verdicts per pair.
 """
 
 from __future__ import annotations
@@ -30,8 +29,8 @@ from __future__ import annotations
 from dataclasses import dataclass, field
 from typing import Sequence
 
-from .backends import ENTAILMENT, NLI_LABELS, NliClassifier
-from .errors import BackendError, SpanError
+from .backends import ENTAILMENT, NliClassifier, classify_pairs
+from .errors import ContractViolation, SpanError
 from .generation import Candidate, normalize_text
 
 STAGE_ANSWER = "answer-entailment"
@@ -57,20 +56,6 @@ class DistractorSet:
     answer: str
     trace: list[TraceEntry] = field(default_factory=list)
     underfilled: bool = False
-
-
-def _classify_pairs(nli_backend: NliClassifier, pairs: list[tuple[str, str]]) -> list[str]:
-    """One ``classify_nli_batch`` call over ``pairs`` (none when empty); a reply
-    without one of the ``NLI_LABELS`` strings per pair is a ``BackendError``."""
-    if not pairs:
-        return []
-    labels = nli_backend.classify_nli_batch(pairs)
-    if len(labels) != len(pairs) or not all(
-        isinstance(label, str) and label in NLI_LABELS for label in labels
-    ):
-        shown = ", ".join(sorted(set(map(repr, labels))))  # a label may be unhashable
-        raise BackendError(f"NLI labels {{{shown}}} for {len(pairs)} pairs")
-    return labels
 
 
 def _resolve_span(
@@ -104,6 +89,8 @@ def select_distractors(
     verbatim answer copies. The trace lists answer-entailment removals
     first, then pairwise ones, each in rank order.
     """
+    if type(k) is not int or k < 1:
+        raise ContractViolation(f"k must be an integer >= 1, not {k!r}")
     if not candidates:
         return DistractorSet([], answer, [], underfilled=True)
     start, end = _resolve_span(context, answer, answer_span)
@@ -140,7 +127,7 @@ def select_distractors(
                     kept.append(i)
         if not needed:
             break
-        verdicts.update(zip(needed, _classify_pairs(nli_backend, needed)))
+        verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))
     trace = [
         TraceEntry(texts[i], STAGES[j > 0], texts[j])
         for i, j in sorted(removed.items(), key=lambda item: (item[1] > 0, item[0]))
@@ -179,6 +166,6 @@ def verify_distractor_set(
         return False
     texts = [context[:start] + d + context[end:] for d in result.distractors]
     forward = [(a, b) for i, a in enumerate(texts) for b in texts[i + 1 :]]
-    labels = _classify_pairs(nli_backend, forward)
+    labels = classify_pairs(nli_backend, forward)
     reverse = [(b, a) for (a, b), label in zip(forward, labels) if label == ENTAILMENT]
-    return ENTAILMENT not in _classify_pairs(nli_backend, reverse)
+    return ENTAILMENT not in classify_pairs(nli_backend, reverse)

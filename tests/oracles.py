@@ -18,7 +18,7 @@ from types import SimpleNamespace
 
 from clozegen.backends import ENTAILMENT
 from clozegen.data import _ABBREVIATIONS
-from clozegen.generation import MaskedContext, decode_plan, window_context
+from clozegen.generation import MaskedContext, build_masked_context, decode_plan
 from clozegen.selection import STAGE_ANSWER, STAGE_PAIRWISE, DistractorSet, TraceEntry
 
 
@@ -301,9 +301,8 @@ def query_string_fill(backend, text, blank):
     if info.mask_token not in tokens:
         return None
     position = tokens.index(info.mask_token)
-    masked = window_context(
-        MaskedContext(tokens=tokens, mask_positions=[position]),
-        info.max_sequence_length,
+    masked = build_masked_context(
+        tokens, (position, position + 1), 1, info.mask_token, info.max_sequence_length
     )
     predictions = backend.fill_mask(masked.tokens, masked.mask_positions[0], 1)
     return backend.detokenize([predictions[0].token])

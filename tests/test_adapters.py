@@ -24,7 +24,7 @@ from clozegen.adapters import (
     _normalize_label,
     _prefix_length,
 )
-from clozegen.backends import CONTRADICTION, ENTAILMENT, NEUTRAL
+from clozegen.backends import CONTRADICTION, ENTAILMENT, NEUTRAL, classify_pairs, fill_masks
 from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
 from clozegen.errors import BackendError, ContractViolation, SequenceLengthError
 
@@ -237,6 +237,8 @@ def test_fill_mask_batch_equals_per_query_fill_mask(checkpoints, model_id):
     assert batched == [mlm.fill_mask(tokens, pos, top_k=4) for tokens, pos in QUERIES]
     assert mlm.fill_mask_batch([], top_k=4) == []
     assert model.calls == 1 + len(QUERIES)
+    # the adapter's reply passes the library's reply check unchanged
+    assert fill_masks(mlm, QUERIES, top_k=4) == batched
 
 
 @pytest.mark.parametrize("model_id", ["cls-mlm", "eos-mlm"])
@@ -320,6 +322,7 @@ def test_classify_nli_batch_equals_per_pair_classify_nli(checkpoints):
         "truncation": True,
     }
     assert labels == [nli.classify_nli(p, h) for p, h in pairs]
+    assert classify_pairs(nli, pairs) == labels
     assert labels[0] == ENTAILMENT
     assert set(labels[1:]) == {NEUTRAL, CONTRADICTION}
     assert nli.classify_nli_batch([]) == []

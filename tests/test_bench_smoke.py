@@ -1,7 +1,8 @@
 """Smoke runs of the benchmark: on every workload it must pass its own checks,
 find every traced layer and reproduce the reference distractors and
 model-call counts; on long-passage it must also see one lockstep decode call
-per item and batch NLI pairs. The
+per item and batch NLI pairs. Each run works on a copy of the checkout in a
+temporary directory, so the checkout's ``.bench_out`` is left as it was. The
 benchmark's masked LM also prefills a CLOTH passage in process, since the
 smoke run's workload has no blanks."""
 
@@ -9,6 +10,7 @@ import json
 import os
 import random
 import re
+import shutil
 import subprocess
 import sys
 from collections import Counter
@@ -23,15 +25,25 @@ from tests.oracles import query_string_prefill
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def test_bench_long_passage_smoke():
-    env = dict(os.environ, PYTHONPATH="src")
+def run_bench(tmp_path, workload):
+    """``bench/run.py`` on a copy of the checkout in ``tmp_path``, so the span
+    files it writes never replace those of a developer's own run."""
+    ignore = shutil.ignore_patterns("__pycache__")
+    for name in ("bench", "src"):
+        shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
+    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
     argv = [
-        sys.executable, "bench/run.py", "--workload", "long-passage",
+        sys.executable, "bench/run.py", "--workload", workload,
         "--seed", "7", "--seconds", "0.5", "--trace", "1",
     ]
-    child = subprocess.run(
-        argv, cwd=ROOT, env=env, capture_output=True, text=True, timeout=300
+    return subprocess.run(
+        argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH="src"),
+        capture_output=True, text=True, timeout=300,
     )
+
+
+def test_bench_long_passage_smoke(tmp_path):
+    child = run_bench(tmp_path, "long-passage")
     output = child.stdout + child.stderr
     assert child.returncode == 0, output
     assert '"correct": true' in output
@@ -75,15 +87,8 @@ REFERENCE_RUNS = {
 
 
 @pytest.mark.parametrize("workload", sorted(REFERENCE_RUNS))
-def test_bench_workload_reproduces_reference(workload):
-    argv = [
-        sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", "7", "--seconds", "0.5", "--trace", "1",
-    ]
-    child = subprocess.run(
-        argv, cwd=ROOT, env=dict(os.environ, PYTHONPATH="src"),
-        capture_output=True, text=True, timeout=300,
-    )
+def test_bench_workload_reproduces_reference(workload, tmp_path):
+    child = run_bench(tmp_path, workload)
     output = child.stdout + child.stderr
     assert child.returncode == 0, output
     assert '"correct": true' in output

@@ -5,7 +5,8 @@ import warnings
 
 import pytest
 
-from clozegen.backends import MockMaskedLM, MockNliClassifier, fingerprint
+from clozegen.backends import MockMaskedLM, MockNliClassifier, TokenPrediction, fingerprint
+from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
 from clozegen.errors import BackendError, ContractViolation, SpanError
 from clozegen.generation import (
     STRATEGIES,
@@ -18,7 +19,6 @@ from clozegen.generation import (
     rank_candidates,
     rank_score,
     score_candidate,
-    window_context,
 )
 from clozegen.pipeline import generate_distractors
 
@@ -101,25 +101,25 @@ def test_masked_context_requires_uniform_mask_tokens():
         MaskedContext(tokens=["[MASK]", "a", "[MASK]"], mask_positions=[0, 2])
 
 
-def test_window_context_noop_and_symmetric_trim():
-    ctx = build_masked_context([str(i) for i in range(10)], (4, 5), 1, "[MASK]")
-    assert window_context(ctx, 10) is ctx
-    trimmed = window_context(ctx, 5)
+def test_build_masked_context_window_noop_and_symmetric_trim():
+    tokens = [str(i) for i in range(10)]
+    ctx = build_masked_context(tokens, (4, 5), 1, "[MASK]")
+    assert build_masked_context(tokens, (4, 5), 1, "[MASK]", max_length=10) == ctx
+    trimmed = build_masked_context(tokens, (4, 5), 1, "[MASK]", max_length=5)
     assert len(trimmed.tokens) == 5
     assert trimmed.tokens[trimmed.mask_positions[0]] == "[MASK]"
     # two context tokens on each side of the mask
     assert trimmed.tokens == ["2", "3", "[MASK]", "5", "6"]
 
 
-def test_window_context_skewed_run():
+def test_build_masked_context_window_skewed_run():
     tokens = [str(i) for i in range(10)]
-    ctx = build_masked_context(tokens, (8, 10), 2, "[MASK]")
-    trimmed = window_context(ctx, 5)
+    trimmed = build_masked_context(tokens, (8, 10), 2, "[MASK]", max_length=5)
     assert len(trimmed.tokens) == 5
     assert trimmed.tokens[-2:] == ["[MASK]", "[MASK]"]
     assert trimmed.tokens[:3] == ["5", "6", "7"]
     with pytest.raises(SpanError):
-        window_context(ctx, 1)
+        build_masked_context(tokens, (8, 10), 2, "[MASK]", max_length=1)
 
 
 # --- decode orders -------------------------------------------------------
@@ -359,6 +359,54 @@ def test_generate_rejects_a_short_batch_reply():
     # step 0 sends one query; step 1 sends one per branch and gets one list back
     with pytest.raises(BackendError):
         generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
+
+
+class _BadReplyMLM(MockMaskedLM):
+    """Answers each batch with ``reshape`` applied to the mock's own reply."""
+
+    def __init__(self, reshape):
+        super().__init__(vocabulary=["a", "b", "c"])
+        self.reshape = reshape
+
+    def fill_mask_batch(self, queries, top_k):
+        return self.reshape(super().fill_mask_batch(queries, top_k))
+
+
+def _each_prediction(change):
+    return lambda reply: [[change(*pred) for pred in preds] for preds in reply]
+
+
+@pytest.mark.parametrize(
+    "reshape",
+    [
+        iter,
+        lambda reply: [None] * len(reply),
+        _each_prediction(lambda token, p: (token, p)),
+        _each_prediction(lambda token, p: TokenPrediction(token, str(p))),
+        _each_prediction(lambda token, p: TokenPrediction(None, p)),
+    ],
+    ids=["iterator", "entry-not-a-list", "plain-tuples", "str-probability", "none-token"],
+)
+def test_decode_and_prefill_reject_a_malformed_batch_reply(reshape):
+    mlm = _BadReplyMLM(reshape)
+    ctx = build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]")
+    with pytest.raises(BackendError):
+        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
+    passage = ClozePassage("p", "x _ y _ z", [ClozeQuestion("a", ["b"])] * 2)
+    with pytest.raises(BackendError):
+        prepare_context(passage, 0, "passage", "model", mlm_backend=mlm)
+
+
+def test_generate_uses_at_most_top_k_predictions_per_query():
+    class IgnoresTopK(MockMaskedLM):
+        def fill_mask_batch(self, queries, top_k):
+            return super().fill_mask_batch(queries, 5)
+
+    backend = dict(vocabulary=["a", "b", "c", "d", "e"], fallback="seeded", salt=1)
+    jobs = [(build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]"), [0, 1])]
+    expected = generate_candidates(MockMaskedLM(**backend), jobs, branch_width=2)
+    assert len(expected) == 2
+    assert generate_candidates(IgnoresTopK(**backend), jobs, branch_width=2) == expected
 
 
 def test_generate_validates_order_and_width():

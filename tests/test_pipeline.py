@@ -17,6 +17,7 @@ from clozegen.backends import (
     MockNliClassifier,
     NliClassifier,
 )
+from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
 from clozegen.errors import ContractViolation, SpanError
 from clozegen.generation import GenerationConfig, decode_plan, rank_score
 from clozegen.pipeline import (
@@ -149,6 +150,29 @@ def test_selection_and_audit_use_only_batch_nli_calls():
     assert not verify_distractor_set(batch_only, SENTENCE, entailing, ANSWER_SPAN)
 
 
+class BatchOnlyMLM(CountingMLM):
+    """Answers every batch from the wrapped mock; a single-query ``fill_mask``
+    call fails the test."""
+
+    def fill_mask(self, tokens, mask_position, top_k):
+        raise AssertionError(f"fill_mask({tokens!r}, {mask_position}, {top_k}) called")
+
+    def fill_mask_batch(self, queries, top_k):
+        return self.inner.fill_mask_batch(queries, top_k)
+
+
+def test_generation_and_prefill_use_only_batch_mlm_calls():
+    mlm, nli = golden_backends()
+    result = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, BatchOnlyMLM(mlm), nli)
+    expected = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, nli)
+    assert result_to_json(result) == result_to_json(expected)
+    passage = ClozePassage("p", "the _ sat on _ mat.", [ClozeQuestion("a", ["b"])] * 2)
+    mlm = MockMaskedLM(vocabulary=["cat", "the", "a"], fallback="seeded", salt=5)
+    for qi in range(2):
+        prepared = prepare_context(passage, qi, "passage", "model", BatchOnlyMLM(mlm))
+        assert prepared == prepare_context(passage, qi, "passage", "model", mlm)
+
+
 def test_average_switch_changes_order_not_set():
     mlm, nli = golden_backends()
     geo = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, nli)
@@ -240,6 +264,16 @@ def test_default_config_is_best_reported_setup():
     assert config.dispersion == 1
     assert config.strategy == "ctl"
     assert config.avg == "geometric"
+
+
+@pytest.mark.parametrize(
+    "fields",
+    [{"k": 2.5}, {"n_mask": 1.0}, {"dispersion": 0.5}, {"m_s": 1.5}, {"seed": True}],
+    ids=["k", "n_mask", "dispersion", "m_s", "seed"],
+)
+def test_config_rejects_non_integer_counts(fields):
+    with pytest.raises(ContractViolation, match="must be an integer"):
+        GenerationConfig(**fields)
 
 
 def test_resolve_search_multiplier_defaults():

@@ -4,7 +4,7 @@ from collections import Counter
 import pytest
 
 from clozegen.backends import CONTRADICTION, ENTAILMENT, NEUTRAL, MockNliClassifier
-from clozegen.errors import BackendError, SpanError
+from clozegen.errors import BackendError, ContractViolation, SpanError
 from clozegen.selection import (
     STAGE_ANSWER,
     STAGE_PAIRWISE,
@@ -93,8 +93,9 @@ class _BadReplyNli(MockNliClassifier):
         lambda pairs: [],
         lambda pairs: ["ENTAILMENT"] * len(pairs),
         lambda pairs: [[ENTAILMENT]] * len(pairs),  # unhashable: no TypeError either
+        lambda pairs: None,
     ],
-    ids=["short", "unknown-label", "unhashable-label"],
+    ids=["short", "unknown-label", "unhashable-label", "not-a-list"],
 )
 def test_select_distractors_rejects_a_bad_batch_reply(reply):
     nli = _BadReplyNli(reply)
@@ -222,6 +223,13 @@ def test_verify_distractor_set_matches_the_per_pair_audit_in_two_batches():
             assert sum(batched.batches) == len(batched.calls), f"trial {trial}"
             assert Counter(batched.calls) == Counter(per_pair.calls), f"trial {trial}"
     assert valid > 100
+
+
+@pytest.mark.parametrize("k", [0, -1, 2.5])
+def test_select_distractors_rejects_k_below_one(k):
+    for texts in ([], ["shut", "seal", "lift", "slam"]):
+        with pytest.raises(ContractViolation, match="k must be an integer >= 1"):
+            select_distractors(MockNliClassifier(), CONTEXT, ANSWER, _candidates(texts), k)
 
 
 def test_select_distractors_empty_input():
