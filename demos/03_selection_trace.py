@@ -15,6 +15,7 @@ from clozegen import ENTAILMENT, Candidate, MockNliClassifier, select_distractor
 ANSWER = "open"
 FRAME = "I {} the door."
 CONTEXT = FRAME.format(ANSWER)
+SPAN = (FRAME.index("{}"), FRAME.index("{}") + len(ANSWER))  # where the answer sits
 
 
 def candidate(text, prob):
@@ -46,7 +47,7 @@ both("seal", "shut")
 table[(FRAME.format("stand by"), CONTEXT)] = ENTAILMENT  # reverse stays neutral
 
 nli = MockNliClassifier(table=table)
-result = select_distractors(nli, CONTEXT, ANSWER, candidates, k=3)
+result = select_distractors(nli, CONTEXT, ANSWER, candidates, k=3, answer_span=SPAN)
 
 print("candidates in rank order:", [c.text for c in candidates])
 print("final distractors:      ", result.distractors)

@@ -26,7 +26,7 @@ doc = {
 with tempfile.TemporaryDirectory() as tmp:
     path = Path(tmp) / "sample0001.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    passage = load_cloth(path)[0]
+    passage = list(load_cloth(path))[0]
 
 print(f"passage {passage.id}: {len(passage.questions)} questions")
 print("  raw:", passage.text_with_blanks)
@@ -52,7 +52,9 @@ print()
 # model prefill asks the backend for a top-1 fill per non-target blank,
 # committing left to right; here the mock falls back to its vocabulary
 mlm = MockMaskedLM(vocabulary=["bag", "coat", "map"])
-prepared_m = prepare_context(passage, 1, prefill_mode="model", mlm_backend=mlm)
+prepared_m = prepare_context(
+    passage, 1, input_mode="passage", prefill_mode="model", mlm_backend=mlm
+)
 print("model prefill resolved the other blank to a backend prediction:")
 print("  ", prepared_m.context)
 print()

@@ -18,7 +18,6 @@ from .backends import (
     MockNliClassifier,
     NliClassifier,
     TokenPrediction,
-    load_mock_backends,
 )
 from .data import (
     ClozePassage,
@@ -60,7 +59,6 @@ from .pipeline import (
     generate_distractors,
     render_cloze,
     result_to_dict,
-    result_to_json,
 )
 from .selection import DistractorSet, TraceEntry, select_distractors
 

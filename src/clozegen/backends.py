@@ -237,15 +237,11 @@ class MockMaskedLM(MaskedLanguageModel):
             text = read_field(entry, "fingerprint", str, where)
             position = read_field(entry, "position", int, where)
             table[text, position] = read_field(entry, "top", [(str, float)], where)
+        kinds = {"mask_token": str, "vocabulary": [str], "fallback": str, "salt": int,
+                 "max_sequence_length": int}  # an absent key keeps the __init__ default
+        options = {k: read_field(doc, k, kind, path) for k, kind in kinds.items() if k in doc}
         try:
-            return cls(
-                mask_token=read_field(doc, "mask_token", str, path, DEFAULT_MASK_TOKEN),
-                vocabulary=read_field(doc, "vocabulary", [str], path, []),
-                table=table,
-                fallback=read_field(doc, "fallback", str, path, "uniform"),
-                salt=read_field(doc, "salt", int, path, 0),
-                max_sequence_length=read_field(doc, "max_sequence_length", int, path, 512),
-            )
+            return cls(table=table, **options)
         except ContractViolation as exc:
             raise ParseError(f"{path}: {exc}") from exc
 
@@ -318,19 +314,15 @@ class MockNliClassifier(NliClassifier):
     def from_json_file(cls, path: str | Path) -> "MockNliClassifier":
         doc = read_json(path)
         triples = read_field(doc, "nli", [(str, str, str)], path, [])
+        table = {(premise, hypothesis): label for premise, hypothesis, label in triples}
+        options = {}  # an absent key keeps the __init__ default
+        if "nli_default" in doc:
+            options["default"] = read_field(doc, "nli_default", str, path)
         try:
-            return cls(
-                table={(premise, hypothesis): label for premise, hypothesis, label in triples},
-                default=read_field(doc, "nli_default", str, path, NEUTRAL),
-            )
+            return cls(table=table, **options)
         except ContractViolation as exc:
             raise ParseError(f"{path}: {exc}") from exc
 
     def classify_nli(self, premise: str, hypothesis: str) -> str:
         self._check_pair(premise, hypothesis)
         return self.table.get((premise, hypothesis), self.default)
-
-
-def load_mock_backends(path: str | Path) -> tuple[MockMaskedLM, MockNliClassifier]:
-    """Load both mock backends from one shared configuration document."""
-    return MockMaskedLM.from_json_file(path), MockNliClassifier.from_json_file(path)

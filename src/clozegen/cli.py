@@ -19,6 +19,7 @@ import os
 import sys
 from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
+from itertools import islice
 from pathlib import Path
 
 from . import data, metrics
@@ -136,6 +137,15 @@ def config_from_args(args: argparse.Namespace) -> GenerationConfig:
     return GenerationConfig(**values)
 
 
+def _check_output(path: str | None) -> None:
+    """Fail, naming ``path``, unless it opens for writing; keep no new file, touch no old one."""
+    if path:
+        existed = os.path.lexists(path)
+        open(path, "ab").close()
+        if not existed:
+            os.remove(path)
+
+
 def _write_output(path: str | None, text: str) -> None:
     if path:
         Path(path).write_text(text, encoding="utf-8", newline="\n")
@@ -148,7 +158,8 @@ def _run_items(args: argparse.Namespace, items: list, run_one) -> list:
 
     Each item's entry is its result, or the ``ClozegenError`` it raised.
     """
-    config = config_from_args(args)  # bad flags fail before any model loads
+    config = config_from_args(args)  # bad flags and a bad --output fail before any model loads
+    _check_output(args.output)
     mlm = make_backend(args.model, "--model", MockMaskedLM, HuggingFaceMaskedLM)
     nli = make_backend(args.nli_model, "--nli-model", MockNliClassifier, HuggingFaceNli)
 
@@ -181,7 +192,7 @@ def run_generate(args: argparse.Namespace) -> int:
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
-    passages = data.load_cloth(args.input)[: args.limit]
+    passages = islice(data.load_cloth(args.input), args.limit)  # files past the limit unread
     items = [(p, qi) for p in passages for qi in range(len(p.questions))]
 
     def run_one(item, config, mlm, nli) -> list[str]:

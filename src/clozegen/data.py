@@ -19,6 +19,7 @@ import re
 import warnings
 from dataclasses import dataclass
 from pathlib import Path
+from typing import Iterator
 
 from .backends import MaskedLanguageModel, fill_masks
 from .errors import (
@@ -93,13 +94,15 @@ class PreparedContext:
     answer_span: tuple[int, int]
 
 
-def load_cloth(path: str | Path) -> list[ClozePassage]:
-    """Load CLOTH-format passages from one JSON file or a directory of them.
+def load_cloth(path: str | Path) -> Iterator[ClozePassage]:
+    """CLOTH-format passages from one JSON file or a directory of them.
 
     Each file holds one passage: an article with one ``_`` blank per
     question, an options array of four strings per question, and an
     answers array of letters. The answer letter is resolved to its option
-    text; the other three options become the gold distractors.
+    text; the other three options become the gold distractors. Files are
+    parsed in name order, each only when its passage is taken from the
+    returned iterator.
     """
     root = Path(path)
     if root.is_dir():
@@ -108,7 +111,7 @@ def load_cloth(path: str | Path) -> list[ClozePassage]:
             raise ParseError(f"{root}: no .json files found")
     else:
         files = [root]
-    return [_parse_cloth_file(f) for f in files]
+    return map(_parse_cloth_file, files)
 
 
 def _parse_cloth_file(path: Path) -> ClozePassage:
@@ -261,8 +264,8 @@ def _ends_with_abbreviation(text: str, period_index: int) -> bool:
 def prepare_context(
     passage: ClozePassage,
     question_index: int,
-    input_mode: str = INPUT_PASSAGE,
-    prefill_mode: str = PREFILL_GOLD,
+    input_mode: str,
+    prefill_mode: str,
     mlm_backend: MaskedLanguageModel | None = None,
 ) -> PreparedContext:
     """Resolve every blank except the target question's.

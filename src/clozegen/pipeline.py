@@ -8,7 +8,6 @@ sentence containing the answer, extracted from the original context.
 
 from __future__ import annotations
 
-import json
 import random
 import string
 from dataclasses import asdict, dataclass
@@ -137,7 +136,3 @@ def result_to_dict(result: GenerationResult) -> dict:
         ],
         "config": asdict(result.config_echo),
     }
-
-
-def result_to_json(result: GenerationResult) -> str:
-    return json.dumps(result_to_dict(result), ensure_ascii=False, separators=(",", ":"))

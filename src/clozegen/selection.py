@@ -58,15 +58,8 @@ class DistractorSet:
     underfilled: bool = False
 
 
-def _resolve_span(
-    context: str, answer: str, answer_span: tuple[int, int] | None
-) -> tuple[int, int]:
-    """``answer_span`` (default: first occurrence of ``answer``), bounds-checked."""
-    if answer_span is None:
-        start = context.find(answer)
-        if start < 0:
-            raise SpanError(f"answer {answer!r} not found in comparison text")
-        answer_span = (start, start + len(answer))
+def _check_span(context: str, answer_span: tuple[int, int]) -> tuple[int, int]:
+    """``answer_span``, the answer's place in the comparison text, bounds-checked."""
     start, end = answer_span
     if not (0 <= start < end <= len(context)):
         raise SpanError(f"answer span ({start}, {end}) outside comparison text")
@@ -79,21 +72,18 @@ def select_distractors(
     answer: str,
     candidates: Sequence[Candidate],
     k: int,
-    answer_span: tuple[int, int] | None = None,
+    answer_span: tuple[int, int],
 ) -> DistractorSet:
     """Keep up to ``k`` candidates, best-first, entailing neither answer nor each other.
 
     ``context`` is the comparison sentence containing the answer;
-    ``answer_span`` locates the answer within it (first occurrence when
-    omitted). Candidates must arrive ranked best-first and free of
-    verbatim answer copies. The trace lists answer-entailment removals
-    first, then pairwise ones, each in rank order.
+    ``answer_span`` locates the answer within it. Candidates must arrive
+    ranked best-first and free of verbatim answer copies. The trace lists
+    answer-entailment removals first, then pairwise ones, each in rank order.
     """
     if type(k) is not int or k < 1:
         raise ContractViolation(f"k must be an integer >= 1, not {k!r}")
-    if not candidates:
-        return DistractorSet([], answer, [], underfilled=True)
-    start, end = _resolve_span(context, answer, answer_span)
+    start, end = _check_span(context, answer_span)
     texts = [answer] + [c.text for c in candidates]
     sentences = [context] + [context[:start] + t + context[end:] for t in texts[1:]]
     verdicts: dict[tuple[str, str], str] = {}
@@ -153,14 +143,15 @@ def verify_distractor_set(
     nli_backend: NliClassifier,
     context: str,
     result: DistractorSet,
-    answer_span: tuple[int, int] | None = None,
+    answer_span: tuple[int, int],
 ) -> bool:
     """Post-hoc audit: no kept pair mutually entails and none equals the answer.
 
-    One batch classifies every pair in rank order, a second the reverse of
-    each pair that entailed.
+    Each distractor is substituted at ``answer_span`` in ``context``. One
+    batch classifies every pair in rank order, a second the reverse of each
+    pair that entailed.
     """
-    start, end = _resolve_span(context, result.answer, answer_span)
+    start, end = _check_span(context, answer_span)
     answer_key = normalize_text(result.answer)
     if any(normalize_text(d) == answer_key for d in result.distractors):
         return False

@@ -197,14 +197,6 @@ def per_pair_audit(nli_backend, sentences):
     )
 
 
-def find_span(context, answer, answer_span=None):
-    """``answer_span``, or else the first occurrence of ``answer`` in ``context``."""
-    if answer_span is not None:
-        return answer_span
-    start = context.index(answer)
-    return start, start + len(answer)
-
-
 def eager_selection(nli, context, answer, answer_span, candidates, k):
     """Both elimination stages run eagerly, one after the other.
 
@@ -239,7 +231,7 @@ def eager_selection(nli, context, answer, answer_span, candidates, k):
     return kept, not candidates or len(kept) < k, trace
 
 
-def sequential_selection(nli_backend, context, answer, candidates, k, answer_span=None):
+def sequential_selection(nli_backend, context, answer, candidates, k, answer_span):
     """The best-first scan, one ``classify_nli`` call per ordered pair.
 
     Candidates are scanned in rank order; each is checked two ways against
@@ -247,9 +239,7 @@ def sequential_selection(nli_backend, context, answer, candidates, k, answer_spa
     the scan stops at ``k`` kept. Returns a ``DistractorSet`` whose trace
     lists answer removals first, then pairwise ones, each in rank order.
     """
-    if not candidates:
-        return DistractorSet([], answer, [], underfilled=True)
-    start, end = find_span(context, answer, answer_span)
+    start, end = answer_span
     answer_trace = []
     pairwise_trace = []
     kept = []  # (candidate text, its sentence)
@@ -274,6 +264,39 @@ def sequential_selection(nli_backend, context, answer, candidates, k, answer_spa
         trace=answer_trace + pairwise_trace,
         underfilled=len(kept) < k,
     )
+
+
+def scan_wave_bound(classify, sentences, k):
+    """The fewest passes a scan giving the verdicts of ``sequential_selection``
+    can take: the critical path of its chain of dependent pairs.
+
+    ``sentences`` are the answer sentence, then each candidate's in rank
+    order; ``classify(premise, hypothesis)`` labels one pair. Candidate i
+    is certain to be reached at wave 1 if i <= k, else one wave after the
+    (i - k)-th earliest removal before it. Each of its pairs comes one wave
+    after its previous pair and no earlier than one wave after the decision
+    on its counterpart (the answer's is at 0); a reverse pair follows only
+    a forward entailment. A removal is decided at its last pair's wave, a
+    kept candidate at the later of that and the latest decision before it.
+    """
+    decided = {0: 0}  # sentence index -> wave its fate is known
+    kept, removals = [], []
+    for i in range(1, len(sentences)):
+        if len(kept) == k:
+            break
+        wave = 0 if i <= k else sorted(removals)[i - k - 1]
+        for j in (0, *kept):
+            wave = max(wave, decided[j]) + 1
+            if classify(sentences[i], sentences[j]) == ENTAILMENT:
+                wave += 1
+                if classify(sentences[j], sentences[i]) == ENTAILMENT:
+                    removals.append(wave)
+                    break
+        else:
+            wave = max(wave, *decided.values())
+            kept.append(i)
+        decided[i] = wave
+    return max(decided.values())
 
 
 def ends_with_abbreviation_regex(text, period_index):

@@ -192,7 +192,7 @@ def test_criterion_7_cloth_dataset_contract():
             "directory of high*.json test passages (or place them under "
             "data/cloth/test/high) to run this criterion"
         )
-    passages = load_cloth(directory)
+    passages = list(load_cloth(directory))
     assert len(passages) == 478
     mean_questions = sum(len(p.questions) for p in passages) / len(passages)
     assert abs(mean_questions - 17.41) <= 0.01

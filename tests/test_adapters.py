@@ -282,7 +282,8 @@ def test_masked_lm_info_and_tokenization(checkpoints):
     assert info.name == "cls-mlm"
     assert info.mask_token == "[MASK]"
     assert info.max_sequence_length == FakeTokenizer.model_max_length - 2
-    assert HuggingFaceMaskedLM("eos-mlm", max_length=10).info().max_sequence_length == 9
+    eos_window = HuggingFaceMaskedLM("eos-mlm").info().max_sequence_length
+    assert eos_window == FakeTokenizer.model_max_length - 1
     assert mlm.tokenize("the cat  sat") == ["the", "cat", "sat"]
     assert mlm.detokenize(["the", "cat"]) == "the cat"
     assert mlm.tokenize_with_offsets("the cat  sat") == [
@@ -296,12 +297,6 @@ def test_masked_lm_info_and_tokenization(checkpoints):
         mlm.fill_mask(["the"] * 40 + ["[MASK]"], 40, top_k=1)
     checkpoints["slow-mlm"] = (FakeTokenizer(is_fast=False), FakeMaskedLM())
     assert HuggingFaceMaskedLM("slow-mlm").tokenize_with_offsets("the cat") is None
-
-
-@pytest.mark.parametrize("max_length", [0, -5])
-def test_masked_lm_rejects_a_max_length_below_one(checkpoints, max_length):
-    with pytest.raises(ContractViolation):
-        HuggingFaceMaskedLM("cls-mlm", max_length=max_length)
 
 
 def test_classify_nli_batch_equals_per_pair_classify_nli(checkpoints):

@@ -12,7 +12,6 @@ from clozegen.backends import (
     MockMaskedLM,
     MockNliClassifier,
     TokenPrediction,
-    load_mock_backends,
     sort_predictions,
 )
 from clozegen.errors import ContractViolation, ParseError, SequenceLengthError
@@ -239,7 +238,7 @@ def test_mock_json_document_round_trip(tmp_path):
     }
     path = tmp_path / "mock.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    mlm, nli = load_mock_backends(path)
+    mlm, nli = MockMaskedLM.from_json_file(path), MockNliClassifier.from_json_file(path)
     assert mlm.info().mask_token == "<m>"
     assert mlm.info().max_sequence_length == 64
     assert mlm.fill_mask(["a", "<m>", "b"], 1, 1) == [TokenPrediction("cat", 0.6)]
@@ -260,6 +259,18 @@ def test_mock_json_document_errors(tmp_path):
     bad_nli.write_text(json.dumps({"nli": [["p", "h"]]}), encoding="utf-8")
     with pytest.raises(ParseError):
         MockNliClassifier.from_json_file(bad_nli)
+
+
+def test_mock_json_document_without_options_keeps_the_constructor_defaults(tmp_path):
+    path = tmp_path / "empty.json"
+    path.write_text("{}", encoding="utf-8")
+    mlm, built = MockMaskedLM.from_json_file(path), MockMaskedLM()
+    assert mlm.info() == built.info()
+    assert (mlm.vocabulary, mlm.fallback, mlm.salt, mlm.table) == (
+        built.vocabulary, built.fallback, built.salt, built.table
+    )
+    nli = MockNliClassifier.from_json_file(path)
+    assert (nli.default, nli.table) == (MockNliClassifier().default, {})
 
 
 @pytest.mark.skipif(

@@ -133,6 +133,36 @@ def test_unwritable_output_is_one_error_line(mock_config_path, pairs_path, tmp_p
     assert "no-such-dir" in err
 
 
+@pytest.mark.parametrize("command", ["generate", "evaluate"])
+def test_unwritable_output_fails_before_any_backend_loads(
+    command, pairs_path, cloth_path, tmp_path, capsys
+):
+    missing = tmp_path / "missing.json"  # loading either backend would fail
+    out = tmp_path / "no-such-dir" / "out.json"
+    if command == "generate":
+        argv = _generate_args(missing, pairs_path, out)
+    else:
+        argv = _evaluate_args(missing, cloth_path, out)
+    assert main(argv) == 1
+    err = capsys.readouterr().err
+    assert len(err.splitlines()) == 1 and str(out) in err and "missing.json" not in err
+
+
+def test_a_run_that_fails_before_writing_leaves_the_output_as_it_was(
+    mock_config_path, pairs_path, tmp_path
+):
+    missing = tmp_path / "missing.json"
+    kept = tmp_path / "kept.jsonl"
+    kept.write_text("earlier results\n", encoding="utf-8")
+    assert main(_generate_args(missing, pairs_path, kept)) == 1
+    assert kept.read_text(encoding="utf-8") == "earlier results\n"
+    new = tmp_path / "new.jsonl"
+    assert main(_generate_args(missing, pairs_path, new)) == 1
+    assert not new.exists()
+    assert main(_generate_args(mock_config_path, pairs_path, kept)) == 0
+    assert len(kept.read_text(encoding="utf-8").splitlines()) == 3
+
+
 def test_negative_seed_is_one_error_line(mock_config_path, pairs_path, tmp_path, capsys):
     out = tmp_path / "out.jsonl"
     assert main(_generate_args(mock_config_path, pairs_path, out, ["--seed=-1"])) == 1
@@ -277,6 +307,19 @@ def test_evaluate_limit(mock_config_path, cloth_path, tmp_path):
     )
     assert code == 0
     assert json.loads(report_path.read_text())["item_count"] == 2
+
+
+def test_evaluate_limit_reads_only_the_first_passages(mock_config_path, tmp_path, capsys):
+    directory = tmp_path / "cl"
+    directory.mkdir()
+    for name, doc in [("p0", CLOTH_DOC), ("p1", CLOTH_DOC), ("p2", {**CLOTH_DOC, "article": 7})]:
+        (directory / f"{name}.json").write_text(json.dumps(doc), encoding="utf-8")
+    report_path = tmp_path / "report.json"
+    assert main(_evaluate_args(mock_config_path, directory, report_path, "--limit", "2")) == 0
+    assert capsys.readouterr().err == ""
+    assert json.loads(report_path.read_text())["item_count"] == 4
+    assert main(_evaluate_args(mock_config_path, directory, report_path)) == 1
+    assert "p2.json: field 'article' must be a string" in capsys.readouterr().err
 
 
 def test_evaluate_parse_error(mock_config_path, tmp_path, capsys):

@@ -42,7 +42,7 @@ def _write(tmp_path, name, doc):
 
 def test_load_cloth_single_file(tmp_path):
     path = _write(tmp_path, "high0001.json", PASSAGE_DOC)
-    passages = load_cloth(path)
+    passages = list(load_cloth(path))
     assert len(passages) == 1
     passage = passages[0]
     assert passage.id == "high0001"
@@ -56,8 +56,18 @@ def test_load_cloth_single_file(tmp_path):
 def test_load_cloth_directory_sorted(tmp_path):
     _write(tmp_path, "b.json", PASSAGE_DOC)
     _write(tmp_path, "a.json", PASSAGE_DOC)
-    passages = load_cloth(tmp_path)
+    passages = list(load_cloth(tmp_path))
     assert [p.id for p in passages] == ["a", "b"]
+
+
+def test_load_cloth_parses_each_file_only_when_taken(tmp_path):
+    _write(tmp_path, "p0.json", PASSAGE_DOC)
+    _write(tmp_path, "p1.json", PASSAGE_DOC)
+    _write(tmp_path, "p2.json", {**PASSAGE_DOC, "article": 7})
+    passages = load_cloth(tmp_path)
+    assert [next(passages).id, next(passages).id] == ["p0", "p1"]
+    with pytest.raises(ParseError, match="p2.json: field 'article' must be a string"):
+        next(passages)
 
 
 def test_load_cloth_empty_directory(tmp_path):
@@ -80,7 +90,7 @@ def test_load_cloth_schema_errors(tmp_path):
     for i, (doc, needle) in enumerate(cases):
         path = _write(tmp_path, f"bad{i}.json", doc)
         with pytest.raises(ParseError) as err:
-            load_cloth(path)
+            list(load_cloth(path))
         assert needle in str(err.value)
         assert path.name in str(err.value)
 
@@ -220,7 +230,7 @@ THREE_BLANK_DOC = {
 def _three_blank_passage(tmp_path):
     path = tmp_path / "p.json"
     path.write_text(json.dumps(THREE_BLANK_DOC), encoding="utf-8")
-    return load_cloth(path)[0]
+    return list(load_cloth(path))[0]
 
 
 def test_prepare_context_gold_prefill(tmp_path):
@@ -287,7 +297,7 @@ def test_prepare_context_sentence_mode_two_blank_sentence(tmp_path):
     }
     path = tmp_path / "p.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    passage = load_cloth(path)[0]
+    passage = list(load_cloth(path))[0]
     prepared = prepare_context(passage, 1, "sentence", "gold")
     # the non-target blank in the same sentence is gold-filled
     assert prepared.context == "We eat rice and _ daily."
@@ -332,7 +342,7 @@ def test_prepare_context_model_prefill_windows_long_passages(tmp_path):
     }
     path = tmp_path / "long.json"
     path.write_text(json.dumps(doc), encoding="utf-8")
-    passage = load_cloth(path)[0]
+    passage = list(load_cloth(path))[0]
     mlm = MockMaskedLM(vocabulary=["x", "y"], max_sequence_length=8)
     prepared = prepare_context(passage, 1, "passage", "model", mlm_backend=mlm)
     assert "blank x here." in prepared.context or "blank y here." in prepared.context

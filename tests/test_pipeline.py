@@ -1,11 +1,13 @@
 import hashlib
 import itertools
+import json
 import math
 import os
 import random
 import subprocess
 import sys
 from pathlib import Path
+from types import ModuleType
 
 import pytest
 
@@ -25,7 +27,6 @@ from clozegen.pipeline import (
     map_char_span,
     render_cloze,
     result_to_dict,
-    result_to_json,
 )
 from clozegen.selection import DistractorSet, verify_distractor_set
 
@@ -101,9 +102,9 @@ def test_generate_distractors_golden_scenario():
 
 def test_generate_distractors_deterministic_serialization():
     mlm, nli = golden_backends()
-    first = result_to_json(generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, nli))
-    second = result_to_json(generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, nli))
-    assert first == second
+    first = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, nli)
+    second = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, nli)
+    assert json.dumps(result_to_dict(first)) == json.dumps(result_to_dict(second))
 
 
 def test_result_dict_schema():
@@ -165,7 +166,7 @@ def test_generation_and_prefill_use_only_batch_mlm_calls():
     mlm, nli = golden_backends()
     result = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, BatchOnlyMLM(mlm), nli)
     expected = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, nli)
-    assert result_to_json(result) == result_to_json(expected)
+    assert result_to_dict(result) == result_to_dict(expected)
     passage = ClozePassage("p", "the _ sat on _ mat.", [ClozeQuestion("a", ["b"])] * 2)
     mlm = MockMaskedLM(vocabulary=["cat", "the", "a"], fallback="seeded", salt=5)
     for qi in range(2):
@@ -406,23 +407,26 @@ PACKAGE_NAMES = [
     "SpanError", "TokenPrediction", "TraceEntry", "build_masked_context",
     "compute_item", "decode_order", "decode_plan", "evaluate_dataset",
     "extract_sentence", "fill_target", "generate_candidates", "generate_distractors",
-    "load_cloth", "load_mock_backends", "load_pairs", "prepare_context",
-    "rank_candidates", "rank_score", "render_cloze", "result_to_dict",
-    "result_to_json", "score_candidate",
-    "select_distractors",
+    "load_cloth", "load_pairs", "prepare_context", "rank_candidates", "rank_score",
+    "render_cloze", "result_to_dict", "score_candidate", "select_distractors",
 ]
 
 
 def test_package_root_exports_public_names():
     import clozegen
 
-    assert len(set(PACKAGE_NAMES)) == 50
-    missing = [name for name in PACKAGE_NAMES if not hasattr(clozegen, name)]
-    assert missing == []
+    assert len(set(PACKAGE_NAMES)) == 48
+    exported = {
+        name
+        for name, value in vars(clozegen).items()
+        if not name.startswith("_") and not isinstance(value, ModuleType)
+    }
+    assert exported == set(PACKAGE_NAMES)
 
 
-# Run in a fresh interpreter: the test process itself may have numpy loaded.
-NUMPY_FREE_RUN = """
+# Run in a fresh interpreter without the site module: the test process has
+# third-party modules loaded, and site-packages .pth files may import more.
+STDLIB_ONLY_RUN = """
 import sys
 
 import clozegen.cli
@@ -433,14 +437,15 @@ config = GenerationConfig(n_mask=3, dispersion=2)  # five counts: the seed is co
 mlm = MockMaskedLM(vocabulary=["shut", "lock", "slam", "kick"])
 result = generate_distractors(context, (13, 17), config, mlm, MockNliClassifier())
 assert result.distractor_set.distractors
-assert "numpy" not in sys.modules, sorted(m for m in sys.modules if m.startswith("numpy"))
+outside = {m.partition(".")[0] for m in sys.modules} - set(sys.stdlib_module_names)
+assert outside <= {"clozegen", "__main__"}, sorted(outside)
 """
 
 
-def test_library_and_cli_run_without_numpy():
+def test_library_and_cli_import_only_the_standard_library():
     src = Path(__file__).resolve().parent.parent / "src"
     completed = subprocess.run(
-        [sys.executable, "-c", NUMPY_FREE_RUN],
+        [sys.executable, "-S", "-c", STDLIB_ONLY_RUN],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,

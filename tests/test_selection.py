@@ -14,7 +14,12 @@ from clozegen.selection import (
 )
 
 from tests.conftest import CountingNli, make_candidate
-from tests.oracles import eager_selection, per_pair_audit, sequential_selection
+from tests.oracles import (
+    eager_selection,
+    per_pair_audit,
+    scan_wave_bound,
+    sequential_selection,
+)
 from tests.selection_scenarios import (
     ANSWER,
     ANSWER_SPAN,
@@ -42,7 +47,7 @@ def test_answer_stage_examples():
     table[(CONTEXT, instantiate("stand"))] = NEUTRAL
     nli = MockNliClassifier(table=table)
     candidates = _candidates(["unlock", "close", "stand"])
-    result = select_distractors(nli, CONTEXT, ANSWER, candidates, 3)
+    result = select_distractors(nli, CONTEXT, ANSWER, candidates, 3, ANSWER_SPAN)
     assert result.distractors == ["close", "stand"]
     assert len(result.trace) == 1
     assert result.trace[0].candidate == "unlock"
@@ -56,7 +61,7 @@ def test_pairwise_stage_removes_lower_scored_of_pair():
     table[(instantiate("seal"), instantiate("shut"))] = ENTAILMENT
     nli = MockNliClassifier(table=table)
     result = select_distractors(
-        nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2
+        nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2, ANSWER_SPAN
     )
     assert result.distractors == ["shut", "lift"]
     assert [(e.candidate, e.stage, e.counterpart) for e in result.trace] == [
@@ -67,7 +72,7 @@ def test_pairwise_stage_removes_lower_scored_of_pair():
 def test_pairwise_stage_prefix_when_no_entailments():
     nli = MockNliClassifier()
     result = select_distractors(
-        nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2
+        nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2, ANSWER_SPAN
     )
     assert result.distractors == ["shut", "seal"]
 
@@ -101,7 +106,7 @@ def test_select_distractors_rejects_a_bad_batch_reply(reply):
     nli = _BadReplyNli(reply)
     with pytest.raises(BackendError):
         select_distractors(
-            nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2
+            nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2, ANSWER_SPAN
         )
 
 
@@ -180,14 +185,14 @@ def test_verify_distractor_set_rejects_an_unknown_label():
 
     with pytest.raises(BackendError):
         verify_distractor_set(
-            UpperCaseNli(), CONTEXT, DistractorSet(["shut", "close"], ANSWER)
+            UpperCaseNli(), CONTEXT, DistractorSet(["shut", "close"], ANSWER), ANSWER_SPAN
         )
 
 
 def test_verify_distractor_set_rejects_an_answer_copy():
     nli = CountingNli(MockNliClassifier())
     copy = DistractorSet(["shut", " OPEN "], ANSWER)
-    assert verify_distractor_set(nli, CONTEXT, copy) is False
+    assert verify_distractor_set(nli, CONTEXT, copy, ANSWER_SPAN) is False
     assert nli.calls == []
 
 
@@ -195,8 +200,10 @@ def test_verify_distractor_set_needs_entailment_both_ways():
     one_way = {(instantiate("shut"), instantiate("seal")): ENTAILMENT}
     two_way = {**one_way, (instantiate("seal"), instantiate("shut")): ENTAILMENT}
     result = DistractorSet(["shut", "seal", "lift"], ANSWER)
-    assert verify_distractor_set(MockNliClassifier(table=one_way), CONTEXT, result)
-    assert not verify_distractor_set(MockNliClassifier(table=two_way), CONTEXT, result)
+    assert verify_distractor_set(MockNliClassifier(table=one_way), CONTEXT, result, ANSWER_SPAN)
+    assert not verify_distractor_set(
+        MockNliClassifier(table=two_way), CONTEXT, result, ANSWER_SPAN
+    )
 
 
 def test_verify_distractor_set_matches_the_per_pair_audit_in_two_batches():
@@ -229,22 +236,40 @@ def test_verify_distractor_set_matches_the_per_pair_audit_in_two_batches():
 def test_select_distractors_rejects_k_below_one(k):
     for texts in ([], ["shut", "seal", "lift", "slam"]):
         with pytest.raises(ContractViolation, match="k must be an integer >= 1"):
-            select_distractors(MockNliClassifier(), CONTEXT, ANSWER, _candidates(texts), k)
+            select_distractors(
+                MockNliClassifier(), CONTEXT, ANSWER, _candidates(texts), k, ANSWER_SPAN
+            )
 
 
 def test_select_distractors_empty_input():
-    result = select_distractors(MockNliClassifier(), CONTEXT, ANSWER, [], 3)
+    result = select_distractors(MockNliClassifier(), CONTEXT, ANSWER, [], 3, ANSWER_SPAN)
     assert result.distractors == []
     assert result.underfilled is True
     assert result.trace == []
 
 
-def test_select_distractors_finds_answer_span():
-    nli = MockNliClassifier()
-    result = select_distractors(nli, CONTEXT, ANSWER, _candidates(["shut"]), 1)
+def test_selection_and_audit_substitute_at_the_given_span():
+    # the answer text also occurs earlier in the sentence: only the span says which
+    context = "We open the door, then open the gate."
+    span = (23, 27)
+    shut = "We open the door, then shut the gate."
+    nli = CountingNli(MockNliClassifier(table={(shut, context): ENTAILMENT}))
+    result = select_distractors(nli, context, "open", _candidates(["shut"]), 1, span)
     assert result.distractors == ["shut"]
+    assert nli.calls == [(shut, context), (context, shut)]
+    chosen = DistractorSet(["shut", "lock"], "open")
+    assert verify_distractor_set(nli, context, chosen, span)
+    assert nli.calls[2:] == [(shut, "We open the door, then lock the gate.")]
+
+
+@pytest.mark.parametrize("span", [(0, 0), (23, 38), (-1, 4)])
+def test_selection_and_audit_reject_a_span_outside_the_sentence(span):
+    context = "We open the door, then open the gate."
+    candidates = _candidates(["shut"])
     with pytest.raises(SpanError):
-        select_distractors(nli, CONTEXT, "missing", _candidates(["shut"]), 1)
+        select_distractors(MockNliClassifier(), context, "open", candidates, 1, span)
+    with pytest.raises(SpanError):
+        verify_distractor_set(MockNliClassifier(), context, DistractorSet(["shut"], "open"), span)
 
 
 def _assert_matches_eager(table, texts, k, label):
@@ -298,7 +323,8 @@ def test_best_first_scan_matches_eager_stages_on_random_tables():
 
 
 def _assert_matches_sequential(table, texts, k, label):
-    """The wave scheduler against the one-pair-at-a-time scan on one instance."""
+    """The wave scheduler against the one-pair-at-a-time scan on one instance:
+    the same verdicts from the same pairs, in the fewest passes possible."""
     wave_nli = CountingNli(MockNliClassifier(table=table))
     sequential_nli = CountingNli(MockNliClassifier(table=table))
     candidates = _candidates(texts)
@@ -313,7 +339,9 @@ def _assert_matches_sequential(table, texts, k, label):
     assert got.underfilled is expected.underfilled, label
     assert Counter(wave_nli.calls) == Counter(sequential_nli.calls), label
     assert len(set(wave_nli.calls)) == len(wave_nli.calls), label
-    assert len(wave_nli.batches) <= len(wave_nli.calls), label
+    sentences = [CONTEXT] + [instantiate(t) for t in texts]
+    bound = scan_wave_bound(MockNliClassifier(table=table).classify_nli, sentences, k)
+    assert len(wave_nli.batches) == bound, label
     assert sum(wave_nli.batches) == len(wave_nli.calls), label
 
 
