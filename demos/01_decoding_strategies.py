@@ -33,11 +33,14 @@ table = {
     ("the [MASK] fridge hums", 1): [TokenPrediction("broken", 0.9)],
 }
 backend = MockMaskedLM(table=table)
-masked = build_masked_context(["the", "??", "??", "hums"], (1, 3), 2, "[MASK]")
+info = backend.info()
+masked = build_masked_context(
+    ["the", "??", "??", "hums"], (1, 3), 2, info.mask_token, info.max_sequence_length
+)
 
 for strategy in ("l2r", "r2l"):
     order = decode_order(strategy, 2)
-    candidate = generate_candidates(backend, [(masked, order)], branch_width=1)[0]
+    candidate = generate_candidates(backend, [(masked, order)], 1, "geometric")[0]
     steps = ", ".join(f"{p:.1f}" for p in candidate.step_probabilities)
     print(f"{strategy}: {candidate.text!r}  (step probabilities in decode order: {steps})")
 

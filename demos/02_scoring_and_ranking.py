@@ -17,9 +17,7 @@ def candidate(text, probs, avg):
         token_strings=text.split(),
         text=text,
         step_probabilities=list(probs),
-        product_score=score_candidate(probs),
         rank_score=rank_score(probs, avg),
-        source_mask_count=len(probs),
     )
 
 
@@ -46,7 +44,7 @@ for avg in ("geometric", "harmonic"):
     ranked = rank_candidates([candidate(text, probs, avg) for text, probs in fills])
     print(f"{avg} ranking:")
     for c in ranked:
-        print(f"  {c.rank_score:.4f}  {c.text!r}  (from {c.source_mask_count} masks)")
+        print(f"  {c.rank_score:.4f}  {c.text!r}  (from {len(c.step_probabilities)} masks)")
     print()
 
 print("notes: the duplicate 'echo' collapsed onto its better-scored copy,")

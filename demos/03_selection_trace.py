@@ -10,7 +10,7 @@ counts as entailing only when the classifier says entailment in BOTH
 directions, so neutral and contradictory candidates always survive.
 """
 
-from clozegen import ENTAILMENT, Candidate, MockNliClassifier, select_distractors
+from clozegen import ENTAILMENT, MockNliClassifier, select_distractors
 
 ANSWER = "open"
 FRAME = "I {} the door."
@@ -18,23 +18,12 @@ CONTEXT = FRAME.format(ANSWER)
 SPAN = (FRAME.index("{}"), FRAME.index("{}") + len(ANSWER))  # where the answer sits
 
 
-def candidate(text, prob):
-    return Candidate(
-        token_strings=text.split(),
-        text=text,
-        step_probabilities=[prob],
-        product_score=prob,
-        rank_score=prob,
-        source_mask_count=1,
-    )
-
-
-candidates = [
-    candidate("unlock", 0.95),   # a synonym of the answer
-    candidate("shut", 0.90),
-    candidate("seal", 0.85),     # a near-duplicate of "shut"
-    candidate("stand by", 0.80), # entails the answer one way only
-    candidate("paint", 0.75),
+candidates = [  # best-ranked first, as the generator hands them over
+    "unlock",    # a synonym of the answer
+    "shut",
+    "seal",      # a near-duplicate of "shut"
+    "stand by",  # entails the answer one way only
+    "paint",
 ]
 
 table = {}
@@ -47,9 +36,9 @@ both("seal", "shut")
 table[(FRAME.format("stand by"), CONTEXT)] = ENTAILMENT  # reverse stays neutral
 
 nli = MockNliClassifier(table=table)
-result = select_distractors(nli, CONTEXT, ANSWER, candidates, k=3, answer_span=SPAN)
+result = select_distractors(nli, CONTEXT, candidates, k=3, answer_span=SPAN)
 
-print("candidates in rank order:", [c.text for c in candidates])
+print("candidates in rank order:", candidates)
 print("final distractors:      ", result.distractors)
 print("underfilled:            ", result.underfilled)
 print()

@@ -50,7 +50,7 @@ result = generate_distractors(CONTEXT, SPAN, config, mlm, nli)
 print("ranked candidates:")
 for c in result.all_candidates:
     print(f"  {c.rank_score:.4f}  {c.text!r}  probs={c.step_probabilities} "
-          f"({c.source_mask_count} masks)")
+          f"({len(c.step_probabilities)} masks)")
 print()
 print("distractors:", result.distractor_set.distractors)
 print("eliminations:", [(e.candidate, e.stage) for e in result.distractor_set.trace])

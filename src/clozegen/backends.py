@@ -158,7 +158,7 @@ def fill_masks(
 ) -> list[list[TokenPrediction]]:
     """One ``fill_mask_batch`` call over ``queries`` (none when empty); a reply
     that is not a list holding, per query, a list of ``TokenPrediction`` with a
-    ``str`` token and a ``float`` probability is a ``BackendError``."""
+    ``str`` token and a ``float`` probability in (0, 1] is a ``BackendError``."""
     if not queries:
         return []
     replies = backend.fill_mask_batch(queries, top_k)
@@ -166,6 +166,7 @@ def fill_masks(
         isinstance(preds, list)
         and all(isinstance(p, TokenPrediction) for p in preds)
         and all(isinstance(p.token, str) and isinstance(p.probability, float) for p in preds)
+        and all(0.0 < p.probability <= 1.0 for p in preds)
         for preds in replies
     ):
         raise BackendError(f"malformed fill-mask reply for {len(queries)} queries")

@@ -108,17 +108,15 @@ class Candidate:
     """One generated fill for a masked answer span.
 
     ``token_strings`` follow positional (textual) order while
-    ``step_probabilities`` follow decode order; ``product_score`` is the
-    product of the step probabilities and ``rank_score`` their
-    length-normalized average under the request's ``avg`` (set once).
+    ``step_probabilities`` follow decode order, one per mask slot;
+    ``rank_score`` is their length-normalized average under the request's
+    ``avg`` (set once).
     """
 
     token_strings: list[str]
     text: str
     step_probabilities: list[float]
-    product_score: float
     rank_score: float
-    source_mask_count: int
 
 
 def normalize_text(text: str) -> str:
@@ -177,16 +175,16 @@ def build_masked_context(
     answer_span: tuple[int, int],
     mask_count: int,
     mask_token: str,
-    max_length: int | None = None,
+    max_length: int,
 ) -> MaskedContext:
     """Replace the answer token span with ``mask_count`` mask tokens.
 
     The span is half-open ``[start, end)``; the mask count may differ from
     the span length (that is how dispersion produces variable-length
     candidates). Tokens outside the span are kept in order, all of them
-    when ``max_length`` is None or the result fits in it; otherwise only a
-    window of ``max_length`` tokens around the mask run, split as evenly
-    between the two sides as the context allows.
+    when the result fits in ``max_length``; otherwise only a window of
+    ``max_length`` tokens around the mask run, split as evenly between the
+    two sides as the context allows.
     """
     start, end = answer_span
     if not (0 <= start < end <= len(context_tokens)):
@@ -196,7 +194,7 @@ def build_masked_context(
     if mask_count < 1:
         raise ContractViolation("mask_count must be >= 1")
     left, right = start, len(context_tokens) - end  # tokens kept on each side
-    if max_length is not None and left + mask_count + right > max_length:
+    if left + mask_count + right > max_length:
         if mask_count > max_length:
             raise SpanError(
                 f"mask run of {mask_count} tokens cannot fit in window of {max_length}"
@@ -239,7 +237,7 @@ def generate_candidates(
     backend: MaskedLanguageModel,
     jobs: Sequence[tuple[MaskedContext, list[int]]],
     branch_width: int,
-    avg: str = GEOMETRIC,
+    avg: str,
 ) -> list[Candidate]:
     """Branch-then-greedy decoding of several masked contexts in one loop.
 
@@ -301,9 +299,7 @@ def generate_candidates(
                     token_strings=token_strings,
                     text=backend.detokenize(token_strings),
                     step_probabilities=probs,
-                    product_score=score_candidate(probs),
                     rank_score=rank_score(probs, avg),
-                    source_mask_count=len(ctx.mask_positions),
                 )
             )
     return candidates
@@ -315,7 +311,7 @@ def score_candidate(step_probabilities: list[float]) -> float:
     return math.prod(step_probabilities)
 
 
-def rank_score(step_probabilities: list[float], avg: str = GEOMETRIC) -> float:
+def rank_score(step_probabilities: list[float], avg: str) -> float:
     """Length-normalized score comparable across candidate lengths.
 
     Geometric: r-th root of the probability product. Harmonic:
@@ -351,7 +347,7 @@ def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:
     best-ranked copy.
     """
     best = {}  # normalized text -> its best-ranked candidate, in rank order
-    for c in sorted(candidates, key=lambda c: (-c.rank_score, c.source_mask_count, c.text)):
+    for c in sorted(candidates, key=lambda c: (-c.rank_score, len(c.step_probabilities), c.text)):
         best.setdefault(normalize_text(c.text), c)
     return list(best.values())
 

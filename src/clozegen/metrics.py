@@ -98,17 +98,17 @@ def compute_item(
 
 def evaluate_dataset(
     results: Sequence[tuple[Sequence[str], Sequence[str]]],
-    ids: Sequence[str] | None = None,
+    ids: Sequence[str],
 ) -> EvalReport:
     """Aggregate per-item metrics over (generated, gold) pairs."""
     if not results:
         raise ContractViolation("results must be nonempty")
-    if ids is not None and len(ids) != len(results):
+    if len(ids) != len(results):
         raise ContractViolation("ids must align one-to-one with results")
-    per_item = []
-    for i, (generated, gold) in enumerate(results):
-        item_id = ids[i] if ids is not None else f"item-{i:04d}"
-        per_item.append(compute_item(generated, gold, item_id))
+    per_item = [
+        compute_item(generated, gold, item_id)
+        for (generated, gold), item_id in zip(results, ids)
+    ]
     averages = {
         name: 100.0 * sum(getattr(r, name) for r in per_item) / len(per_item)
         for name in METRIC_NAMES

@@ -25,6 +25,7 @@ from .generation import (
     generate_candidates,
     map_char_span,
     rank_candidates,
+    score_candidate,
 )
 from .selection import DistractorSet, select_distractors
 
@@ -81,7 +82,7 @@ def generate_distractors(
 
     sentence, sentence_span = extract_sentence(context, answer_span)
     distractor_set = select_distractors(
-        nli_backend, sentence, answer_text, ranked, config.k, answer_span=sentence_span
+        nli_backend, sentence, [c.text for c in ranked], config.k, sentence_span
     )
 
     return GenerationResult(
@@ -124,9 +125,9 @@ def result_to_dict(result: GenerationResult) -> dict:
             {
                 "text": c.text,
                 "rank_score": c.rank_score,
-                "score_T": c.product_score,
+                "score_T": score_candidate(c.step_probabilities),
                 "probs": list(c.step_probabilities),
-                "mask_count": c.source_mask_count,
+                "mask_count": len(c.step_probabilities),
             }
             for c in result.all_candidates
         ],

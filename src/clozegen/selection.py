@@ -31,7 +31,7 @@ from typing import Sequence
 
 from .backends import ENTAILMENT, NliClassifier, classify_pairs
 from .errors import ContractViolation, SpanError
-from .generation import Candidate, normalize_text
+from .generation import normalize_text
 
 STAGE_ANSWER = "answer-entailment"
 STAGE_PAIRWISE = "pairwise-entailment"
@@ -69,22 +69,21 @@ def _check_span(context: str, answer_span: tuple[int, int]) -> tuple[int, int]:
 def select_distractors(
     nli_backend: NliClassifier,
     context: str,
-    answer: str,
-    candidates: Sequence[Candidate],
+    candidates: Sequence[str],
     k: int,
     answer_span: tuple[int, int],
 ) -> DistractorSet:
     """Keep up to ``k`` candidates, best-first, entailing neither answer nor each other.
 
-    ``context`` is the comparison sentence containing the answer;
-    ``answer_span`` locates the answer within it. Candidates must arrive
-    ranked best-first and free of verbatim answer copies. The trace lists
-    answer-entailment removals first, then pairwise ones, each in rank order.
+    ``context`` is the comparison sentence and the answer is its text at
+    ``answer_span``. Candidate texts must arrive ranked best-first and free
+    of verbatim answer copies. The trace lists answer-entailment removals
+    first, then pairwise ones, each in rank order.
     """
     if type(k) is not int or k < 1:
         raise ContractViolation(f"k must be an integer >= 1, not {k!r}")
     start, end = _check_span(context, answer_span)
-    texts = [answer] + [c.text for c in candidates]
+    texts = [context[start:end], *candidates]
     sentences = [context] + [context[:start] + t + context[end:] for t in texts[1:]]
     verdicts: dict[tuple[str, str], str] = {}
     kept: list[int] = []
@@ -122,7 +121,7 @@ def select_distractors(
         TraceEntry(texts[i], STAGES[j > 0], texts[j])
         for i, j in sorted(removed.items(), key=lambda item: (item[1] > 0, item[0]))
     ]
-    return DistractorSet([texts[i] for i in kept], answer, trace, len(kept) < k)
+    return DistractorSet([texts[i] for i in kept], texts[0], trace, len(kept) < k)
 
 
 def _two_way(

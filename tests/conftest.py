@@ -22,22 +22,18 @@ ACCEPTANCE_LABELS = {
 }
 
 
-def make_candidate(text, probs, mask_count=None, avg="geometric"):
-    """Candidate with scores derived from the given step probabilities."""
-    tokens = text.split()
+def make_candidate(text, probs, avg="geometric"):
+    """Candidate whose rank score is derived from the given step probabilities."""
     r = len(probs)
-    product = math.prod(probs)
     if avg == "geometric":
-        rank = product ** (1.0 / r)
+        rank = math.prod(probs) ** (1.0 / r)
     else:
         rank = r / sum(1.0 / p for p in probs)
     return Candidate(
-        token_strings=tokens,
+        token_strings=text.split(),
         text=text,
         step_probabilities=list(probs),
-        product_score=product,
         rank_score=rank,
-        source_mask_count=mask_count if mask_count is not None else r,
     )
 
 

@@ -14,7 +14,6 @@ oracle works on explicit 0/1 relevance vectors.
 
 import math
 import re
-from types import SimpleNamespace
 
 from clozegen.backends import ENTAILMENT
 from clozegen.data import _ABBREVIATIONS
@@ -127,7 +126,7 @@ def whole_request_oracle(mlm, nli, context, answer_span, sentence_bounds, config
         nli,
         context[s_start:s_end],
         answer,
-        [SimpleNamespace(text=c[0]) for c in ranked],
+        [c[0] for c in ranked],
         config.k,
         answer_span=(start - s_start, end - s_start),
     )
@@ -234,7 +233,7 @@ def eager_selection(nli, context, answer, answer_span, candidates, k):
 def sequential_selection(nli_backend, context, answer, candidates, k, answer_span):
     """The best-first scan, one ``classify_nli`` call per ordered pair.
 
-    Candidates are scanned in rank order; each is checked two ways against
+    Candidate texts are scanned in rank order; each is checked two ways against
     the answer sentence, then against each kept candidate in order, and
     the scan stops at ``k`` kept. Returns a ``DistractorSet`` whose trace
     lists answer removals first, then pairwise ones, each in rank order.
@@ -246,18 +245,18 @@ def sequential_selection(nli_backend, context, answer, candidates, k, answer_spa
     for candidate in candidates:
         if len(kept) == k:
             break
-        sentence = context[:start] + candidate.text + context[end:]
+        sentence = context[:start] + candidate + context[end:]
         if two_way_entails(nli_backend, sentence, context):
-            answer_trace.append(TraceEntry(candidate.text, STAGE_ANSWER, answer))
+            answer_trace.append(TraceEntry(candidate, STAGE_ANSWER, answer))
             continue
         match = next(
             (text for text, other in kept if two_way_entails(nli_backend, sentence, other)),
             None,
         )
         if match is None:
-            kept.append((candidate.text, sentence))
+            kept.append((candidate, sentence))
         else:
-            pairwise_trace.append(TraceEntry(candidate.text, STAGE_PAIRWISE, match))
+            pairwise_trace.append(TraceEntry(candidate, STAGE_PAIRWISE, match))
     return DistractorSet(
         distractors=[text for text, _ in kept],
         answer=answer,

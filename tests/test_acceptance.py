@@ -29,9 +29,8 @@ from clozegen.generation import (
 from clozegen.metrics import compute_item, evaluate_dataset
 from clozegen.selection import select_distractors
 
-from tests.conftest import make_candidate
 from tests.oracles import brute_force_candidates, brute_force_metrics
-from tests.selection_scenarios import ANSWER, ANSWER_SPAN, CONTEXT, SCENARIOS, build_nli
+from tests.selection_scenarios import ANSWER_SPAN, CONTEXT, SCENARIOS, build_nli
 from tests.test_cli import make_mock_document
 
 
@@ -57,16 +56,16 @@ def test_criterion_2_oracle_equivalence_200_random_configs():
         mlm = MockMaskedLM(
             vocabulary=vocab, fallback="seeded", salt=rnd.randint(0, 100_000)
         )
-        context = build_masked_context(tokens, span, mask_count, "[MASK]")
+        context = build_masked_context(tokens, span, mask_count, "[MASK]", 512)
 
-        got = generate_candidates(mlm, [(context, order)], branch_width)
+        got = generate_candidates(mlm, [(context, order)], branch_width, "geometric")
         expected = brute_force_candidates(mlm, context, order, branch_width)
         assert [c.token_strings for c in got] == [strings for strings, _ in expected]
         for candidate, (_, probs) in zip(got, expected):
             assert len(candidate.step_probabilities) == len(probs)
             for a, b in zip(candidate.step_probabilities, probs):
                 assert abs(a - b) <= 1e-9
-            assert abs(candidate.product_score - math.prod(probs)) <= 1e-9
+            assert abs(score_candidate(candidate.step_probabilities) - math.prod(probs)) <= 1e-9
         checked += 1
 
 
@@ -92,15 +91,10 @@ def test_criterion_4_selector_scenarios():
     assert "one-way-entailment-retained" in names
     assert "pairwise-removes-lower-ranked" in names
     for scenario in SCENARIOS:
-        candidates = [
-            make_candidate(text, [0.95 - 0.05 * i])
-            for i, text in enumerate(scenario["candidates"])
-        ]
         result = select_distractors(
             build_nli(scenario),
             CONTEXT,
-            ANSWER,
-            candidates,
+            scenario["candidates"],
             scenario["k"],
             answer_span=ANSWER_SPAN,
         )
@@ -249,7 +243,7 @@ def test_full_report_arithmetic_consistency():
         gold = rnd.sample(pool, 3)
         generated = [rnd.choice(pool) for _ in range(rnd.randint(1, 10))]
         batches.append((generated, gold))
-    report = evaluate_dataset(batches)
+    report = evaluate_dataset(batches, ids=[f"item-{i}" for i in range(len(batches))])
     for name in ("p_at_1", "f1_at_3", "mrr_at_10", "ndcg_at_10"):
         mean = sum(getattr(r, name) for r in report.per_item) / report.item_count
         assert report.averages[name] == pytest.approx(100.0 * mean, abs=1e-12)

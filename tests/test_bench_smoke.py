@@ -38,7 +38,7 @@ def run_bench(tmp_path, workload):
     ]
     return subprocess.run(
         argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH="src"),
-        capture_output=True, text=True, timeout=300,
+        capture_output=True, text=True, encoding="utf-8", timeout=300,
     )
 
 

@@ -198,7 +198,7 @@ def test_generate_jobs_preserve_order(mock_config_path, pairs_path, tmp_path):
     assert main(_generate_args(mock_config_path, pairs_path, serial)) == 0
     assert main(_generate_args(mock_config_path, pairs_path, threaded, ["--jobs", "3"])) == 0
     assert serial.read_bytes() == threaded.read_bytes()
-    ids = [json.loads(l)["id"] for l in threaded.read_text().splitlines()]
+    ids = [json.loads(l)["id"] for l in threaded.read_text(encoding="utf-8").splitlines()]
     assert ids == ["p1", "p2", "p3"]
 
 
@@ -270,7 +270,7 @@ def test_evaluate_jobs_preserve_report(mock_config_path, cloth_path, tmp_path):
     threaded = tmp_path / "threaded.json"
     assert main(_evaluate_args(mock_config_path, cloth_path, serial)) == 0
     assert main(_evaluate_args(mock_config_path, cloth_path, threaded, "--jobs", "3")) == 0
-    assert json.loads(serial.read_text())["item_count"] == 4
+    assert json.loads(serial.read_text(encoding="utf-8"))["item_count"] == 4
     assert serial.read_bytes() == threaded.read_bytes()
 
 
@@ -306,7 +306,7 @@ def test_evaluate_limit(mock_config_path, cloth_path, tmp_path):
         ]
     )
     assert code == 0
-    assert json.loads(report_path.read_text())["item_count"] == 2
+    assert json.loads(report_path.read_text(encoding="utf-8"))["item_count"] == 2
 
 
 def test_evaluate_limit_reads_only_the_first_passages(mock_config_path, tmp_path, capsys):
@@ -317,14 +317,16 @@ def test_evaluate_limit_reads_only_the_first_passages(mock_config_path, tmp_path
     report_path = tmp_path / "report.json"
     assert main(_evaluate_args(mock_config_path, directory, report_path, "--limit", "2")) == 0
     assert capsys.readouterr().err == ""
-    assert json.loads(report_path.read_text())["item_count"] == 4
+    assert json.loads(report_path.read_text(encoding="utf-8"))["item_count"] == 4
     assert main(_evaluate_args(mock_config_path, directory, report_path)) == 1
     assert "p2.json: field 'article' must be a string" in capsys.readouterr().err
 
 
 def test_evaluate_parse_error(mock_config_path, tmp_path, capsys):
     bad = tmp_path / "bad.json"
-    bad.write_text(json.dumps({"article": "x _", "options": [], "answers": ["A"]}))
+    bad.write_text(
+        json.dumps({"article": "x _", "options": [], "answers": ["A"]}), encoding="utf-8"
+    )
     code = main(
         [
             "evaluate",

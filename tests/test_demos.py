@@ -17,11 +17,12 @@ def test_demos_found():
 def test_demo_runs(demo):
     env = {**os.environ, "PYTHONPATH": str(ROOT / "src")}
     completed = subprocess.run(
-        [sys.executable, "-W", "error", str(demo)],
+        [sys.executable, "-X", "warn_default_encoding", "-W", "error", str(demo)],
         cwd=ROOT,
         env=env,
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr

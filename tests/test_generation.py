@@ -72,22 +72,22 @@ def test_sample_mask_counts_deterministic_and_in_bounds():
 
 
 def test_build_masked_context_replaces_span():
-    ctx = build_masked_context(["t1", "a1", "a2", "t2"], (1, 3), 2, "[MASK]")
+    ctx = build_masked_context(["t1", "a1", "a2", "t2"], (1, 3), 2, "[MASK]", 512)
     assert ctx.tokens == ["t1", "[MASK]", "[MASK]", "t2"]
     assert ctx.mask_positions == [1, 2]
 
 
 def test_build_masked_context_count_may_exceed_answer_length():
-    ctx = build_masked_context(["t1", "a1", "t2"], (1, 2), 3, "[MASK]")
+    ctx = build_masked_context(["t1", "a1", "t2"], (1, 2), 3, "[MASK]", 512)
     assert ctx.tokens == ["t1", "[MASK]", "[MASK]", "[MASK]", "t2"]
     assert ctx.mask_positions == [1, 2, 3]
 
 
 def test_build_masked_context_span_errors():
     with pytest.raises(SpanError):
-        build_masked_context(["a", "b", "c"], (5, 6), 1, "[MASK]")
+        build_masked_context(["a", "b", "c"], (5, 6), 1, "[MASK]", 512)
     with pytest.raises(SpanError):
-        build_masked_context(["a", "b", "c"], (2, 2), 1, "[MASK]")
+        build_masked_context(["a", "b", "c"], (2, 2), 1, "[MASK]", 512)
 
 
 def test_masked_context_requires_uniform_mask_tokens():
@@ -103,7 +103,7 @@ def test_masked_context_requires_uniform_mask_tokens():
 
 def test_build_masked_context_window_noop_and_symmetric_trim():
     tokens = [str(i) for i in range(10)]
-    ctx = build_masked_context(tokens, (4, 5), 1, "[MASK]")
+    ctx = build_masked_context(tokens, (4, 5), 1, "[MASK]", 512)
     assert build_masked_context(tokens, (4, 5), 1, "[MASK]", max_length=10) == ctx
     trimmed = build_masked_context(tokens, (4, 5), 1, "[MASK]", max_length=5)
     assert len(trimmed.tokens) == 5
@@ -235,12 +235,12 @@ def test_rank_candidates_per_token_normalization():
 
 
 def test_rank_candidates_tie_breaks():
-    shorter = make_candidate("zz", [0.5], mask_count=1)
-    longer = make_candidate("aa bb", [0.5, 0.5], mask_count=2)
+    shorter = make_candidate("zz", [0.5])
+    longer = make_candidate("aa bb", [0.5, 0.5])
     ranked = rank_candidates([longer, shorter])
     assert [c.text for c in ranked] == ["zz", "aa bb"]
-    first = make_candidate("apple", [0.5], mask_count=1)
-    second = make_candidate("mango", [0.5], mask_count=1)
+    first = make_candidate("apple", [0.5])
+    second = make_candidate("mango", [0.5])
     ranked = rank_candidates([second, first])
     assert [c.text for c in ranked] == ["apple", "mango"]
 
@@ -279,13 +279,13 @@ def test_generate_single_mask_equals_topk_fill():
     tokens = ["the", "[MASK]", "sat"]
     table = {(" ".join(tokens), 1): [("cat", 0.6), ("dog", 0.3), ("rat", 0.1)]}
     mlm = MockMaskedLM(table=table)
-    ctx = build_masked_context(["the", "cat", "sat"], (1, 2), 1, "[MASK]")
-    cands = generate_candidates(mlm, [(ctx, [0])], branch_width=2)
+    ctx = build_masked_context(["the", "cat", "sat"], (1, 2), 1, "[MASK]", 512)
+    cands = generate_candidates(mlm, [(ctx, [0])], branch_width=2, avg="geometric")
     assert [(c.text, c.step_probabilities[0]) for c in cands] == [
         ("cat", 0.6),
         ("dog", 0.3),
     ]
-    assert all(c.source_mask_count == 1 for c in cands)
+    assert all(len(c.step_probabilities) == 1 for c in cands)
 
 
 def test_generate_two_masks_conditions_on_committed_tokens():
@@ -296,8 +296,8 @@ def test_generate_two_masks_conditions_on_committed_tokens():
         ("the small [MASK] sat", 2): [("cat", 0.8)],
     }
     mlm = CountingMLM(MockMaskedLM(table=table))
-    ctx = build_masked_context(["the", "fat", "cat", "sat"], (1, 3), 2, "[MASK]")
-    cands = generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
+    ctx = build_masked_context(["the", "fat", "cat", "sat"], (1, 3), 2, "[MASK]", 512)
+    cands = generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2, avg="geometric")
     assert [(c.text, tuple(c.step_probabilities)) for c in cands] == [
         ("big dog", (0.6, 0.9)),
         ("small cat", (0.4, 0.8)),
@@ -305,7 +305,7 @@ def test_generate_two_masks_conditions_on_committed_tokens():
     # the second-step queries saw the committed first tokens
     assert ("the big [MASK] sat", 2, 1) in mlm.calls
     assert ("the small [MASK] sat", 2, 1) in mlm.calls
-    assert math.isclose(cands[0].product_score, 0.54)
+    assert math.isclose(score_candidate(cands[0].step_probabilities), 0.54)
 
 
 def test_generate_r2l_decode_fills_right_first():
@@ -315,8 +315,10 @@ def test_generate_r2l_decode_fills_right_first():
         ("a [MASK] last b", 1): [("first", 0.5)],
     }
     mlm = MockMaskedLM(table=table, vocabulary=["x"])
-    ctx = build_masked_context(["a", "q", "b"], (1, 2), 2, "[MASK]")
-    cands = generate_candidates(mlm, [(ctx, decode_order("r2l", 2))], branch_width=1)
+    ctx = build_masked_context(["a", "q", "b"], (1, 2), 2, "[MASK]", 512)
+    cands = generate_candidates(
+        mlm, [(ctx, decode_order("r2l", 2))], branch_width=1, avg="geometric"
+    )
     assert len(cands) == 1
     # positional order in text, decode order in probabilities
     assert cands[0].text == "first last"
@@ -325,27 +327,29 @@ def test_generate_r2l_decode_fills_right_first():
 
 def test_generate_call_count_contract():
     mlm = CountingMLM(MockMaskedLM(vocabulary=["a", "b", "c", "d", "e", "f", "g"]))
-    ctx = build_masked_context(["x", "y", "z", "w"], (1, 3), 3, "[MASK]")
+    ctx = build_masked_context(["x", "y", "z", "w"], (1, 3), 3, "[MASK]", 512)
     for width in (1, 3, 6):
         mlm.calls.clear()
-        generate_candidates(mlm, [(ctx, decode_order("ctl", 3))], branch_width=width)
+        generate_candidates(
+            mlm, [(ctx, decode_order("ctl", 3))], branch_width=width, avg="geometric"
+        )
         assert len(mlm.calls) == 1 + (3 - 1) * width
 
 
 def test_generate_empty_backend_warns_and_returns_nothing():
     mlm = MockMaskedLM(vocabulary=[])
-    ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]")
+    ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]", 512)
     with pytest.warns(RuntimeWarning):
-        assert generate_candidates(mlm, [(ctx, [0])], branch_width=2) == []
+        assert generate_candidates(mlm, [(ctx, [0])], branch_width=2, avg="geometric") == []
 
 
 def test_generate_stops_when_every_hypothesis_dies():
-    ctx = build_masked_context(["x", "y", "z"], (1, 2), 3, "[MASK]")
+    ctx = build_masked_context(["x", "y", "z"], (1, 2), 3, "[MASK]", 512)
     first = (fingerprint(ctx.tokens), ctx.mask_positions[0])
     # no vocabulary: every query but the first step's gets no predictions
     mlm = CountingMLM(MockMaskedLM(table={first: [("a", 0.9), ("b", 0.5)]}))
     with pytest.warns(RuntimeWarning):
-        assert generate_candidates(mlm, [(ctx, [0, 1, 2])], branch_width=2) == []
+        assert generate_candidates(mlm, [(ctx, [0, 1, 2])], 2, "geometric") == []
     assert mlm.batches == [(1, 2), (2, 1)]
 
 
@@ -355,10 +359,10 @@ def test_generate_rejects_a_short_batch_reply():
             return super().fill_mask_batch(queries, top_k)[:1]
 
     mlm = FirstListOnly(vocabulary=["a", "b", "c"])
-    ctx = build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]")
+    ctx = build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]", 512)
     # step 0 sends one query; step 1 sends one per branch and gets one list back
     with pytest.raises(BackendError):
-        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
+        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2, avg="geometric")
 
 
 class _BadReplyMLM(MockMaskedLM):
@@ -384,14 +388,24 @@ def _each_prediction(change):
         _each_prediction(lambda token, p: (token, p)),
         _each_prediction(lambda token, p: TokenPrediction(token, str(p))),
         _each_prediction(lambda token, p: TokenPrediction(None, p)),
+        _each_prediction(lambda token, p: TokenPrediction(token, 1.5)),
+        _each_prediction(lambda token, p: TokenPrediction(token, 0.0)),
     ],
-    ids=["iterator", "entry-not-a-list", "plain-tuples", "str-probability", "none-token"],
+    ids=[
+        "iterator",
+        "entry-not-a-list",
+        "plain-tuples",
+        "str-probability",
+        "none-token",
+        "probability-above-one",
+        "zero-probability",
+    ],
 )
 def test_decode_and_prefill_reject_a_malformed_batch_reply(reshape):
     mlm = _BadReplyMLM(reshape)
-    ctx = build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]")
+    ctx = build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]", 512)
     with pytest.raises(BackendError):
-        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
+        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2, avg="geometric")
     passage = ClozePassage("p", "x _ y _ z", [ClozeQuestion("a", ["b"])] * 2)
     with pytest.raises(BackendError):
         prepare_context(passage, 0, "passage", "model", mlm_backend=mlm)
@@ -403,26 +417,26 @@ def test_generate_uses_at_most_top_k_predictions_per_query():
             return super().fill_mask_batch(queries, 5)
 
     backend = dict(vocabulary=["a", "b", "c", "d", "e"], fallback="seeded", salt=1)
-    jobs = [(build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]"), [0, 1])]
-    expected = generate_candidates(MockMaskedLM(**backend), jobs, branch_width=2)
+    jobs = [(build_masked_context(["x", "y", "z"], (1, 2), 2, "[MASK]", 512), [0, 1])]
+    expected = generate_candidates(MockMaskedLM(**backend), jobs, 2, "geometric")
     assert len(expected) == 2
-    assert generate_candidates(IgnoresTopK(**backend), jobs, branch_width=2) == expected
+    assert generate_candidates(IgnoresTopK(**backend), jobs, 2, "geometric") == expected
 
 
 def test_generate_validates_order_and_width():
     mlm = MockMaskedLM(vocabulary=["a"])
-    ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]")
+    ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]", 512)
     with pytest.raises(ContractViolation):
-        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2)
+        generate_candidates(mlm, [(ctx, [0, 1])], branch_width=2, avg="geometric")
     with pytest.raises(ContractViolation):
-        generate_candidates(mlm, [(ctx, [0])], branch_width=0)
+        generate_candidates(mlm, [(ctx, [0])], branch_width=0, avg="geometric")
 
 
 def test_generate_scores_each_candidate_under_avg():
     mlm = MockMaskedLM(vocabulary=["u", "v", "w"], fallback="seeded", salt=3)
-    ctx = build_masked_context(["p", "q", "r", "s"], (1, 3), 3, "[MASK]")
+    ctx = build_masked_context(["p", "q", "r", "s"], (1, 3), 3, "[MASK]", 512)
     jobs = [(ctx, decode_order("ctl", 3))]
-    geo = generate_candidates(mlm, jobs, branch_width=3)  # geometric by default
+    geo = generate_candidates(mlm, jobs, branch_width=3, avg="geometric")
     har = generate_candidates(mlm, jobs, branch_width=3, avg="HARMONIC")
     assert [c.step_probabilities for c in geo] == [c.step_probabilities for c in har]
     for cands, avg in ((geo, "geometric"), (har, "harmonic")):
@@ -433,7 +447,7 @@ def test_generate_scores_each_candidate_under_avg():
 
 def test_generate_rejects_an_unknown_average_before_any_model_call():
     mlm = CountingMLM(MockMaskedLM(vocabulary=["a"]))
-    ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]")
+    ctx = build_masked_context(["x", "y"], (1, 2), 1, "[MASK]", 512)
     for jobs in ([], [(ctx, [0])]):
         with pytest.raises(ContractViolation, match="unknown average"):
             generate_candidates(mlm, jobs, branch_width=2, avg="median")
@@ -442,13 +456,15 @@ def test_generate_rejects_an_unknown_average_before_any_model_call():
 
 def test_generate_deterministic_across_runs():
     mlm = MockMaskedLM(vocabulary=["u", "v", "w"], fallback="seeded", salt=3)
-    ctx = build_masked_context(["p", "q", "r", "s"], (1, 3), 2, "[MASK]")
+    ctx = build_masked_context(["p", "q", "r", "s"], (1, 3), 2, "[MASK]", 512)
     runs = []
     for _ in range(2):
-        cands = generate_candidates(mlm, [(ctx, decode_order("ctl", 2))], branch_width=3)
+        cands = generate_candidates(
+            mlm, [(ctx, decode_order("ctl", 2))], branch_width=3, avg="geometric"
+        )
         runs.append(
             json.dumps(
-                [[c.text, c.step_probabilities, c.product_score] for c in cands]
+                [[c.text, c.step_probabilities, c.rank_score] for c in cands]
             )
         )
     assert runs[0] == runs[1]
@@ -465,7 +481,7 @@ def _random_mock_scenario(rnd):
     branch_width = rnd.randint(1, 6)
     strategy = rnd.choice(["l2r", "r2l", "ctl"])
     mlm = MockMaskedLM(vocabulary=vocab, fallback="seeded", salt=rnd.randint(0, 999))
-    ctx = build_masked_context(tokens, span, mask_count, "[MASK]")
+    ctx = build_masked_context(tokens, span, mask_count, "[MASK]", 512)
     return mlm, ctx, decode_order(strategy, mask_count), branch_width
 
 
@@ -473,13 +489,13 @@ def test_generate_matches_brute_force_oracle_sample():
     rnd = random.Random(99)
     for _ in range(40):
         mlm, ctx, order, width = _random_mock_scenario(rnd)
-        got = generate_candidates(mlm, [(ctx, order)], width)
+        got = generate_candidates(mlm, [(ctx, order)], width, "geometric")
         expected = brute_force_candidates(mlm, ctx, order, width)
         assert [(c.token_strings, c.step_probabilities) for c in got] == [
             (strings, probs) for strings, probs in expected
         ]
         for cand, (_, probs) in zip(got, expected):
-            assert abs(cand.product_score - math.prod(probs)) < 1e-9
+            assert abs(score_candidate(cand.step_probabilities) - math.prod(probs)) < 1e-9
 
 
 def _plant_drops(rnd, mlm, jobs, width):
@@ -520,7 +536,7 @@ def test_lockstep_matches_oracle_per_job():
             tokens = left + ["ans"] * answer_len + right
             mask_count = rnd.randint(1, 4)
             ctx = build_masked_context(
-                tokens, (len(left), len(left) + answer_len), mask_count, "[MASK]"
+                tokens, (len(left), len(left) + answer_len), mask_count, "[MASK]", 512
             )
             jobs.append((ctx, decode_order(rnd.choice(STRATEGIES), mask_count)))
         width = rnd.randint(1, 6)
@@ -531,7 +547,7 @@ def test_lockstep_matches_oracle_per_job():
 
         with warnings.catch_warnings(record=True) as caught:
             warnings.simplefilter("always")
-            got = generate_candidates(mlm, jobs, width)
+            got = generate_candidates(mlm, jobs, width, "geometric")
         expected = []
         expected_warnings = 0
         for ctx, order in jobs:
@@ -540,7 +556,7 @@ def test_lockstep_matches_oracle_per_job():
             first = inner.fill_mask(ctx.tokens, ctx.mask_positions[order[0]], width)
             expected_warnings += len(first) - len(survivors) if first else 1
         assert [
-            (c.token_strings, c.step_probabilities, c.source_mask_count) for c in got
+            (c.token_strings, c.step_probabilities, len(c.step_probabilities)) for c in got
         ] == expected
         assert len(caught) == expected_warnings
         assert all(w.category is RuntimeWarning for w in caught)

@@ -111,10 +111,10 @@ def test_metrics_against_relevance_vector_oracle():
 
 
 def test_evaluate_dataset_averages_as_percentages():
-    report = evaluate_dataset([(["g1"], GOLD), (["x"], GOLD)])
+    report = evaluate_dataset([(["g1"], GOLD), (["x"], GOLD)], ids=["a", "b"])
     assert report.item_count == 2
     assert report.averages["p_at_1"] == pytest.approx(50.0)
-    single = evaluate_dataset([(["x", "g1", "y"], GOLD)])
+    single = evaluate_dataset([(["x", "g1", "y"], GOLD)], ids=["a"])
     assert single.averages["mrr_at_10"] == pytest.approx(50.0)
     assert single.averages["f1_at_3"] == pytest.approx(100.0 / 3.0)
     # with fewer than three retrieved, precision uses the retrieved count
@@ -124,7 +124,7 @@ def test_evaluate_dataset_averages_as_percentages():
 
 def test_evaluate_dataset_validation():
     with pytest.raises(ContractViolation):
-        evaluate_dataset([])
+        evaluate_dataset([], ids=[])
     with pytest.raises(ContractViolation):
         evaluate_dataset([(["x"], GOLD)], ids=["a", "b"])
 

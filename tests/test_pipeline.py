@@ -82,12 +82,17 @@ def test_generate_distractors_golden_scenario():
     assert texts == ["slam shut", "shut", "force ajar"]
     by_text = {c.text: c for c in result.all_candidates}
     assert by_text["slam shut"].step_probabilities == [0.9, 0.95]
-    assert by_text["slam shut"].product_score == pytest.approx(0.855, abs=1e-12)
     assert by_text["slam shut"].rank_score == pytest.approx(math.sqrt(0.855), abs=1e-9)
-    assert by_text["slam shut"].source_mask_count == 2
     assert by_text["shut"].rank_score == pytest.approx(0.8)
     assert by_text["force ajar"].step_probabilities == [0.7, 0.5]
     assert by_text["force ajar"].rank_score == pytest.approx(math.sqrt(0.35), abs=1e-9)
+    # the wire derives each candidate's product and mask count from its probabilities
+    wire = result_to_dict(result)["candidates"]
+    assert [(c["score_T"], c["mask_count"]) for c in wire] == [
+        (math.prod(c["probs"]), len(c["probs"])) for c in wire
+    ]
+    assert wire[0]["score_T"] == pytest.approx(0.855, abs=1e-12)
+    assert wire[0]["mask_count"] == 2
 
     # selection: "shut" mutually entails "slam shut" and is the lower-ranked
     assert result.distractor_set.distractors == ["slam shut", "force ajar"]
@@ -248,7 +253,9 @@ def test_generate_distractors_matches_the_whole_request_oracle():
         got = result.all_candidates
         assert [c.text for c in got] == [c[0] for c in ranked], where
         assert [c.step_probabilities for c in got] == [c[2] for c in ranked], where
-        assert [c.source_mask_count for c in got] == [c[3] for c in ranked], where
+        wire = result_to_dict(result)["candidates"]
+        assert [c["mask_count"] for c in wire] == [c[3] for c in ranked], where
+        assert [c["score_T"] for c in wire] == [math.prod(c[2]) for c in ranked], where
         for c, (_, score, _, _) in zip(got, ranked):
             assert abs(c.rank_score - score) <= 1e-12, where
         chosen = result.distractor_set
@@ -449,6 +456,7 @@ def test_library_and_cli_import_only_the_standard_library():
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
+        encoding="utf-8",
         timeout=60,
     )
     assert completed.returncode == 0, completed.stderr

@@ -13,7 +13,7 @@ from clozegen.selection import (
     verify_distractor_set,
 )
 
-from tests.conftest import CountingNli, make_candidate
+from tests.conftest import CountingNli
 from tests.oracles import (
     eager_selection,
     per_pair_audit,
@@ -30,13 +30,6 @@ from tests.selection_scenarios import (
 )
 
 
-def _candidates(texts):
-    # descending rank order mirrors the generator's output ordering
-    return [
-        make_candidate(text, [0.95 - 0.05 * i]) for i, text in enumerate(texts)
-    ]
-
-
 def test_answer_stage_examples():
     table = {}
     table[(instantiate("unlock"), CONTEXT)] = ENTAILMENT
@@ -46,8 +39,7 @@ def test_answer_stage_examples():
     table[(instantiate("stand"), CONTEXT)] = ENTAILMENT
     table[(CONTEXT, instantiate("stand"))] = NEUTRAL
     nli = MockNliClassifier(table=table)
-    candidates = _candidates(["unlock", "close", "stand"])
-    result = select_distractors(nli, CONTEXT, ANSWER, candidates, 3, ANSWER_SPAN)
+    result = select_distractors(nli, CONTEXT, ["unlock", "close", "stand"], 3, ANSWER_SPAN)
     assert result.distractors == ["close", "stand"]
     assert len(result.trace) == 1
     assert result.trace[0].candidate == "unlock"
@@ -60,9 +52,7 @@ def test_pairwise_stage_removes_lower_scored_of_pair():
     table[(instantiate("shut"), instantiate("seal"))] = ENTAILMENT
     table[(instantiate("seal"), instantiate("shut"))] = ENTAILMENT
     nli = MockNliClassifier(table=table)
-    result = select_distractors(
-        nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2, ANSWER_SPAN
-    )
+    result = select_distractors(nli, CONTEXT, ["shut", "seal", "lift"], 2, ANSWER_SPAN)
     assert result.distractors == ["shut", "lift"]
     assert [(e.candidate, e.stage, e.counterpart) for e in result.trace] == [
         ("seal", STAGE_PAIRWISE, "shut")
@@ -71,9 +61,7 @@ def test_pairwise_stage_removes_lower_scored_of_pair():
 
 def test_pairwise_stage_prefix_when_no_entailments():
     nli = MockNliClassifier()
-    result = select_distractors(
-        nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2, ANSWER_SPAN
-    )
+    result = select_distractors(nli, CONTEXT, ["shut", "seal", "lift"], 2, ANSWER_SPAN)
     assert result.distractors == ["shut", "seal"]
 
 
@@ -105,9 +93,7 @@ class _BadReplyNli(MockNliClassifier):
 def test_select_distractors_rejects_a_bad_batch_reply(reply):
     nli = _BadReplyNli(reply)
     with pytest.raises(BackendError):
-        select_distractors(
-            nli, CONTEXT, ANSWER, _candidates(["shut", "seal", "lift"]), 2, ANSWER_SPAN
-        )
+        select_distractors(nli, CONTEXT, ["shut", "seal", "lift"], 2, ANSWER_SPAN)
 
 
 def test_select_distractors_scenarios():
@@ -116,8 +102,7 @@ def test_select_distractors_scenarios():
         result = select_distractors(
             nli,
             CONTEXT,
-            ANSWER,
-            _candidates(scenario["candidates"]),
+            scenario["candidates"],
             scenario["k"],
             answer_span=ANSWER_SPAN,
         )
@@ -132,9 +117,9 @@ def test_select_distractors_trace_accounting():
     # removed + kept + unscanned surplus must cover the whole input
     for scenario in SCENARIOS:
         nli = build_nli(scenario)
-        candidates = _candidates(scenario["candidates"])
+        candidates = scenario["candidates"]
         result = select_distractors(
-            nli, CONTEXT, ANSWER, candidates, scenario["k"], answer_span=ANSWER_SPAN
+            nli, CONTEXT, candidates, scenario["k"], answer_span=ANSWER_SPAN
         )
         surplus = (
             len(candidates) - len(result.distractors) - len(result.trace)
@@ -148,15 +133,14 @@ def test_select_distractors_trace_accounting():
 def test_select_distractors_subset_and_order_invariants():
     for scenario in SCENARIOS:
         nli = build_nli(scenario)
-        candidates = _candidates(scenario["candidates"])
-        all_texts = [c.text for c in candidates]
+        all_texts = scenario["candidates"]
         _, _, eager_trace = eager_selection(
             nli, CONTEXT, ANSWER, ANSWER_SPAN, all_texts, scenario["k"]
         )
         answer_removed = {c for c, stage, _ in eager_trace if stage == STAGE_ANSWER}
         stage1_texts = [t for t in all_texts if t not in answer_removed]
         result = select_distractors(
-            nli, CONTEXT, ANSWER, candidates, scenario["k"], answer_span=ANSWER_SPAN
+            nli, CONTEXT, all_texts, scenario["k"], answer_span=ANSWER_SPAN
         )
         assert set(result.distractors) <= set(stage1_texts)
         # selection preserves the relative rank order of survivors
@@ -170,8 +154,7 @@ def test_select_distractors_post_hoc_verification():
         result = select_distractors(
             nli,
             CONTEXT,
-            ANSWER,
-            _candidates(scenario["candidates"]),
+            scenario["candidates"],
             scenario["k"],
             answer_span=ANSWER_SPAN,
         )
@@ -237,12 +220,12 @@ def test_select_distractors_rejects_k_below_one(k):
     for texts in ([], ["shut", "seal", "lift", "slam"]):
         with pytest.raises(ContractViolation, match="k must be an integer >= 1"):
             select_distractors(
-                MockNliClassifier(), CONTEXT, ANSWER, _candidates(texts), k, ANSWER_SPAN
+                MockNliClassifier(), CONTEXT, texts, k, ANSWER_SPAN
             )
 
 
 def test_select_distractors_empty_input():
-    result = select_distractors(MockNliClassifier(), CONTEXT, ANSWER, [], 3, ANSWER_SPAN)
+    result = select_distractors(MockNliClassifier(), CONTEXT, [], 3, ANSWER_SPAN)
     assert result.distractors == []
     assert result.underfilled is True
     assert result.trace == []
@@ -254,7 +237,7 @@ def test_selection_and_audit_substitute_at_the_given_span():
     span = (23, 27)
     shut = "We open the door, then shut the gate."
     nli = CountingNli(MockNliClassifier(table={(shut, context): ENTAILMENT}))
-    result = select_distractors(nli, context, "open", _candidates(["shut"]), 1, span)
+    result = select_distractors(nli, context, ["shut"], 1, span)
     assert result.distractors == ["shut"]
     assert nli.calls == [(shut, context), (context, shut)]
     chosen = DistractorSet(["shut", "lock"], "open")
@@ -262,12 +245,25 @@ def test_selection_and_audit_substitute_at_the_given_span():
     assert nli.calls[2:] == [(shut, "We open the door, then lock the gate.")]
 
 
+def test_selection_reads_the_answer_off_its_span():
+    # the sentence holds the answer twice, capitalized once: the span picks "open"
+    context = "Open the door, then open the gate."
+    span = (20, 24)
+    unlock = "Open the door, then unlock the gate."
+    nli = MockNliClassifier(table={(unlock, context): ENTAILMENT, (context, unlock): ENTAILMENT})
+    result = select_distractors(nli, context, ["unlock", "shut"], 1, span)
+    assert result.answer == context[20:24] == "open"
+    assert result.distractors == ["shut"]
+    assert [(e.candidate, e.stage, e.counterpart) for e in result.trace] == [
+        ("unlock", STAGE_ANSWER, "open")
+    ]
+
+
 @pytest.mark.parametrize("span", [(0, 0), (23, 38), (-1, 4)])
 def test_selection_and_audit_reject_a_span_outside_the_sentence(span):
     context = "We open the door, then open the gate."
-    candidates = _candidates(["shut"])
     with pytest.raises(SpanError):
-        select_distractors(MockNliClassifier(), context, "open", candidates, 1, span)
+        select_distractors(MockNliClassifier(), context, ["shut"], 1, span)
     with pytest.raises(SpanError):
         verify_distractor_set(MockNliClassifier(), context, DistractorSet(["shut"], "open"), span)
 
@@ -276,9 +272,7 @@ def _assert_matches_eager(table, texts, k, label):
     """The best-first scan against the eager two-stage oracle on one instance."""
     fused_nli = CountingNli(MockNliClassifier(table=table))
     eager_nli = CountingNli(MockNliClassifier(table=table))
-    result = select_distractors(
-        fused_nli, CONTEXT, ANSWER, _candidates(texts), k, answer_span=ANSWER_SPAN
-    )
+    result = select_distractors(fused_nli, CONTEXT, texts, k, answer_span=ANSWER_SPAN)
     expected, underfilled, eager_trace = eager_selection(
         eager_nli, CONTEXT, ANSWER, ANSWER_SPAN, texts, k
     )
@@ -327,12 +321,9 @@ def _assert_matches_sequential(table, texts, k, label):
     the same verdicts from the same pairs, in the fewest passes possible."""
     wave_nli = CountingNli(MockNliClassifier(table=table))
     sequential_nli = CountingNli(MockNliClassifier(table=table))
-    candidates = _candidates(texts)
-    got = select_distractors(
-        wave_nli, CONTEXT, ANSWER, candidates, k, answer_span=ANSWER_SPAN
-    )
+    got = select_distractors(wave_nli, CONTEXT, texts, k, answer_span=ANSWER_SPAN)
     expected = sequential_selection(
-        sequential_nli, CONTEXT, ANSWER, candidates, k, answer_span=ANSWER_SPAN
+        sequential_nli, CONTEXT, ANSWER, texts, k, answer_span=ANSWER_SPAN
     )
     assert got.distractors == expected.distractors, label
     assert got.trace == expected.trace, label
