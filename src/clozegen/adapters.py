@@ -66,6 +66,17 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
         )
         if self._tokenizer.mask_token is None:
             raise BackendError(f"{model_id!r} has no mask token; not an MLM checkpoint")
+        # Every row gets the same special-token frame, so the mask's index in
+        # a framed one-token row is the offset of every position in a row.
+        mask_id = self._tokenizer.mask_token_id
+        frame = self._tokenizer.build_inputs_with_special_tokens([mask_id])
+        if mask_id not in frame:
+            raise BackendError(f"{model_id!r} drops the mask token from its input frame")
+        self._prefix = frame.index(mask_id)
+        # Padded slots are masked out of attention, so any id serves as filler
+        # for a tokenizer without a pad token.
+        self._pad_id = self._tokenizer.pad_token_id or 0
+        self._special_ids = sorted(set(self._tokenizer.all_special_ids))
         declared = int(self._tokenizer.model_max_length)
         specials = self._tokenizer.num_special_tokens_to_add()
         self._info = BackendInfo(
@@ -118,18 +129,14 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
         rows, positions = [], []
         for tokens, mask_position in queries:
             ids = self._tokenizer.convert_tokens_to_ids(list(tokens))
-            with_specials = self._tokenizer.build_inputs_with_special_tokens(ids)
-            rows.append(with_specials)
-            positions.append(mask_position + _prefix_length(with_specials, ids))
+            rows.append(self._tokenizer.build_inputs_with_special_tokens(ids))
+            positions.append(mask_position + self._prefix)
         width = max(len(row) for row in rows)
-        # Padded slots are masked out of attention, so any id serves as filler
-        # for a tokenizer without a pad token.
-        pad = self._tokenizer.pad_token_id or 0
         torch = self._torch
         try:
             with torch.no_grad():
                 input_ids = torch.tensor(
-                    [row + [pad] * (width - len(row)) for row in rows],
+                    [row + [self._pad_id] * (width - len(row)) for row in rows],
                     device=self._device,
                 )
                 attention_mask = torch.tensor(
@@ -144,7 +151,10 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
                     torch.tensor(positions, device=self._device),
                 ]
                 probabilities = torch.softmax(at_masks, dim=-1)
-                k = min(top_k, probabilities.shape[-1])
+                # A special token is never a fill; k stays within the words
+                # left, so every reported probability is a softmax slice > 0.
+                probabilities[:, self._special_ids] = 0.0
+                k = min(top_k, probabilities.shape[-1] - len(self._special_ids))
                 top = torch.topk(probabilities, k, dim=-1)
         except Exception as exc:
             raise BackendError(f"fill-mask inference failed: {exc}") from exc
@@ -157,17 +167,6 @@ class HuggingFaceMaskedLM(MaskedLanguageModel):
             )
             for row_probs, row_ids in zip(top.values.tolist(), top.indices.tolist())
         ]
-
-
-def _prefix_length(with_specials: list[int], ids: list[int]) -> int:
-    """Index where the original ids start inside the special-token frame."""
-    if not ids:
-        return 0
-    span = len(ids)
-    for offset in range(len(with_specials) - span + 1):
-        if with_specials[offset : offset + span] == ids:
-            return offset
-    raise BackendError("could not locate sequence inside special-token frame")
 
 
 class HuggingFaceNli(NliClassifier):

@@ -192,24 +192,33 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
     return pairs
 
 
-def extract_sentence(text: str, span: tuple[int, int]) -> tuple[str, tuple[int, int]]:
-    """Return the sentence containing ``span`` and the span re-based into it.
+def trim_span(text: str, span: tuple[int, int]) -> tuple[int, int]:
+    """``span`` narrowed to its non-whitespace core.
 
-    Sentences are bounded by ., ! or ? followed by whitespace (or the text
-    edges); periods after known abbreviations do not split. A span that
-    straddles a boundary returns the union of the touched sentences and
-    emits a warning.
+    A span outside ``text``, or one holding only whitespace, is a SpanError.
     """
     start, end = span
     if not (0 <= start <= end <= len(text)):
         raise SpanError(f"span ({start}, {end}) outside text of length {len(text)}")
-    segments = _sentence_segments(text)
-    query_end = max(end, start + 1)  # treat an empty span as a position
-    touched = [
-        (s, e) for s, e in segments if s < query_end and e > start
-    ]
-    if not touched:
-        return text, span
+    core = text[start:end]
+    if not core.strip():
+        raise SpanError(f"span ({start}, {end}) holds no text")
+    return start + len(core) - len(core.lstrip()), end - len(core) + len(core.rstrip())
+
+
+def extract_sentence(text: str, span: tuple[int, int]) -> tuple[str, tuple[int, int]]:
+    """Return the sentence containing ``span`` and the span re-based into it.
+
+    The span is first trimmed to its non-whitespace core (see
+    :func:`trim_span`), so the returned span always lies in the returned
+    sentence. Sentences are bounded by ., ! or ? followed by whitespace (or
+    the text edges); periods after known abbreviations do not split. A span
+    that straddles a boundary returns the union of the touched sentences and
+    emits a warning.
+    """
+    start, end = trim_span(text, span)
+    # every non-whitespace character lies in a segment, so one is touched
+    touched = [(s, e) for s, e in _sentence_segments(text) if s < end and e > start]
     if len(touched) > 1:
         warnings.warn(
             "span straddles a sentence boundary; returning the sentence union",

@@ -149,14 +149,16 @@ def map_char_span(
 
     Prefers the backend's token offsets when the span lands exactly on
     token boundaries; otherwise re-tokenizes with the span isolated so the
-    answer occupies whole tokens.
+    answer occupies whole tokens. Where several tokens share a character's
+    offsets (byte-level pieces of one character), the span runs from the
+    first of them to the last.
     """
     start, end = answer_span
     offsets = backend.tokenize_with_offsets(context)
     if offsets is not None:
         token_start = token_end = None
         for i, (_, tok_start, tok_end) in enumerate(offsets):
-            if tok_start == start:
+            if tok_start == start and token_start is None:
                 token_start = i
             if tok_end == end:
                 token_end = i + 1

@@ -13,7 +13,7 @@ import string
 from dataclasses import asdict, dataclass
 
 from .backends import MaskedLanguageModel, NliClassifier
-from .data import extract_sentence
+from .data import extract_sentence, trim_span
 from .errors import ContractViolation, SpanError
 from .generation import (
     Candidate,
@@ -61,10 +61,12 @@ def generate_distractors(
     mlm_backend: MaskedLanguageModel,
     nli_backend: NliClassifier,
 ) -> GenerationResult:
-    """Run generation and selection for one answer span in a context."""
-    start, end = answer_span
-    if not (0 <= start < end <= len(context)) or not context[start:end].strip():
-        raise SpanError(f"answer span ({start}, {end}) invalid for the given context")
+    """Run generation and selection for one answer span in a context.
+
+    The span is trimmed to its non-whitespace core first, so the answer text,
+    its tokens, the comparison sentence and selection all read one span.
+    """
+    answer_span = start, end = trim_span(context, answer_span)
     answer_text = context[start:end]
 
     tokens, token_span = map_char_span(mlm_backend, context, answer_span)

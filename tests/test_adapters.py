@@ -18,15 +18,12 @@ import types
 import numpy as np
 import pytest
 
-from clozegen.adapters import (
-    HuggingFaceMaskedLM,
-    HuggingFaceNli,
-    _normalize_label,
-    _prefix_length,
-)
+from clozegen.adapters import HuggingFaceMaskedLM, HuggingFaceNli, _normalize_label
 from clozegen.backends import CONTRADICTION, ENTAILMENT, NEUTRAL, classify_pairs, fill_masks
 from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
 from clozegen.errors import BackendError, ContractViolation, SequenceLengthError
+from clozegen.generation import GenerationConfig
+from clozegen.pipeline import generate_distractors
 
 SPECIALS = ["[PAD]", "[CLS]", "[SEP]", "[MASK]", "[UNK]", "</s>"]
 WORDS = ["the", "cat", "sat", "on", "a", "mat", "dog", "ran", "home", "red"]
@@ -64,6 +61,8 @@ class Encoding(dict):
 
 class FakeTokenizer:
     mask_token = "[MASK]"
+    mask_token_id = IDS["[MASK]"]
+    all_special_ids = [IDS[token] for token in SPECIALS]
     model_max_length = 32
 
     def __init__(self, frame="cls", pad_token_id=0, is_fast=True):
@@ -267,13 +266,32 @@ def test_prefill_masks_a_glued_blank_at_its_true_position(checkpoints, model_id)
     ]
 
 
-def test_prefix_length_under_special_token_frames():
-    ids = [IDS["cat"], IDS["sat"]]
-    assert _prefix_length([IDS["[CLS]"], *ids, IDS["[SEP]"]], ids) == 1
-    assert _prefix_length([*ids, IDS["</s>"]], ids) == 0
-    assert _prefix_length([IDS["[CLS]"], IDS["[SEP]"]], []) == 0
-    with pytest.raises(BackendError):
-        _prefix_length([IDS["[CLS]"], IDS["cat"], IDS["[SEP]"]], ids)
+def test_a_frame_without_the_mask_id_fails_at_load(checkpoints):
+    class Dropping(FakeTokenizer):
+        def build_inputs_with_special_tokens(self, ids):
+            return [IDS["[CLS]"], IDS["[SEP]"]]
+
+    checkpoints["dropping-mlm"] = (Dropping(), FakeMaskedLM())
+    with pytest.raises(BackendError, match="drops the mask token"):
+        HuggingFaceMaskedLM("dropping-mlm")
+
+
+def test_no_fill_is_a_special_token(checkpoints):
+    mlm = HuggingFaceMaskedLM("cls-mlm")
+    # more fills asked for than the 10 words hold
+    fills = mlm.fill_mask_batch(QUERIES, top_k=len(VOCAB))
+    assert all(len(preds) == len(WORDS) for preds in fills)
+    assert all(0.0 < p.probability <= 1.0 for preds in fills for p in preds)
+    assert {p.token for preds in fills for p in preds} == set(WORDS)
+    context = "the cat sat on a mat"
+    start = context.index("sat")
+    config = GenerationConfig(n_mask=1, dispersion=0, k=10, m_s=7)
+    result = generate_distractors(
+        context, (start, start + 3), config, mlm, HuggingFaceNli("nli")
+    )
+    assert result.all_candidates
+    assert all(c.text in WORDS for c in result.all_candidates)
+    assert set(result.distractor_set.distractors) <= set(WORDS) - {"sat"}
 
 
 def test_masked_lm_info_and_tokenization(checkpoints):

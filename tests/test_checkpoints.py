@@ -1,0 +1,107 @@
+"""Checks of the HuggingFace adapters on real checkpoints.
+
+The offline stand-ins in ``tests/test_adapters.py`` cannot show how a real
+tokenizer frames, pads and splits its input, so these tests run the same
+claims on real weights. Set ``CLOZEGEN_EVAL_MODEL`` to a masked-LM checkpoint
+(e.g. ``bert-base-uncased``) and ``CLOZEGEN_EVAL_NLI`` to an entailment
+checkpoint, with torch and transformers installed (the ``hf`` extra). Each
+test skips when its checkpoint is not set.
+"""
+
+import os
+import re
+
+import pytest
+
+from clozegen.adapters import HuggingFaceMaskedLM, HuggingFaceNli
+from clozegen.generation import build_masked_context, map_char_span
+
+SENTENCES = [
+    "The boy will open the door.",
+    "Rain fell.",
+    "She drank a cup of tea before the long meeting started in the hall.",
+    "My grandmother keeps her letters in a small wooden box under the bed.",
+]
+
+
+@pytest.fixture(scope="module")
+def mlm():
+    model_id = os.environ.get("CLOZEGEN_EVAL_MODEL")
+    if not model_id:
+        pytest.skip("set CLOZEGEN_EVAL_MODEL to a masked-LM checkpoint")
+    return HuggingFaceMaskedLM(model_id)
+
+
+@pytest.fixture(scope="module")
+def nli():
+    model_id = os.environ.get("CLOZEGEN_EVAL_NLI")
+    if not model_id:
+        pytest.skip("set CLOZEGEN_EVAL_NLI to an entailment checkpoint")
+    return HuggingFaceNli(model_id)
+
+
+def word_spans(sentence):
+    return [m.span() for m in re.finditer(r"\w+", sentence)]
+
+
+def mask_queries(mlm):
+    """One single-mask query per word, rows of many lengths."""
+    info = mlm.info()
+    queries = []
+    for sentence in SENTENCES:
+        for span in word_spans(sentence):
+            tokens, token_span = map_char_span(mlm, sentence, span)
+            masked = build_masked_context(
+                tokens, token_span, 1, info.mask_token, info.max_sequence_length
+            )
+            queries.append((masked.tokens, masked.mask_positions[0]))
+    return queries
+
+
+def test_padded_fill_mask_batch_equals_per_query_calls(mlm):
+    queries = mask_queries(mlm)
+    batched = mlm.fill_mask_batch(queries, top_k=5)
+    for query, preds in zip(queries, batched):
+        single = mlm.fill_mask(*query, top_k=5)
+        assert preds[0].token == single[0].token, query
+        assert [p.probability for p in preds] == pytest.approx(
+            [p.probability for p in single], abs=1e-4
+        ), query
+
+
+def test_padded_nli_batch_equals_per_pair_calls(nli):
+    pairs = [(a, b) for a in SENTENCES for b in SENTENCES]
+    assert nli.classify_nli_batch(pairs) == [nli.classify_nli(a, b) for a, b in pairs]
+
+
+def test_load_time_prefix_locates_the_ids_in_a_framed_row(mlm):
+    tokenizer = mlm._tokenizer
+    for sentence in SENTENCES:
+        ids = tokenizer.convert_tokens_to_ids(mlm.tokenize(sentence))
+        row = tokenizer.build_inputs_with_special_tokens(ids)
+        assert row[mlm._prefix : mlm._prefix + len(ids)] == ids, sentence
+
+
+def test_offsets_and_retokenize_paths_agree_on_word_answers(mlm, monkeypatch):
+    sample = SENTENCES[0]
+    if mlm.tokenize_with_offsets(sample) is None:
+        pytest.skip("slow tokenizer: map_char_span has no offsets path")
+    by_offsets = [
+        map_char_span(mlm, sentence, span)
+        for sentence in SENTENCES
+        for span in word_spans(sentence)
+    ]
+    monkeypatch.setattr(mlm, "tokenize_with_offsets", lambda text: None)
+    by_retokenizing = [
+        map_char_span(mlm, sentence, span)
+        for sentence in SENTENCES
+        for span in word_spans(sentence)
+    ]
+    assert by_offsets == by_retokenizing
+
+
+def test_no_fill_is_a_special_token(mlm):
+    special = set(mlm._tokenizer.all_special_tokens)
+    fills = mlm.fill_mask_batch(mask_queries(mlm), top_k=50)
+    assert all(p.token not in special for preds in fills for p in preds)
+    assert all(0.0 < p.probability <= 1.0 for preds in fills for p in preds)

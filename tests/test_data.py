@@ -212,6 +212,36 @@ def test_ends_with_abbreviation_matches_regex_form():
 def test_extract_sentence_span_validation():
     with pytest.raises(SpanError):
         extract_sentence("abc", (2, 9))
+    with pytest.raises(SpanError):
+        extract_sentence("One. Two.", (4, 5))
+
+
+def test_extract_sentence_keeps_the_trimmed_span_inside_its_sentence():
+    words = ["Dr.", "Mr.", "e.g.", "U.S.", "J.", "etc.", "A.", "the", "Go", "cat", "3.50"]
+    words += ["end.", "stop!", "why?", '"yes."', "so...", "x", "é"]
+    gaps = [" ", " ", "  ", "\t", "\n", "\u2028", " \n "]
+    rnd = random.Random(2028)
+    spans = 0
+    for _ in range(5000):
+        count = rnd.randint(1, 14)
+        text = rnd.choice(["", " ", "\n"]) + "".join(
+            rnd.choice(words) + rnd.choice(gaps) for _ in range(count)
+        )
+        for _ in range(6):
+            start = rnd.randrange(len(text))
+            end = rnd.randint(start + 1, len(text))
+            core = text[start:end].strip()
+            if not core:
+                with pytest.raises(SpanError):
+                    extract_sentence(text, (start, end))
+                continue
+            spans += 1
+            with warnings.catch_warnings():
+                warnings.simplefilter("ignore")  # straddling spans warn
+                sentence, (a, b) = extract_sentence(text, (start, end))
+            assert 0 <= a < b <= len(sentence), (text, start, end)
+            assert sentence[a:b] == core, (text, start, end)
+    assert spans > 20_000
 
 
 # --- context preparation ---------------------------------------------------

@@ -30,7 +30,7 @@ from clozegen.pipeline import (
 )
 from clozegen.selection import DistractorSet, verify_distractor_set
 
-from tests.conftest import CountingMLM, table_entry
+from tests.conftest import CountingMLM, CountingNli, table_entry
 from tests.oracles import whole_request_oracle
 
 # --- scripted end-to-end scenario (expected values worked out by hand) ------
@@ -314,12 +314,53 @@ def test_map_char_span_without_offset_support():
     assert span == (0, 1)
 
 
+def test_map_char_span_starts_at_the_first_piece_of_a_split_character():
+    class BytePieces(MockMaskedLM):
+        """Splits "é" into two tokens sharing its offsets, as byte-level BPE does."""
+
+        def tokenize_with_offsets(self, text):
+            pieces = []
+            for token, start, end in super().tokenize_with_offsets(text):
+                if token.startswith("é"):
+                    pieces += [("Ã", start, start + 1), ("©", start, start + 1)]
+                    token, start = token[1:], start + 1
+                pieces.append((token, start, end))
+            return pieces
+
+    context = "we ate an éclair today"
+    start = context.index("éclair")
+    tokens, span = map_char_span(BytePieces(), context, (start, start + 6))
+    assert tokens == ["we", "ate", "an", "Ã", "©", "clair", "today"]
+    assert span == (3, 6)
+
+
 def test_generate_distractors_span_validation():
     mlm, nli = golden_backends()
     with pytest.raises(SpanError):
         generate_distractors(CONTEXT, (0, 0), GOLDEN_CONFIG, mlm, nli)
     with pytest.raises(SpanError):
         generate_distractors(CONTEXT, (0, 10_000), GOLDEN_CONFIG, mlm, nli)
+
+
+@pytest.mark.parametrize(
+    "context, span, sentence, answer",
+    [
+        ("Hello there. open the door.", (12, 17), "open the door.", "open"),
+        ("Hello there. Next one.", (6, 13), "Hello there.", "there."),
+        ("Please open the door.", (6, 11), "Please open the door.", "open"),
+    ],
+)
+def test_generate_distractors_trims_a_whitespace_edged_span(context, span, sentence, answer):
+    nli = CountingNli(MockNliClassifier())
+    mlm = MockMaskedLM(vocabulary=["cat", "dog", "red"])
+    result = generate_distractors(context, span, GenerationConfig(k=3), mlm, nli)
+    assert result.distractor_set.answer == answer
+    assert result.distractor_set.distractors
+    # every NLI sentence is the answer's sentence with one fill in the answer's place
+    before, _, after = sentence.partition(answer)
+    fills = [answer] + [c.text for c in result.all_candidates]
+    assert nli.calls
+    assert {s for pair in nli.calls for s in pair} <= {before + f + after for f in fills}
 
 
 def test_generate_distractors_whole_context_span():
