@@ -8,8 +8,7 @@ against the table-driven mocks below without any model weights.
 
 Mock lookups are keyed by a *context fingerprint*: the token sequence
 joined with single spaces. A mock is a pure function of its configuration,
-so identical inputs give identical outputs across processes, and instances
-are safe for concurrent read-only use.
+so identical inputs give identical outputs across processes.
 """
 
 from __future__ import annotations

@@ -6,9 +6,10 @@ else is treated as a HuggingFace checkpoint id (requires the ``hf``
 extra). The ``CLOZEGEN_MODEL_CACHE`` environment variable points real
 checkpoints at a download/cache directory.
 
-``generate`` and ``evaluate`` share one batch runner, so an item that raises
-a ``ClozegenError`` fails alone. Exit codes: 0 every item succeeded, 1
-nothing ran (bad input, flags or set-up), 2 some items failed.
+``generate`` and ``evaluate`` share one batch runner that runs the items one
+at a time in input order, so an item that raises a ``ClozegenError`` fails
+alone. Exit codes: 0 every item succeeded, 1 nothing ran (bad usage, input,
+flags or set-up), 2 some items failed.
 """
 
 from __future__ import annotations
@@ -17,7 +18,6 @@ import argparse
 import json
 import os
 import sys
-from concurrent.futures import ThreadPoolExecutor
 from dataclasses import fields
 from itertools import islice
 from pathlib import Path
@@ -92,9 +92,6 @@ def _add_backend_flags(parser: argparse.ArgumentParser) -> None:
     parser.add_argument(
         "--nli-model", help="NLI backend: HuggingFace id or mock:<path>"
     )
-    parser.add_argument(
-        "--jobs", type=int, default=1, help="concurrent items (output order preserved)"
-    )
 
 
 def _add_generation_flags(parser: argparse.ArgumentParser) -> None:
@@ -154,7 +151,7 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _run_items(args: argparse.Namespace, items: list, run_one) -> list:
-    """Map ``run_one(item, config, mlm, nli)`` over ``items`` on ``args.jobs`` threads.
+    """``run_one(item, config, mlm, nli)`` for each of ``items``, in order.
 
     Each item's entry is its result, or the ``ClozegenError`` it raised.
     """
@@ -162,15 +159,13 @@ def _run_items(args: argparse.Namespace, items: list, run_one) -> list:
     _check_output(args.output)
     mlm = make_backend(args.model, "--model", MockMaskedLM, HuggingFaceMaskedLM)
     nli = make_backend(args.nli_model, "--nli-model", MockNliClassifier, HuggingFaceNli)
-
-    def attempt(item):
+    outcomes = []
+    for item in items:
         try:
-            return run_one(item, config, mlm, nli)
+            outcomes.append(run_one(item, config, mlm, nli))
         except ClozegenError as exc:
-            return exc
-
-    with ThreadPoolExecutor(max_workers=args.jobs) as pool:
-        return list(pool.map(attempt, items))
+            outcomes.append(exc)
+    return outcomes
 
 
 def run_generate(args: argparse.Namespace) -> int:
@@ -192,6 +187,8 @@ def run_generate(args: argparse.Namespace) -> int:
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
+    if args.limit is not None and args.limit < 1:
+        raise ConfigError("--limit must be >= 1")
     passages = islice(data.load_cloth(args.input), args.limit)  # files past the limit unread
     items = [(p, qi) for p in passages for qi in range(len(p.questions))]
 
@@ -248,13 +245,12 @@ def run_trace(args: argparse.Namespace) -> int:
 
 
 def main(argv: list[str] | None = None) -> int:
-    args = build_parser().parse_args(argv)
+    try:
+        args = build_parser().parse_args(argv)
+    except SystemExit as exc:  # argparse exits 2 on bad usage, the code for failed items
+        return 1 if exc.code else 0
     handlers = {"generate": run_generate, "evaluate": run_evaluate, "trace": run_trace}
     try:
-        for flag in ("jobs", "limit"):
-            value = getattr(args, flag, None)
-            if value is not None and value < 1:
-                raise ConfigError(f"--{flag} must be >= 1")
         return handlers[args.command](args)
     except (ClozegenError, OSError) as exc:
         print(f"error: {exc}", file=sys.stderr)

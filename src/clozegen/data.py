@@ -282,7 +282,8 @@ def prepare_context(
     Non-target blanks are spliced with gold answers or with the backend's
     top-1 fill committed left to right; text outside blank spans is never
     touched. Sentence mode then narrows the result to the sentence holding
-    the target blank.
+    the target blank, and fills no blank that starts past that sentence's
+    end, since no such fill can reach it.
     """
     if input_mode not in INPUT_MODES:
         raise ContractViolation(f"unknown input_mode {input_mode!r}")
@@ -306,6 +307,12 @@ def prepare_context(
             if i == question_index:
                 target_span = (bstart, bend)
                 continue
+            if i > question_index and input_mode == INPUT_SENTENCE:
+                # whitespace follows the break that ends the target's sentence,
+                # so no fill past that break can move it
+                sentence_end = next(e for _, e in _sentence_segments(text) if e > target_span[0])
+                if bstart > sentence_end:
+                    break
             if prefill_mode == PREFILL_GOLD:
                 filling = passage.questions[i].answer
             else:

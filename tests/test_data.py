@@ -18,7 +18,7 @@ from clozegen.data import (
 )
 from clozegen.errors import ConfigError, ContractViolation, ParseError, ResolveError, SpanError
 
-from tests.conftest import table_entry
+from tests.conftest import CountingMLM, table_entry
 from tests.oracles import ends_with_abbreviation_regex, query_string_prefill
 
 
@@ -418,3 +418,53 @@ def test_model_prefill_matches_query_string_oracle():
                 assert prepared.context == expected
                 compared += 1
     assert compared > 100 and oracle_failed > 100
+
+
+@pytest.mark.parametrize(
+    "text, passage_batches, sentence_batches",
+    [
+        ("I like _ a lot. We eat _ daily. She wants _ now. They sell _ here.", 12, 6),
+        ("We eat _. _ is here.", 2, 1),  # the next blank starts one space past the break
+    ],
+)
+def test_sentence_mode_prefill_stops_after_the_target_sentence(
+    text, passage_batches, sentence_batches
+):
+    blanks = len(BLANK_RE.findall(text))
+    passage = ClozePassage("p", text, [ClozeQuestion("x", ["y"])] * blanks)
+    mlm = MockMaskedLM(vocabulary=["tea", "rice"], fallback="seeded", salt=3)
+    batches = {}
+    for mode in ("passage", "sentence"):
+        counting = CountingMLM(mlm)
+        for qi in range(blanks):
+            prepare_context(passage, qi, mode, "model", mlm_backend=counting)
+        batches[mode] = len(counting.batches)
+    # question q fills the q blanks before it; passage mode also fills those after
+    assert batches == {"passage": passage_batches, "sentence": sentence_batches}
+
+
+def test_sentence_mode_equals_the_sentence_of_the_passage_mode_result():
+    # pieces are glued at random, so blanks touch punctuation ("now._", "_."),
+    # and fills may be empty or punctuation that adds or removes a break
+    pieces = ["now", "we", "ate", "Dr", "J", ".", ".", "!", "?", "_", "_", "_"]
+    fills = ["", ".", "?", "Dr", "J", "tea", "Mr."]
+    rnd = random.Random(22)
+    compared = saved = 0
+    for trial in range(300):
+        parts = rnd.choices(pieces, k=rnd.randint(4, 16))
+        text = "".join(p + rnd.choice([" ", " ", "", "\n"]) for p in parts)
+        blanks = len(BLANK_RE.findall(text))
+        if not blanks:
+            continue
+        passage = ClozePassage("p", text, [ClozeQuestion("x", ["y"])] * blanks)
+        mlm = MockMaskedLM(vocabulary=fills, fallback="seeded", salt=trial)
+        for qi in range(blanks):
+            whole, narrowed = CountingMLM(mlm), CountingMLM(mlm)
+            full = prepare_context(passage, qi, "passage", "model", mlm_backend=whole)
+            got = prepare_context(passage, qi, "sentence", "model", mlm_backend=narrowed)
+            sentence, span = extract_sentence(full.context, full.answer_span)
+            assert (got.context, got.answer_span) == (sentence, span), (text, qi)
+            assert len(narrowed.batches) <= len(whole.batches)
+            saved += len(whole.batches) - len(narrowed.batches)
+            compared += 1
+    assert compared > 500 and saved > 300

@@ -1,0 +1,213 @@
+"""Seeded fuzz over the batch edges of one generation request.
+
+Contexts mix abbreviations, initials, unicode whitespace, quotes after
+periods and one-word sentences. Spans, ``k``, dispersion, strategy, average
+and the model window are drawn at random, on a seeded ``MockMaskedLM`` and a
+hash-verdict NLI, and some draws make one backend reply malformed. Every
+request either meets the invariants of a good result or fails with a
+``ClozegenError``; through ``clozegen generate`` a pairs file exits 0 or 2
+with one record per input line.
+"""
+
+import json
+import math
+import random
+import re
+import warnings
+from collections import Counter
+
+from clozegen.backends import MockMaskedLM, TokenPrediction
+from clozegen.cli import main
+from clozegen.data import extract_sentence, trim_span
+from clozegen.errors import ClozegenError
+from clozegen.generation import GenerationConfig, normalize_text
+from clozegen.pipeline import generate_distractors, result_to_dict
+from clozegen.selection import verify_distractor_set
+
+from tests.conftest import CountingMLM, CountingNli
+from tests.test_pipeline import HashNli
+
+WORDS = [
+    "the", "cat", "sat", "on", "a", "mat", "I", "Dr.", "Mr.", "J.", "e.g.", "U.S.",
+    "No.", "etc.", "St.", "Go!", "Why?", "Hi.", '"Stop."', "'Yes.'", "café", "naïve",
+]
+SEPARATORS = [" ", " ", " ", "  ", "\t", "\n", "\u00a0", "\u2028", "\u3000", ". ", "? ", '." ']
+FILLS = ["the", "The", "cat", "CAT", "mat", "Dr.", "café", "'s", ",", "...", "x y", "", " "]
+
+
+def draw_context(rnd):
+    words = rnd.choices(WORDS, k=rnd.randint(1, 12))
+    text = words[0] + "".join(rnd.choice(SEPARATORS) + w for w in words[1:])
+    return text + rnd.choice(["", ".", " .", "!", "\n"])
+
+
+def draw_span(rnd, context):
+    """Mostly whole words, sometimes any characters (split words, whitespace)."""
+    if rnd.random() < 0.7:
+        words = [(w.start(), w.end()) for w in re.finditer(r"\S+", context)]
+        first = rnd.randrange(len(words))
+        last = min(first + rnd.randint(0, 2), len(words) - 1)
+        return words[first][0], words[last][1]
+    start = rnd.randrange(len(context))
+    return start, rnd.randint(start + 1, len(context))
+
+
+def draw_config(rnd):
+    return GenerationConfig(
+        n_mask=rnd.choice([0, 0, 1, 2, 3]),
+        dispersion=rnd.randint(0, 2),
+        k=rnd.randint(1, 4),
+        m_s=rnd.choice([None, 1, 2]),
+        strategy=rnd.choice(["l2r", "r2l", "ctl"]),
+        avg=rnd.choice(["geometric", "harmonic"]),
+        seed=rnd.randrange(100),
+    )
+
+
+# Malformed replies, each a function of a well-formed one.
+MLM_FAULTS = [
+    lambda replies: replies[:-1],
+    lambda replies: tuple(replies),
+    lambda replies: [[TokenPrediction("x", 0.0)]] + replies[1:],
+    lambda replies: [[TokenPrediction("x", math.nan)]] + replies[1:],
+    lambda replies: [[TokenPrediction(None, 0.5)]] + replies[1:],
+    lambda replies: [[TokenPrediction("x", 1)]] + replies[1:],
+    lambda replies: [[("x", 0.5)]] + replies[1:],
+]
+NLI_FAULTS = [
+    lambda labels: labels[:-1],
+    lambda labels: tuple(labels),
+    lambda labels: ["maybe"] + labels[1:],
+    lambda labels: [None] + labels[1:],
+]
+
+
+class FaultyMLM(CountingMLM):
+    """Corrupts the reply to its ``at``-th batch (counting from 1) with ``fault``."""
+
+    def __init__(self, inner, fault=None, at=0):
+        super().__init__(inner)
+        self.fault, self.at = fault, at
+
+    def fill_mask_batch(self, queries, top_k):
+        replies = super().fill_mask_batch(queries, top_k)
+        return self.fault(replies) if len(self.batches) == self.at else replies
+
+
+class FaultyNli(CountingNli):
+    """Corrupts the reply to its ``at``-th batch (counting from 1) with ``fault``."""
+
+    def __init__(self, inner, fault=None, at=0):
+        super().__init__(inner)
+        self.fault, self.at = fault, at
+
+    def classify_nli_batch(self, pairs):
+        labels = super().classify_nli_batch(pairs)
+        return self.fault(labels) if len(self.batches) == self.at else labels
+
+
+def check_result(result, context, span, config, nli):
+    """The invariants of a good result; ``nli`` has recorded every pair it classified."""
+    start, end = trim_span(context, span)
+    answer = context[start:end]
+    chosen = result.distractor_set
+    texts = [c.text for c in result.all_candidates]
+    assert chosen.answer == answer
+    assert len(chosen.distractors) <= config.k
+    assert chosen.underfilled is (len(chosen.distractors) < config.k)
+    keys = [normalize_text(t) for t in texts]
+    assert normalize_text(answer) not in keys and len(set(keys)) == len(keys)
+    scores = [c.rank_score for c in result.all_candidates]
+    assert scores == sorted(scores, reverse=True)
+    positions = [texts.index(d) for d in chosen.distractors]  # each is a candidate
+    assert positions == sorted(positions)
+    for entry in chosen.trace:
+        assert entry.candidate in texts and entry.candidate not in chosen.distractors
+        assert entry.counterpart == answer or entry.counterpart in chosen.distractors
+    sentence, (s, e) = extract_sentence(context, span)
+    allowed = {sentence[:s] + t + sentence[e:] for t in [answer, *texts]}
+    assert {text for pair in nli.calls for text in pair} <= allowed
+    assert verify_distractor_set(nli.inner, sentence, chosen, (s, e))
+    json.dumps(result_to_dict(result), allow_nan=False)
+
+
+def test_generation_requests_meet_the_invariants_or_fail_cleanly():
+    rnd = random.Random(3)
+    outcomes = Counter()
+    for trial in range(2000):
+        context = draw_context(rnd)
+        span = draw_span(rnd, context)
+        config = draw_config(rnd)
+        mock = MockMaskedLM(
+            vocabulary=rnd.sample(FILLS, rnd.randint(1, len(FILLS))),
+            fallback="seeded",
+            salt=trial,
+            max_sequence_length=rnd.choice([512, 512, 8, 5, 3]),
+        )
+        mlm, nli = FaultyMLM(mock), FaultyNli(HashNli(trial))
+        fault = rnd.random()
+        if fault < 0.1:
+            mlm.fault, mlm.at = rnd.choice(MLM_FAULTS), rnd.randint(1, 3)
+        elif fault < 0.2:
+            nli.fault, nli.at = rnd.choice(NLI_FAULTS), rnd.randint(1, 3)
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")  # a span across sentences warns
+            try:
+                result = generate_distractors(context, span, config, mlm, nli)
+                outcome = "ok"
+            except ClozegenError as exc:
+                outcome = type(exc).__name__
+            # a malformed reply fails its request, and only a malformed reply
+            # is a BackendError
+            sent = any(b.fault and len(b.batches) >= b.at for b in (mlm, nli))
+            assert (outcome == "BackendError") if sent else (outcome != "BackendError")
+            if outcome == "ok":
+                check_result(result, context, span, config, nli)
+        outcomes[outcome] += 1
+    assert outcomes["ok"] > 1300, outcomes
+    assert outcomes["BackendError"] and outcomes["SpanError"], outcomes
+
+
+def test_generate_writes_one_record_per_pair_and_exits_0_or_2(tmp_path, capsys):
+    rnd = random.Random(5)
+    codes = set()
+    for run in range(10):
+        pairs = []
+        for i in range(rnd.randint(1, 12)):
+            context = draw_context(rnd)
+            start, end = draw_span(rnd, context)
+            pairs.append({"id": f"q{i}", "context": context, "answer_start": start,
+                          "answer_end": end})
+        pairs_path = tmp_path / f"pairs{run}.jsonl"
+        pairs_path.write_text("".join(json.dumps(p) + "\n" for p in pairs), encoding="utf-8")
+        mock = {
+            "vocabulary": rnd.sample(FILLS, rnd.randint(1, len(FILLS))),
+            "fallback": "seeded",
+            "salt": run,
+            "max_sequence_length": rnd.choice([512, 8, 3]),
+            "nli_default": rnd.choice(["entailment", "neutral"]),
+        }
+        mock_path = tmp_path / f"mock{run}.json"
+        mock_path.write_text(json.dumps(mock), encoding="utf-8")
+        config = draw_config(rnd)
+        out = tmp_path / f"out{run}.jsonl"
+        argv = [
+            "generate", str(pairs_path),
+            "--model", f"mock:{mock_path}", "--nli-model", f"mock:{mock_path}",
+            "--output", str(out),
+            "--n-mask", str(config.n_mask), "--dispersion", str(config.dispersion),
+            "--top-k", str(config.k), "--strategy", config.strategy, "--avg", config.avg,
+            "--seed", str(config.seed),
+        ]
+        with warnings.catch_warnings():
+            warnings.simplefilter("ignore")
+            code = main(argv)
+        assert "Traceback" not in capsys.readouterr().err
+        lines = out.read_text(encoding="utf-8").split("\n")  # contexts hold U+2028
+        records = [json.loads(line) for line in lines[:-1]]
+        assert [r["id"] for r in records] == [p["id"] for p in pairs]
+        failed = [r for r in records if "error" in r]
+        assert code == (2 if failed else 0), (code, failed)
+        assert all("distractors" in r for r in records if "error" not in r)
+        codes.add(code)
+    assert codes == {0, 2}

@@ -4,6 +4,7 @@ import json
 import math
 import os
 import random
+import shutil
 import subprocess
 import sys
 from pathlib import Path
@@ -490,14 +491,30 @@ assert outside <= {"clozegen", "__main__"}, sorted(outside)
 """
 
 
-def test_library_and_cli_import_only_the_standard_library():
+def _run_stdlib_only(python):
     src = Path(__file__).resolve().parent.parent / "src"
-    completed = subprocess.run(
-        [sys.executable, "-S", "-c", STDLIB_ONLY_RUN],
+    return subprocess.run(
+        [python, "-S", "-c", STDLIB_ONLY_RUN],
         env={**os.environ, "PYTHONPATH": str(src)},
         capture_output=True,
         text=True,
         encoding="utf-8",
         timeout=60,
     )
+
+
+def test_library_and_cli_import_only_the_standard_library():
+    completed = _run_stdlib_only(sys.executable)
+    assert completed.returncode == 0, completed.stderr
+
+
+@pytest.mark.parametrize("version", ["3.10", "3.11", "3.12", "3.13"])
+def test_every_supported_python_on_path_runs_clozegen(version):
+    # pyproject.toml declares requires-python >= 3.10
+    python = shutil.which(f"python{version}")
+    if python is None or subprocess.run(
+        [python, "-c", "pass"], capture_output=True, timeout=60
+    ).returncode:
+        pytest.skip(f"no python{version} on PATH starts")
+    completed = _run_stdlib_only(python)
     assert completed.returncode == 0, completed.stderr
