@@ -258,13 +258,21 @@ def test_evaluate_rejects_nonpositive_jobs_and_limit(
     assert not report_path.exists()
 
 
-def test_evaluate_limit(mock_config_path, cloth_path, tmp_path):
+def test_evaluate_jobs_preserve_report(mock_config_path, cloth_path, tmp_path):
     (cloth_path / "high0002.json").write_text(
         json.dumps({**CLOTH_DOC, "answers": ["A", "B"]}), encoding="utf-8"
     )
+    first = tmp_path / "first.json"
+    second = tmp_path / "second.json"
+    assert main(_evaluate_args(mock_config_path, cloth_path, first)) == 0
+    assert main(_evaluate_args(mock_config_path, cloth_path, second)) == 0
+    assert json.loads(first.read_text(encoding="utf-8"))["item_count"] == 4
+    assert first.read_bytes() == second.read_bytes()
+
+
+def test_evaluate_limit(mock_config_path, cloth_path, tmp_path):
+    (cloth_path / "high0002.json").write_text(json.dumps(CLOTH_DOC), encoding="utf-8")
     report_path = tmp_path / "report.json"
-    assert main(_evaluate_args(mock_config_path, cloth_path, report_path)) == 0
-    assert json.loads(report_path.read_text(encoding="utf-8"))["item_count"] == 4
     code = main(
         [
             "evaluate",
