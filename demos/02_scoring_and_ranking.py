@@ -40,8 +40,9 @@ fills = [
     ("Echo", [0.7]),
     ("echo", [0.6]),
 ]
+answer = "calm"  # a fill that copied the answer would drop out like a duplicate
 for avg in ("geometric", "harmonic"):
-    ranked = rank_candidates([candidate(text, probs, avg) for text, probs in fills])
+    ranked = rank_candidates([candidate(text, probs, avg) for text, probs in fills], answer)
     print(f"{avg} ranking:")
     for c in ranked:
         print(f"  {c.rank_score:.4f}  {c.text!r}  (from {len(c.step_probabilities)} masks)")

@@ -9,7 +9,8 @@ checkpoints at a download/cache directory.
 ``generate`` and ``evaluate`` share one batch runner that runs the items one
 at a time in input order, so an item that raises a ``ClozegenError`` fails
 alone. Exit codes: 0 every item succeeded, 1 nothing ran (bad usage, input,
-flags or set-up), 2 some items failed.
+flags or set-up), 2 some items failed. Each warning is one ``warning:`` line
+on stderr, naming the item that raised it.
 """
 
 from __future__ import annotations
@@ -18,6 +19,7 @@ import argparse
 import json
 import os
 import sys
+import warnings
 from dataclasses import fields
 from itertools import islice
 from pathlib import Path
@@ -151,20 +153,25 @@ def _write_output(path: str | None, text: str) -> None:
 
 
 def _run_items(args: argparse.Namespace, items: list, run_one) -> list:
-    """``run_one(item, config, mlm, nli)`` for each of ``items``, in order.
+    """``run_one(item, config, mlm, nli)`` for each ``(item_id, item)`` of ``items``, in order.
 
-    Each item's entry is its result, or the ``ClozegenError`` it raised.
+    Each item's entry is its result, or the ``ClozegenError`` it raised. Each
+    warning an item raises prints as one ``warning: <item_id>: <message>`` line.
     """
     config = config_from_args(args)  # bad flags and a bad --output fail before any model loads
     _check_output(args.output)
     mlm = make_backend(args.model, "--model", MockMaskedLM, HuggingFaceMaskedLM)
     nli = make_backend(args.nli_model, "--nli-model", MockNliClassifier, HuggingFaceNli)
     outcomes = []
-    for item in items:
-        try:
-            outcomes.append(run_one(item, config, mlm, nli))
-        except ClozegenError as exc:
-            outcomes.append(exc)
+    for item_id, item in items:
+        with warnings.catch_warnings(record=True) as caught:
+            warnings.simplefilter("always")
+            try:
+                outcomes.append(run_one(item, config, mlm, nli))
+            except ClozegenError as exc:
+                outcomes.append(exc)
+        for warning in caught:
+            print(f"warning: {item_id}: {warning.message}", file=sys.stderr)
     return outcomes
 
 
@@ -177,7 +184,8 @@ def run_generate(args: argparse.Namespace) -> int:
         )
 
     records = []
-    for pair, outcome in zip(pairs, _run_items(args, pairs, run_one)):
+    outcomes = _run_items(args, [(pair.id, pair) for pair in pairs], run_one)
+    for pair, outcome in zip(pairs, outcomes):
         if isinstance(outcome, ClozegenError):
             outcome = {"error": {"type": type(outcome).__name__, "message": str(outcome)}}
         records.append({"id": pair.id, **outcome})
@@ -190,7 +198,7 @@ def run_evaluate(args: argparse.Namespace) -> int:
     if args.limit is not None and args.limit < 1:
         raise ConfigError("--limit must be >= 1")
     passages = islice(data.load_cloth(args.input), args.limit)  # files past the limit unread
-    items = [(p, qi) for p in passages for qi in range(len(p.questions))]
+    items = [(f"{p.id}#{qi}", (p, qi)) for p in passages for qi in range(len(p.questions))]
 
     def run_one(item, config, mlm, nli) -> list[str]:
         passage, qi = item
@@ -202,8 +210,7 @@ def run_evaluate(args: argparse.Namespace) -> int:
         return result.distractor_set.distractors
 
     scored, ids = [], []
-    for (passage, qi), outcome in zip(items, _run_items(args, items, run_one)):
-        item_id = f"{passage.id}#{qi}"
+    for (item_id, (passage, qi)), outcome in zip(items, _run_items(args, items, run_one)):
         if isinstance(outcome, ClozegenError):
             print(f"error: {item_id}: {outcome}", file=sys.stderr)
         else:
@@ -250,11 +257,14 @@ def main(argv: list[str] | None = None) -> int:
     except SystemExit as exc:  # argparse exits 2 on bad usage, the code for failed items
         return 1 if exc.code else 0
     handlers = {"generate": run_generate, "evaluate": run_evaluate, "trace": run_trace}
-    try:
-        return handlers[args.command](args)
-    except (ClozegenError, OSError) as exc:
-        print(f"error: {exc}", file=sys.stderr)
-        return 1
+    with warnings.catch_warnings():  # a warning outside any item, e.g. at load, is one line
+        warnings.simplefilter("always")
+        warnings.showwarning = lambda message, *_: print(f"warning: {message}", file=sys.stderr)
+        try:
+            return handlers[args.command](args)
+        except (ClozegenError, OSError) as exc:
+            print(f"error: {exc}", file=sys.stderr)
+            return 1
 
 
 if __name__ == "__main__":

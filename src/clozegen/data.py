@@ -70,7 +70,7 @@ class ClozePassage:
 
 @dataclass(frozen=True)
 class ContextAnswerPair:
-    """A context with a character-level answer span, ready for generation."""
+    """A context with a non-blank character-level answer span, ready for generation."""
 
     id: str
     context: str
@@ -80,6 +80,8 @@ class ContextAnswerPair:
         start, end = self.answer_span
         if not (0 <= start < end <= len(self.context)):
             raise SpanError(f"span ({start}, {end}) outside context of pair {self.id!r}")
+        if self.context[start:end].isspace():
+            raise SpanError(f"span ({start}, {end}) of pair {self.id!r} holds no text")
 
 
 @dataclass(frozen=True)

@@ -340,21 +340,20 @@ def _check_probabilities(values: list[float]) -> None:
             raise ContractViolation(f"step probability {v} outside (0, 1]")
 
 
-def rank_candidates(candidates: list[Candidate]) -> list[Candidate]:
-    """Merge candidates from all contexts into one ranked, deduplicated list.
+def rank_candidates(candidates: list[Candidate], answer_text: str) -> list[Candidate]:
+    """Merge candidates from all contexts into the one ranked pool selection reads.
 
     Candidates are sorted by their stored ``rank_score``, descending, with
     ties resolved toward the shorter mask count and then lexicographic
-    text. Duplicate texts (case/whitespace-insensitive) collapse onto the
-    best-ranked copy.
+    text. Each case- and whitespace-insensitive text keeps only its
+    best-ranked copy; the answer's text and the blank text are taken before
+    the pass, so answer copies and blank fills drop out like duplicates.
     """
-    best = {}  # normalized text -> its best-ranked candidate, in rank order
+    taken = {normalize_text(answer_text), ""}
+    ranked = []
     for c in sorted(candidates, key=lambda c: (-c.rank_score, len(c.step_probabilities), c.text)):
-        best.setdefault(normalize_text(c.text), c)
-    return list(best.values())
-
-
-def drop_answer_matches(candidates: list[Candidate], answer_text: str) -> list[Candidate]:
-    """Remove candidates that reproduce the answer verbatim (normalized)."""
-    answer_key = normalize_text(answer_text)
-    return [c for c in candidates if normalize_text(c.text) != answer_key]
+        key = normalize_text(c.text)
+        if key not in taken:
+            taken.add(key)
+            ranked.append(c)
+    return ranked

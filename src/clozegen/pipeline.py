@@ -21,7 +21,6 @@ from .generation import (
     build_masked_context,
     decode_order,
     decode_plan,
-    drop_answer_matches,
     generate_candidates,
     map_char_span,
     rank_candidates,
@@ -80,7 +79,7 @@ def generate_distractors(
         )
         jobs.append((masked, decode_order(config.strategy, count)))
     candidates = generate_candidates(mlm_backend, jobs, branch_width, config.avg)
-    ranked = drop_answer_matches(rank_candidates(candidates), answer_text)
+    ranked = rank_candidates(candidates, answer_text)
 
     sentence, sentence_span = extract_sentence(context, answer_span)
     distractor_set = select_distractors(

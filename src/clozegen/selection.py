@@ -76,8 +76,8 @@ def select_distractors(
     """Keep up to ``k`` candidates, best-first, entailing neither answer nor each other.
 
     ``context`` is the comparison sentence and the answer is its text at
-    ``answer_span``. Candidate texts must arrive ranked best-first and free
-    of verbatim answer copies. The trace lists answer-entailment removals
+    ``answer_span``. Candidate texts must arrive ranked best-first, non-blank
+    and free of answer copies. The trace lists answer-entailment removals
     first, then pairwise ones, each in rank order.
     """
     if type(k) is not int or k < 1:

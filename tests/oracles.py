@@ -89,8 +89,8 @@ def whole_request_oracle(mlm, nli, context, answer_span, sentence_bounds, config
     the fills. Fills are scored by ``oracle_rank_score``, sorted by (score
     descending, mask count, text), deduplicated on case-folded,
     whitespace-collapsed text keeping the first, and copies of the answer
-    are dropped. ``sequential_selection`` then picks from them against the
-    sentence ``context[sentence_bounds[0]:sentence_bounds[1]]``.
+    and blank fills are dropped. ``sequential_selection`` then picks from
+    them against the sentence ``context[sentence_bounds[0]:sentence_bounds[1]]``.
 
     Returns the ranked ``(text, rank_score, step probabilities, mask
     count)`` tuples and the ``DistractorSet``.
@@ -115,7 +115,7 @@ def whole_request_oracle(mlm, nli, context, answer_span, sentence_bounds, config
             text = mlm.detokenize(strings)
             pool.append((text, oracle_rank_score(probs, config.avg), probs, count))
     pool.sort(key=lambda c: (-c[1], c[3], c[0]))
-    seen = {norm(answer)}  # an answer copy is dropped like a duplicate
+    seen = {norm(answer), ""}  # an answer copy or a blank fill is dropped like a duplicate
     ranked = []
     for candidate in pool:
         if norm(candidate[0]) not in seen:

@@ -49,6 +49,11 @@ def pairs_path(tmp_path):
     return path
 
 
+# A pair that loads but fails its item: no mask run for its 600 answer
+# tokens fits the mock's 512-token window.
+UNFITTABLE = {"context": " ".join(["word"] * 600), "answer_start": 0, "answer_end": 2999}
+
+
 def _generate_args(mock_config_path, pairs_path, out, extra=()):
     return [
         "generate",
@@ -90,7 +95,7 @@ def test_generate_writes_one_line_per_pair(mock_config_path, pairs_path, tmp_pat
 def test_generate_partial_failure_exit_code(mock_config_path, tmp_path):
     records = [
         {"id": "ok", "context": CONTEXT, "answer_start": 13, "answer_end": 17},
-        {"id": "bad", "context": "see the    gap here", "answer_start": 7, "answer_end": 9},
+        {"id": "bad", **UNFITTABLE},
         {"id": "ok2", "context": CONTEXT, "answer_text": "door"},
     ]
     pairs = tmp_path / "pairs.jsonl"
@@ -119,6 +124,35 @@ def test_generate_missing_model_and_bad_input(mock_config_path, pairs_path, tmp_
         ]
     )
     assert code == 1
+
+
+def test_warnings_name_their_item(mock_config_path, tmp_path, capsys):
+    records = [
+        {"id": "a", "context": "The cat sat. It ran off.", "answer_text": "sat. It"},
+        {"id": "b", "context": "Dogs bark. Birds sing.", "answer_start": 5, "answer_end": 16},
+    ]
+    pairs = tmp_path / "pairs.jsonl"
+    pairs.write_text("".join(json.dumps(r) + "\n" for r in records), encoding="utf-8")
+    out = tmp_path / "out.jsonl"
+    args = _generate_args(mock_config_path, pairs, out)
+    assert main(args) == 0
+    straddle = "span straddles a sentence boundary; returning the sentence union"
+    assert capsys.readouterr().err == f"warning: a: {straddle}\nwarning: b: {straddle}\n"
+    assert main(args[: args.index("--output")]) == 0  # the same run, to stdout
+    captured = capsys.readouterr()
+    assert captured.out == out.read_text(encoding="utf-8")
+    assert captured.err == f"warning: a: {straddle}\nwarning: b: {straddle}\n"
+
+
+def test_a_load_warning_is_one_line(mock_config_path, tmp_path, capsys):
+    pairs = tmp_path / "pairs.jsonl"
+    record = {"id": "r", "context": "the cat and the cat", "answer_text": "cat"}
+    pairs.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    assert main(_generate_args(mock_config_path, pairs, tmp_path / "out.jsonl")) == 0
+    assert capsys.readouterr().err == (
+        f"warning: {pairs}: line 1: answer_text occurs more than once; "
+        "using the first occurrence\n"
+    )
 
 
 def test_unwritable_output_is_one_error_line(mock_config_path, pairs_path, tmp_path, capsys):
@@ -448,6 +482,10 @@ BAD_FILES = {
     "pairs-span-outside-context": (
         "generate", "input", {"context": "a b", "answer_start": 1, "answer_end": 99}
     ),
+    "pairs-blank-span": (
+        "generate", "input", {"context": "a  b", "answer_start": 1, "answer_end": 3}
+    ),
+    "pairs-blank-answer-text": ("generate", "input", {"context": "a  b", "answer_text": "  "}),
     # each field must be of its JSON type; none is converted
     "pairs-id-null": ("generate", "input", {"id": None, "context": "a b", "answer_text": "a"}),
     "pairs-answer-text-not-string": (
@@ -658,7 +696,7 @@ def test_trace_reads_failed_items_and_unicode_line_separators(
 ):
     records = [
         {"id": "ok\u2028\u2029\u0085", "context": CONTEXT, "answer_text": "door"},
-        {"id": "bad", "context": "see the    gap here", "answer_start": 3, "answer_end": 4},
+        {"id": "bad", **UNFITTABLE},
     ]
     pairs = tmp_path / "pairs.jsonl"
     pairs.write_text(

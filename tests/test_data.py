@@ -146,6 +146,21 @@ def test_load_pairs_errors(tmp_path):
         load_pairs(path)
 
 
+@pytest.mark.parametrize(
+    "record",
+    [
+        {"context": "see the    gap here", "answer_start": 7, "answer_end": 9},
+        {"context": "see the  gap here", "answer_text": "  "},
+        {"context": "tab\there", "answer_text": "\t"},
+    ],
+)
+def test_load_pairs_rejects_a_blank_answer(tmp_path, record):
+    path = tmp_path / "pairs.jsonl"
+    path.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    with pytest.raises(SpanError, match=r"pairs\.jsonl: line 1: span \(\d+, \d+\) .* no text"):
+        load_pairs(path)
+
+
 # --- sentence extraction ---------------------------------------------------
 
 # (text, answer substring, expected sentence) verified by hand

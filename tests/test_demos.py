@@ -7,6 +7,7 @@ import pytest
 
 ROOT = Path(__file__).resolve().parent.parent
 DEMOS = sorted((ROOT / "demos").glob("*.py"))
+RECORDED = Path(__file__).resolve().parent / "demo_stdout"  # one <demo>.txt per demo
 
 
 def test_demos_found():
@@ -26,3 +27,5 @@ def test_demo_runs(demo):
         timeout=120,
     )
     assert completed.returncode == 0, completed.stderr
+    expected = (RECORDED / f"{demo.stem}.txt").read_text(encoding="utf-8")
+    assert completed.stdout == expected

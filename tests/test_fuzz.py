@@ -6,7 +6,7 @@ and the model window are drawn at random, on a seeded ``MockMaskedLM`` and a
 hash-verdict NLI, and some draws make one backend reply malformed. Every
 request either meets the invariants of a good result or fails with a
 ``ClozegenError``; through ``clozegen generate`` a pairs file exits 0 or 2
-with one record per input line.
+with one record per input line, or 1 at load if some answer is blank.
 """
 
 import json
@@ -117,6 +117,7 @@ def check_result(result, context, span, config, nli):
     assert chosen.underfilled is (len(chosen.distractors) < config.k)
     keys = [normalize_text(t) for t in texts]
     assert normalize_text(answer) not in keys and len(set(keys)) == len(keys)
+    assert "" not in keys  # no blank fill reaches selection
     scores = [c.rank_score for c in result.all_candidates]
     assert scores == sorted(scores, reverse=True)
     positions = [texts.index(d) for d in chosen.distractors]  # each is a candidate
@@ -161,6 +162,7 @@ def test_generation_requests_meet_the_invariants_or_fail_cleanly():
             # is a BackendError
             sent = any(b.fault and len(b.batches) >= b.at for b in (mlm, nli))
             assert (outcome == "BackendError") if sent else (outcome != "BackendError")
+            assert outcome != "ContractViolation", (context, span, config)
             if outcome == "ok":
                 check_result(result, context, span, config, nli)
         outcomes[outcome] += 1
@@ -199,10 +201,19 @@ def test_generate_writes_one_record_per_pair_and_exits_0_or_2(tmp_path, capsys):
             "--top-k", str(config.k), "--strategy", config.strategy, "--avg", config.avg,
             "--seed", str(config.seed),
         ]
-        with warnings.catch_warnings():
-            warnings.simplefilter("ignore")
-            code = main(argv)
-        assert "Traceback" not in capsys.readouterr().err
+        code = main(argv)  # each warning is a stderr line, not a Python warning
+        err = capsys.readouterr().err
+        assert "Traceback" not in err
+        blank = [(line, p) for line, p in enumerate(pairs, 1)
+                 if p["context"][p["answer_start"]:p["answer_end"]].isspace()]
+        if blank:  # a blank answer is rejected at load, naming its line
+            line, pair = blank[0]
+            span = (pair["answer_start"], pair["answer_end"])
+            assert code == 1 and not out.exists()
+            assert err == (f"error: {pairs_path}: line {line}: span {span} "
+                           f"of pair {pair['id']!r} holds no text\n")
+            codes.add(code)
+            continue
         lines = out.read_text(encoding="utf-8").split("\n")  # contexts hold U+2028
         records = [json.loads(line) for line in lines[:-1]]
         assert [r["id"] for r in records] == [p["id"] for p in pairs]
@@ -210,4 +221,4 @@ def test_generate_writes_one_record_per_pair_and_exits_0_or_2(tmp_path, capsys):
         assert code == (2 if failed else 0), (code, failed)
         assert all("distractors" in r for r in records if "error" not in r)
         codes.add(code)
-    assert codes == {0, 2}
+    assert codes == {0, 1, 2}

@@ -14,7 +14,6 @@ from clozegen.generation import (
     build_masked_context,
     decode_order,
     decode_plan,
-    drop_answer_matches,
     generate_candidates,
     rank_candidates,
     rank_score,
@@ -215,13 +214,13 @@ def test_rank_score_monotone_under_scaling():
 def test_rank_candidates_sorts_descending():
     a = make_candidate("alpha", [0.5])
     b = make_candidate("beta", [0.4])
-    assert [c.text for c in rank_candidates([b, a])] == ["alpha", "beta"]
+    assert [c.text for c in rank_candidates([b, a], "gamma")] == ["alpha", "beta"]
 
 
 def test_rank_candidates_deduplicates_keeping_higher():
     low = make_candidate("cat", [0.5])
     high = make_candidate("Cat", [0.6])
-    ranked = rank_candidates([low, high])
+    ranked = rank_candidates([low, high], "dog")
     assert len(ranked) == 1
     assert ranked[0].rank_score == pytest.approx(0.6)
     assert ranked[0].text == "Cat"
@@ -230,18 +229,18 @@ def test_rank_candidates_deduplicates_keeping_higher():
 def test_rank_candidates_per_token_normalization():
     long = make_candidate("big dog", [0.9, 0.9])
     short = make_candidate("cat", [0.8])
-    ranked = rank_candidates([short, long])
+    ranked = rank_candidates([short, long], "fox")
     assert [c.text for c in ranked] == ["big dog", "cat"]
 
 
 def test_rank_candidates_tie_breaks():
     shorter = make_candidate("zz", [0.5])
     longer = make_candidate("aa bb", [0.5, 0.5])
-    ranked = rank_candidates([longer, shorter])
+    ranked = rank_candidates([longer, shorter], "cc")
     assert [c.text for c in ranked] == ["zz", "aa bb"]
     first = make_candidate("apple", [0.5])
     second = make_candidate("mango", [0.5])
-    ranked = rank_candidates([second, first])
+    ranked = rank_candidates([second, first], "pear")
     assert [c.text for c in ranked] == ["apple", "mango"]
 
 
@@ -254,8 +253,8 @@ def test_rank_candidates_average_changes_order_not_set():
             make_candidate("spiky", [1.0, 0.25], avg=avg),  # geo 0.5, harmonic 0.4
             make_candidate("steady", [0.45, 0.45], avg=avg),  # both 0.45
         ]
-    geo = rank_candidates(pools["geometric"])
-    har = rank_candidates(pools["harmonic"])
+    geo = rank_candidates(pools["geometric"], "calm")
+    har = rank_candidates(pools["harmonic"], "calm")
     assert [c.text for c in geo] == ["spiky", "steady"]
     assert [c.text for c in har] == ["steady", "spiky"]
     assert {c.text for c in geo} == {c.text for c in har}
@@ -266,10 +265,16 @@ def test_rank_candidates_average_changes_order_not_set():
         )
 
 
-def test_drop_answer_matches_normalized():
+def test_rank_candidates_drops_answer_copies_normalized():
     cands = [make_candidate("Open ", [0.5]), make_candidate("shut", [0.4])]
-    kept = drop_answer_matches(cands, "open")
+    kept = rank_candidates(cands, " OPEN")
     assert [c.text for c in kept] == ["shut"]
+
+
+@pytest.mark.parametrize("blank", ["", " ", "\t\n", "\u00a0"])
+def test_rank_candidates_drops_blank_fills(blank):
+    cands = [make_candidate(blank, [0.9]), make_candidate("shut", [0.4])]
+    assert [c.text for c in rank_candidates(cands, "open")] == ["shut"]
 
 
 # --- pseudo-beam decoding --------------------------------------------------

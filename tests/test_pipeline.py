@@ -207,7 +207,7 @@ class HashNli(NliClassifier):
 
 
 FILLER = "we saw the cat sit on a mat then rain came down hard".split()
-FILL_WORDS = ["red", "Red", "door", "old", "blue", "the", "RED"]
+FILL_WORDS = ["red", "Red", "door", "old", "blue", "the", "RED", "", " "]
 
 
 def _oracle_request(rnd):
@@ -362,6 +362,22 @@ def test_generate_distractors_trims_a_whitespace_edged_span(context, span, sente
     fills = [answer] + [c.text for c in result.all_candidates]
     assert nli.calls
     assert {s for pair in nli.calls for s in pair} <= {before + f + after for f in fills}
+
+
+@pytest.mark.parametrize(
+    "context, span, vocabulary, distractors",
+    [
+        ("The cat sat.", (4, 7), ["dog", " "], ["dog"]),
+        # the answer is its whole sentence, so a blank fill would be an empty premise
+        ("Go!", (0, 3), ["", "Run!"], ["Run!"]),
+    ],
+)
+def test_generate_distractors_never_offers_a_blank_fill(context, span, vocabulary, distractors):
+    mlm = MockMaskedLM(vocabulary=vocabulary)
+    config = GenerationConfig(n_mask=1, dispersion=0, k=3)
+    result = generate_distractors(context, span, config, mlm, MockNliClassifier())
+    assert result.distractor_set.distractors == distractors
+    assert [c.text for c in result.all_candidates] == distractors
 
 
 def test_generate_distractors_whole_context_span():
