@@ -17,12 +17,12 @@ import hashlib
 import heapq
 import re
 from abc import ABC, abstractmethod
-from dataclasses import dataclass
 from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    BackendError, ContractViolation, ParseError, SequenceLengthError, read_field, read_json,
+    BackendError, ContractViolation, FrozenRecord, ParseError, SequenceLengthError, read_field,
+    read_json,
 )
 
 ENTAILMENT = "entailment"
@@ -40,19 +40,19 @@ class TokenPrediction(NamedTuple):
     probability: float
 
 
-@dataclass(frozen=True)
-class BackendInfo:
+class BackendInfo(FrozenRecord):
     """Static facts about a masked-LM backend."""
 
-    name: str
-    max_sequence_length: int
-    mask_token: str
+    __slots__ = ("name", "max_sequence_length", "mask_token")
 
-    def __post_init__(self):
-        if self.max_sequence_length <= 0:
+    def __init__(self, name: str, max_sequence_length: int, mask_token: str):
+        if max_sequence_length <= 0:
             raise ContractViolation("max_sequence_length must be positive")
-        if not isinstance(self.mask_token, str) or not self.mask_token:
+        if not isinstance(mask_token, str) or not mask_token:
             raise ContractViolation("mask_token must be a nonempty string")
+        object.__setattr__(self, "name", name)
+        object.__setattr__(self, "max_sequence_length", max_sequence_length)
+        object.__setattr__(self, "mask_token", mask_token)
 
 
 def fingerprint(tokens: Sequence[str]) -> str:

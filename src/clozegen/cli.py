@@ -20,7 +20,6 @@ import json
 import os
 import sys
 import warnings
-from dataclasses import fields
 from itertools import islice
 from pathlib import Path
 
@@ -126,7 +125,7 @@ def make_backend(spec: str | None, flag: str, mock_class, hf_class):
 
 def config_from_args(args: argparse.Namespace) -> GenerationConfig:
     given = vars(args)
-    values = {f.name: given[f.name] for f in fields(GenerationConfig) if f.name in given}
+    values = {name: given[name] for name in GenerationConfig.__slots__ if name in given}
     if getattr(args, "preset", None) == "cloth":
         clashes = [name for name in CLOTH_PRESET if name in values]
         if clashes:

@@ -17,14 +17,13 @@ from __future__ import annotations
 
 import re
 import warnings
-from dataclasses import dataclass
 from pathlib import Path
 from typing import Iterator
 
 from .backends import MaskedLanguageModel, fill_masks
 from .errors import (
-    BackendError, ConfigError, ContractViolation, ParseError, ResolveError, SpanError,
-    read_field, read_json, read_json_lines,
+    BackendError, ConfigError, ContractViolation, FrozenRecord, ParseError, ResolveError,
+    SpanError, read_field, read_json, read_json_lines,
 )
 from .generation import build_masked_context, map_char_span
 
@@ -48,52 +47,58 @@ _ABBREVIATIONS = {
 }
 
 
-@dataclass(frozen=True)
-class ClozeQuestion:
+class ClozeQuestion(FrozenRecord):
     """Gold answer plus the three human-authored distractors."""
 
-    answer: str
-    distractors: list[str]
+    __slots__ = ("answer", "distractors")
+
+    def __init__(self, answer: str, distractors: list[str]):
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "distractors", distractors)
 
 
-@dataclass(frozen=True)
-class ClozePassage:
+class ClozePassage(FrozenRecord):
     """One passage whose blanks each correspond to a question, in order."""
 
-    id: str
-    text_with_blanks: str
-    questions: list[ClozeQuestion]
+    __slots__ = ("id", "text_with_blanks", "questions")
+
+    def __init__(self, id: str, text_with_blanks: str, questions: list[ClozeQuestion]):
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "text_with_blanks", text_with_blanks)
+        object.__setattr__(self, "questions", questions)
 
     def blank_spans(self) -> list[tuple[int, int]]:
         return [m.span() for m in BLANK_RE.finditer(self.text_with_blanks)]
 
 
-@dataclass(frozen=True)
-class ContextAnswerPair:
+class ContextAnswerPair(FrozenRecord):
     """A context with a non-blank character-level answer span, ready for generation."""
 
-    id: str
-    context: str
-    answer_span: tuple[int, int]
+    __slots__ = ("id", "context", "answer_span")
 
-    def __post_init__(self):
-        start, end = self.answer_span
-        if not (0 <= start < end <= len(self.context)):
-            raise SpanError(f"span ({start}, {end}) outside context of pair {self.id!r}")
-        if self.context[start:end].isspace():
-            raise SpanError(f"span ({start}, {end}) of pair {self.id!r} holds no text")
+    def __init__(self, id: str, context: str, answer_span: tuple[int, int]):
+        start, end = answer_span
+        if not (0 <= start < end <= len(context)):
+            raise SpanError(f"span ({start}, {end}) outside context of pair {id!r}")
+        if context[start:end].isspace():
+            raise SpanError(f"span ({start}, {end}) of pair {id!r} holds no text")
+        object.__setattr__(self, "id", id)
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "answer_span", answer_span)
 
 
-@dataclass(frozen=True)
-class PreparedContext:
+class PreparedContext(FrozenRecord):
     """A passage reduced to a single unresolved blank (the target question).
 
     ``answer_span`` covers the remaining blank marker; substitute the gold
     answer with :func:`fill_target` to obtain generation input.
     """
 
-    context: str
-    answer_span: tuple[int, int]
+    __slots__ = ("context", "answer_span")
+
+    def __init__(self, context: str, answer_span: tuple[int, int]):
+        object.__setattr__(self, "context", context)
+        object.__setattr__(self, "answer_span", answer_span)
 
 
 def load_cloth(path: str | Path) -> Iterator[ClozePassage]:

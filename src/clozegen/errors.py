@@ -1,5 +1,6 @@
-"""Exception types shared across the package, the two readers that every
-input file goes through, and the typed reader for every field."""
+"""Exception types shared across the package, the base of its record types,
+the two readers that every input file goes through, and the typed reader for
+every field."""
 
 import json
 
@@ -36,6 +37,47 @@ class ConfigError(ClozegenError):
     """Invalid or incomplete configuration."""
 
 
+class Record:
+    """Named fields, the subclass's ``__slots__`` in order, set by its ``__init__``.
+
+    A record equals one of the same type whose fields are equal, and reprs as
+    ``Name(field=value, ...)``. It is mutable and unhashable.
+    """
+
+    __slots__ = ()
+
+    def _values(self) -> tuple:
+        return tuple(getattr(self, name) for name in self.__slots__)
+
+    def __eq__(self, other):
+        if type(other) is not type(self):
+            return NotImplemented
+        return self._values() == other._values()
+
+    def __repr__(self) -> str:
+        fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
+        return f"{type(self).__qualname__}({fields})"
+
+    def __reduce__(self):  # copy and pickle rebuild through __init__
+        return type(self), self._values()
+
+
+class FrozenRecord(Record):
+    """A record whose fields are set once, by ``object.__setattr__`` in its
+    ``__init__``; it hashes by them."""
+
+    __slots__ = ()
+
+    def __setattr__(self, name, value):
+        raise AttributeError(f"cannot assign to field {name!r}")
+
+    def __delattr__(self, name):
+        raise AttributeError(f"cannot delete field {name!r}")
+
+    def __hash__(self):
+        return hash(self._values())
+
+
 def read_json(path) -> dict:
     """The one JSON object in the file at ``path``.
 
@@ -57,7 +99,7 @@ def read_json_lines(path):
         for lineno, line in enumerate(handle, start=1):
             where = f"{path}: line {lineno}"
             text = _utf8(line, where)
-            if text.strip():
+            if not text.isspace():
                 yield lineno, where, _json_object(text, where)
 
 
@@ -106,6 +148,11 @@ def _check(value, kind, where: object, name: str) -> None:
     if type(value) is list and type(kind) in (list, tuple):
         kinds = kind * len(value) if type(kind) is list else kind
         if len(kinds) == len(value):
+            # one comparison settles the common case, every type exact one or two
+            # levels down (such as a CLOTH file's options); else walk the items
+            shape = [tuple(map(type, v)) if type(v) is list else type(v) for v in value]
+            if shape == list(kinds):
+                return
             for i, item in enumerate(value):
                 if type(item) is not kinds[i]:
                     _check(item, kinds[i], where, f"{name}[{i}]")

@@ -19,11 +19,10 @@ from __future__ import annotations
 import math
 import random
 import warnings
-from dataclasses import dataclass
 from typing import Sequence
 
 from .backends import MaskedLanguageModel, fill_masks
-from .errors import ContractViolation, SpanError
+from .errors import ContractViolation, FrozenRecord, SpanError
 
 L2R = "l2r"
 R2L = "r2l"
@@ -35,39 +34,47 @@ HARMONIC = "harmonic"
 AVERAGES = (GEOMETRIC, HARMONIC)
 
 
-@dataclass(frozen=True)
-class GenerationConfig:
+class GenerationConfig(FrozenRecord):
     """Knobs for one generation request.
 
     ``n_mask`` = 0 means "use the answer's token count". ``m_s`` = None
     is resolved per request by :func:`decode_plan`.
     """
 
-    n_mask: int = 0
-    dispersion: int = 1
-    k: int = 3
-    m_s: int | None = None
-    strategy: str = CTL
-    avg: str = GEOMETRIC
-    seed: int = 0
+    __slots__ = ("n_mask", "dispersion", "k", "m_s", "strategy", "avg", "seed")
 
-    def __post_init__(self):
-        for name in ("n_mask", "dispersion", "k", "m_s", "seed"):
-            value = getattr(self, name)
+    def __init__(
+        self,
+        n_mask: int = 0,
+        dispersion: int = 1,
+        k: int = 3,
+        m_s: int | None = None,
+        strategy: str = CTL,
+        avg: str = GEOMETRIC,
+        seed: int = 0,
+    ):
+        integers = {"n_mask": n_mask, "dispersion": dispersion, "k": k, "m_s": m_s, "seed": seed}
+        for name, value in integers.items():
             if type(value) is not int and (name != "m_s" or value is not None):
                 raise ContractViolation(f"{name} must be an integer, not {value!r}")
-        if self.n_mask < 0:
+        if n_mask < 0:
             raise ContractViolation("n_mask must be >= 0")
-        if self.dispersion < 0:
+        if dispersion < 0:
             raise ContractViolation("dispersion must be >= 0")
-        if self.k < 1:
+        if k < 1:
             raise ContractViolation("k must be >= 1")
-        if self.m_s is not None and self.m_s < 1:
+        if m_s is not None and m_s < 1:
             raise ContractViolation("m_s must be >= 1")
-        if self.seed < 0:
+        if seed < 0:
             raise ContractViolation("seed must be >= 0")
-        object.__setattr__(self, "strategy", canonical_strategy(self.strategy))
-        object.__setattr__(self, "avg", canonical_average(self.avg))
+        strategy, avg = canonical_strategy(strategy), canonical_average(avg)
+        object.__setattr__(self, "n_mask", n_mask)
+        object.__setattr__(self, "dispersion", dispersion)
+        object.__setattr__(self, "k", k)
+        object.__setattr__(self, "m_s", m_s)
+        object.__setattr__(self, "strategy", strategy)
+        object.__setattr__(self, "avg", avg)
+        object.__setattr__(self, "seed", seed)
 
 
 def canonical_strategy(name: str) -> str:
@@ -84,27 +91,26 @@ def canonical_average(name: str) -> str:
     return lowered
 
 
-@dataclass(frozen=True)
-class MaskedContext:
+class MaskedContext(FrozenRecord):
     """A token sequence whose answer span was replaced by mask tokens."""
 
-    tokens: list[str]
-    mask_positions: list[int]
+    __slots__ = ("tokens", "mask_positions")
 
-    def __post_init__(self):
-        if not self.mask_positions:
+    def __init__(self, tokens: list[str], mask_positions: list[int]):
+        if not mask_positions:
             raise ContractViolation("mask_positions must be nonempty")
-        run = self.mask_positions
+        run = mask_positions
         if any(b - a != 1 for a, b in zip(run, run[1:])):
             raise ContractViolation("mask_positions must be contiguous ascending")
-        if run[0] < 0 or run[-1] >= len(self.tokens):
+        if run[0] < 0 or run[-1] >= len(tokens):
             raise ContractViolation("mask_positions outside token sequence")
-        if len({self.tokens[p] for p in run}) != 1:
+        if len({tokens[p] for p in run}) != 1:
             raise ContractViolation("all mask positions must hold the same mask token")
+        object.__setattr__(self, "tokens", tokens)
+        object.__setattr__(self, "mask_positions", mask_positions)
 
 
-@dataclass(frozen=True)
-class Candidate:
+class Candidate(FrozenRecord):
     """One generated fill for a masked answer span.
 
     ``token_strings`` follow positional (textual) order while
@@ -113,10 +119,19 @@ class Candidate:
     ``avg`` (set once).
     """
 
-    token_strings: list[str]
-    text: str
-    step_probabilities: list[float]
-    rank_score: float
+    __slots__ = ("token_strings", "text", "step_probabilities", "rank_score")
+
+    def __init__(
+        self,
+        token_strings: list[str],
+        text: str,
+        step_probabilities: list[float],
+        rank_score: float,
+    ):
+        object.__setattr__(self, "token_strings", token_strings)
+        object.__setattr__(self, "text", text)
+        object.__setattr__(self, "step_probabilities", step_probabilities)
+        object.__setattr__(self, "rank_score", rank_score)
 
 
 def normalize_text(text: str) -> str:
@@ -249,8 +264,9 @@ def generate_candidates(
     queried on the partially filled tokens so later steps condition on
     earlier commitments. Step 0 copies each hypothesis once per fill of its
     ``branch_width`` best; later steps commit the single top fill in place.
-    A hypothesis with no prediction is dropped with a ``RuntimeWarning``; a
-    malformed reply is a ``BackendError`` (see ``fill_masks``).
+    A hypothesis with no prediction is dropped with a ``RuntimeWarning`` that
+    names its position, mask count and decode step; a malformed reply is a
+    ``BackendError`` (see ``fill_masks``).
     Returns each job's candidates (at most ``branch_width``, in first-step
     probability order; ``rank_score`` under ``avg``), jobs in input order.
     """
@@ -282,8 +298,8 @@ def generate_candidates(
         for (j, position, (tokens, probs)), preds in zip(owners, replies):
             if not preds:
                 warnings.warn(
-                    f"backend returned no predictions at position {position}; "
-                    "dropping hypothesis",
+                    f"backend returned no predictions at position {position} "
+                    f"(mask count {len(jobs[j][1])}, decode step {step}); dropping hypothesis",
                     RuntimeWarning,
                     stacklevel=2,
                 )

@@ -9,10 +9,9 @@ from __future__ import annotations
 
 import json
 import math
-from dataclasses import asdict, dataclass
 from typing import Sequence
 
-from .errors import ContractViolation
+from .errors import ContractViolation, FrozenRecord
 from .generation import normalize_text
 
 METRIC_NAMES = ("p_at_1", "f1_at_3", "mrr_at_10", "ndcg_at_10")
@@ -24,23 +23,37 @@ _METRIC_HEADERS = {
 }
 
 
-@dataclass(frozen=True)
-class EvalItemResult:
-    item_id: str
-    p_at_1: float
-    f1_at_3: float
-    mrr_at_10: float
-    ndcg_at_10: float
-    matched_ranks: list[int]
+class EvalItemResult(FrozenRecord):
+    __slots__ = ("item_id", "p_at_1", "f1_at_3", "mrr_at_10", "ndcg_at_10", "matched_ranks")
+
+    def __init__(
+        self,
+        item_id: str,
+        p_at_1: float,
+        f1_at_3: float,
+        mrr_at_10: float,
+        ndcg_at_10: float,
+        matched_ranks: list[int],
+    ):
+        object.__setattr__(self, "item_id", item_id)
+        object.__setattr__(self, "p_at_1", p_at_1)
+        object.__setattr__(self, "f1_at_3", f1_at_3)
+        object.__setattr__(self, "mrr_at_10", mrr_at_10)
+        object.__setattr__(self, "ndcg_at_10", ndcg_at_10)
+        object.__setattr__(self, "matched_ranks", matched_ranks)
 
 
-@dataclass(frozen=True)
-class EvalReport:
+class EvalReport(FrozenRecord):
     """Per-item metrics plus dataset averages expressed as percentages."""
 
-    per_item: list[EvalItemResult]
-    averages: dict[str, float]
-    item_count: int
+    __slots__ = ("per_item", "averages", "item_count")
+
+    def __init__(
+        self, per_item: list[EvalItemResult], averages: dict[str, float], item_count: int
+    ):
+        object.__setattr__(self, "per_item", per_item)
+        object.__setattr__(self, "averages", averages)
+        object.__setattr__(self, "item_count", item_count)
 
 
 def compute_item(
@@ -120,7 +133,10 @@ def report_to_dict(report: EvalReport) -> dict:
     return {
         "item_count": report.item_count,
         "averages": {k: report.averages[k] for k in METRIC_NAMES},
-        "per_item": [asdict(r) for r in report.per_item],
+        "per_item": [
+            {name: getattr(r, name) for name in EvalItemResult.__slots__}
+            for r in report.per_item
+        ],
     }
 
 

@@ -10,11 +10,10 @@ from __future__ import annotations
 
 import random
 import string
-from dataclasses import asdict, dataclass
 
 from .backends import MaskedLanguageModel, NliClassifier
 from .data import extract_sentence, trim_span
-from .errors import ContractViolation, SpanError
+from .errors import ContractViolation, FrozenRecord, Record, SpanError
 from .generation import (
     Candidate,
     GenerationConfig,
@@ -32,21 +31,30 @@ BLANK_MARKER = "_____"
 OPTION_LETTERS = string.ascii_uppercase
 
 
-@dataclass
-class GenerationResult:
-    distractor_set: DistractorSet
-    all_candidates: list[Candidate]
-    config_echo: GenerationConfig
+class GenerationResult(Record):
+    __slots__ = ("distractor_set", "all_candidates", "config_echo")
+
+    def __init__(
+        self,
+        distractor_set: DistractorSet,
+        all_candidates: list[Candidate],
+        config_echo: GenerationConfig,
+    ):
+        self.distractor_set = distractor_set
+        self.all_candidates = all_candidates
+        self.config_echo = config_echo
 
 
-@dataclass(frozen=True)
-class RenderedCloze:
+class RenderedCloze(FrozenRecord):
     """A presentable item: stem with a blank, shuffled options, answer key."""
 
-    stem: str
-    options: list[str]
-    answer_index: int
-    underfilled: bool
+    __slots__ = ("stem", "options", "answer_index", "underfilled")
+
+    def __init__(self, stem: str, options: list[str], answer_index: int, underfilled: bool):
+        object.__setattr__(self, "stem", stem)
+        object.__setattr__(self, "options", options)
+        object.__setattr__(self, "answer_index", answer_index)
+        object.__setattr__(self, "underfilled", underfilled)
 
     @property
     def answer_letter(self) -> str:
@@ -136,5 +144,5 @@ def result_to_dict(result: GenerationResult) -> dict:
             {"candidate": e.candidate, "stage": e.stage, "counterpart": e.counterpart}
             for e in result.distractor_set.trace
         ],
-        "config": asdict(result.config_echo),
+        "config": {name: getattr(result.config_echo, name) for name in GenerationConfig.__slots__},
     }

@@ -26,11 +26,10 @@ unless a reply holds one of the three verdicts per pair.
 
 from __future__ import annotations
 
-from dataclasses import dataclass, field
 from typing import Sequence
 
 from .backends import ENTAILMENT, NliClassifier, classify_pairs
-from .errors import ContractViolation, SpanError
+from .errors import ContractViolation, FrozenRecord, Record, SpanError
 from .generation import normalize_text
 
 STAGE_ANSWER = "answer-entailment"
@@ -38,24 +37,34 @@ STAGE_PAIRWISE = "pairwise-entailment"
 STAGES = (STAGE_ANSWER, STAGE_PAIRWISE)
 
 
-@dataclass(frozen=True)
-class TraceEntry:
+class TraceEntry(FrozenRecord):
     """Why one candidate was eliminated: its sentence and the counterpart's
     entail each other both ways."""
 
-    candidate: str
-    stage: str
-    counterpart: str
+    __slots__ = ("candidate", "stage", "counterpart")
+
+    def __init__(self, candidate: str, stage: str, counterpart: str):
+        object.__setattr__(self, "candidate", candidate)
+        object.__setattr__(self, "stage", stage)
+        object.__setattr__(self, "counterpart", counterpart)
 
 
-@dataclass
-class DistractorSet:
+class DistractorSet(Record):
     """Final distractors in rank order plus the full elimination trace."""
 
-    distractors: list[str]
-    answer: str
-    trace: list[TraceEntry] = field(default_factory=list)
-    underfilled: bool = False
+    __slots__ = ("distractors", "answer", "trace", "underfilled")
+
+    def __init__(
+        self,
+        distractors: list[str],
+        answer: str,
+        trace: list[TraceEntry] | None = None,
+        underfilled: bool = False,
+    ):
+        self.distractors = distractors
+        self.answer = answer
+        self.trace = [] if trace is None else trace
+        self.underfilled = underfilled
 
 
 def _check_span(context: str, answer_span: tuple[int, int]) -> tuple[int, int]:

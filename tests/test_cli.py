@@ -144,6 +144,21 @@ def test_warnings_name_their_item(mock_config_path, tmp_path, capsys):
     assert captured.err == f"warning: a: {straddle}\nwarning: b: {straddle}\n"
 
 
+def test_each_dropped_hypothesis_warning_names_its_mask_count(tmp_path, capsys):
+    mock = tmp_path / "empty.json"
+    mock.write_text(json.dumps({"vocabulary": []}), encoding="utf-8")
+    pairs = tmp_path / "pairs.jsonl"
+    record = {"id": "e", "context": "the big old cat sat on the mat", "answer_text": "big old cat"}
+    pairs.write_text(json.dumps(record) + "\n", encoding="utf-8")
+    spec = f"mock:{mock}"
+    argv = ["generate", str(pairs), "--model", spec, "--nli-model", spec, "--dispersion", "2"]
+    assert main(argv) == 0
+    lines = capsys.readouterr().err.splitlines()
+    # three sampled mask counts, each of whose one hypothesis gets no fill at step 0
+    assert len(lines) == 3 == len(set(lines))
+    assert all(line.startswith("warning: e: backend returned no predictions") for line in lines)
+
+
 def test_a_load_warning_is_one_line(mock_config_path, tmp_path, capsys):
     pairs = tmp_path / "pairs.jsonl"
     record = {"id": "r", "context": "the cat and the cat", "answer_text": "cat"}

@@ -497,6 +497,10 @@ import sys
 import clozegen.cli
 from clozegen import GenerationConfig, MockMaskedLM, MockNliClassifier, generate_distractors
 
+# the record types are plain classes: nothing generates code for them at import
+generated = {"dataclasses", "inspect"} & set(sys.modules)
+assert not generated, sorted(generated)
+
 context = "The boy will open the door."
 config = GenerationConfig(n_mask=3, dispersion=2)  # five counts: the seed is consulted
 mlm = MockMaskedLM(vocabulary=["shut", "lock", "slam", "kick"])
