@@ -21,8 +21,8 @@ from pathlib import Path
 from typing import NamedTuple, Sequence
 
 from .errors import (
-    BackendError, ContractViolation, FrozenRecord, ParseError, SequenceLengthError, read_field,
-    read_json,
+    BackendError, ContractViolation, FrozenRecord, ParseError, SequenceLengthError, check_count,
+    read_field, read_json,
 )
 
 ENTAILMENT = "entailment"
@@ -46,8 +46,7 @@ class BackendInfo(FrozenRecord):
     __slots__ = ("name", "max_sequence_length", "mask_token")
 
     def __init__(self, name: str, max_sequence_length: int, mask_token: str):
-        if max_sequence_length <= 0:
-            raise ContractViolation("max_sequence_length must be positive")
+        check_count("max_sequence_length", max_sequence_length, 1)
         if not isinstance(mask_token, str) or not mask_token:
             raise ContractViolation("mask_token must be a nonempty string")
         object.__setattr__(self, "name", name)
@@ -108,8 +107,7 @@ class MaskedLanguageModel(ABC):
 
     def _check_fill_args(self, tokens: Sequence[str], mask_position: int, top_k: int) -> None:
         info = self.info()
-        if top_k < 1:
-            raise ContractViolation("top_k must be >= 1")
+        check_count("top_k", top_k, 1)
         if len(tokens) > info.max_sequence_length:
             raise SequenceLengthError(
                 f"sequence of {len(tokens)} tokens exceeds backend maximum "

@@ -26,7 +26,9 @@ from pathlib import Path
 from . import data, metrics
 from .adapters import HuggingFaceMaskedLM, HuggingFaceNli
 from .backends import MockMaskedLM, MockNliClassifier
-from .errors import ClozegenError, ConfigError, ParseError, read_field, read_json_lines
+from .errors import (
+    ClozegenError, ConfigError, ParseError, check_count, read_field, read_json_lines,
+)
 from .generation import AVERAGES, GenerationConfig, STRATEGIES
 from .pipeline import generate_distractors, result_to_dict
 from .selection import STAGES
@@ -194,8 +196,8 @@ def run_generate(args: argparse.Namespace) -> int:
 
 
 def run_evaluate(args: argparse.Namespace) -> int:
-    if args.limit is not None and args.limit < 1:
-        raise ConfigError("--limit must be >= 1")
+    if args.limit is not None:
+        check_count("--limit", args.limit, 1)
     passages = islice(data.load_cloth(args.input), args.limit)  # files past the limit unread
     items = [(f"{p.id}#{qi}", (p, qi)) for p in passages for qi in range(len(p.questions))]
 

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the base of its record types,
-the two readers that every input file goes through, and the typed reader for
-every field."""
+the one check of every count, the two readers that every input file goes
+through, and the typed reader for every field."""
 
 import json
 
@@ -37,11 +37,13 @@ class ConfigError(ClozegenError):
     """Invalid or incomplete configuration."""
 
 
-class Record:
-    """Named fields, the subclass's ``__slots__`` in order, set by its ``__init__``.
+class FrozenRecord:
+    """Named fields, the subclass's ``__slots__`` in order, each set once by
+    ``object.__setattr__`` in its ``__init__``.
 
-    A record equals one of the same type whose fields are equal, and reprs as
-    ``Name(field=value, ...)``. It is mutable and unhashable.
+    A record equals one of the same type whose fields are equal, hashes by
+    them (so one holding a list is unhashable), reprs as
+    ``Name(field=value, ...)`` and cannot be assigned to.
     """
 
     __slots__ = ()
@@ -54,6 +56,9 @@ class Record:
             return NotImplemented
         return self._values() == other._values()
 
+    def __hash__(self):
+        return hash(self._values())
+
     def __repr__(self) -> str:
         fields = ", ".join(f"{name}={getattr(self, name)!r}" for name in self.__slots__)
         return f"{type(self).__qualname__}({fields})"
@@ -61,21 +66,21 @@ class Record:
     def __reduce__(self):  # copy and pickle rebuild through __init__
         return type(self), self._values()
 
-
-class FrozenRecord(Record):
-    """A record whose fields are set once, by ``object.__setattr__`` in its
-    ``__init__``; it hashes by them."""
-
-    __slots__ = ()
-
     def __setattr__(self, name, value):
         raise AttributeError(f"cannot assign to field {name!r}")
 
     def __delattr__(self, name):
         raise AttributeError(f"cannot delete field {name!r}")
 
-    def __hash__(self):
-        return hash(self._values())
+
+def check_count(name: str, value, low: int) -> int:
+    """``value`` if it is an ``int`` of at least ``low`` (a bool is not), else a
+    ContractViolation naming ``name``."""
+    if type(value) is not int:
+        raise ContractViolation(f"{name} must be an integer, not {value!r}")
+    if value < low:
+        raise ContractViolation(f"{name} must be >= {low}")
+    return value
 
 
 def read_json(path) -> dict:

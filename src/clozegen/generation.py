@@ -22,7 +22,7 @@ import warnings
 from typing import Sequence
 
 from .backends import MaskedLanguageModel, fill_masks
-from .errors import ContractViolation, FrozenRecord, SpanError
+from .errors import ContractViolation, FrozenRecord, SpanError, check_count
 
 L2R = "l2r"
 R2L = "r2l"
@@ -53,28 +53,13 @@ class GenerationConfig(FrozenRecord):
         avg: str = GEOMETRIC,
         seed: int = 0,
     ):
-        integers = {"n_mask": n_mask, "dispersion": dispersion, "k": k, "m_s": m_s, "seed": seed}
-        for name, value in integers.items():
-            if type(value) is not int and (name != "m_s" or value is not None):
-                raise ContractViolation(f"{name} must be an integer, not {value!r}")
-        if n_mask < 0:
-            raise ContractViolation("n_mask must be >= 0")
-        if dispersion < 0:
-            raise ContractViolation("dispersion must be >= 0")
-        if k < 1:
-            raise ContractViolation("k must be >= 1")
-        if m_s is not None and m_s < 1:
-            raise ContractViolation("m_s must be >= 1")
-        if seed < 0:
-            raise ContractViolation("seed must be >= 0")
-        strategy, avg = canonical_strategy(strategy), canonical_average(avg)
-        object.__setattr__(self, "n_mask", n_mask)
-        object.__setattr__(self, "dispersion", dispersion)
-        object.__setattr__(self, "k", k)
-        object.__setattr__(self, "m_s", m_s)
-        object.__setattr__(self, "strategy", strategy)
-        object.__setattr__(self, "avg", avg)
-        object.__setattr__(self, "seed", seed)
+        object.__setattr__(self, "n_mask", check_count("n_mask", n_mask, 0))
+        object.__setattr__(self, "dispersion", check_count("dispersion", dispersion, 0))
+        object.__setattr__(self, "k", check_count("k", k, 1))
+        object.__setattr__(self, "m_s", m_s if m_s is None else check_count("m_s", m_s, 1))
+        object.__setattr__(self, "strategy", canonical_strategy(strategy))
+        object.__setattr__(self, "avg", canonical_average(avg))
+        object.__setattr__(self, "seed", check_count("seed", seed, 0))
 
 
 def canonical_strategy(name: str) -> str:
@@ -148,8 +133,7 @@ def decode_plan(config: GenerationConfig, answer_token_count: int) -> tuple[list
     most three counts is used whole. The branch width is ``k * m_s``; an
     unset ``m_s`` is 10 for a base count of 1 and 7 otherwise.
     """
-    if answer_token_count < 1:
-        raise ContractViolation("answer_token_count must be >= 1")
+    check_count("answer_token_count", answer_token_count, 1)
     base = config.n_mask or answer_token_count
     low, high = max(base - config.dispersion, 1), base + config.dispersion
     counts = random.Random(config.seed).sample(range(low, high + 1), min(3, high - low + 1))
@@ -208,8 +192,7 @@ def build_masked_context(
         raise SpanError(
             f"span ({start}, {end}) invalid for {len(context_tokens)} tokens"
         )
-    if mask_count < 1:
-        raise ContractViolation("mask_count must be >= 1")
+    check_count("mask_count", mask_count, 1)
     left, right = start, len(context_tokens) - end  # tokens kept on each side
     if left + mask_count + right > max_length:
         if mask_count > max_length:
@@ -232,8 +215,7 @@ def decode_order(strategy: str, mask_count: int) -> list[int]:
     l2r counts up, r2l counts down, and ctl alternates between the two
     ends moving inward (0, m-1, 1, m-2, ...).
     """
-    if mask_count < 1:
-        raise ContractViolation("mask_count must be >= 1")
+    check_count("mask_count", mask_count, 1)
     strategy = canonical_strategy(strategy)
     if strategy == L2R:
         return list(range(mask_count))
@@ -278,8 +260,7 @@ def generate_candidates(
             raise ContractViolation(
                 f"order {order!r} is not a permutation of 0..{slots - 1}"
             )
-    if branch_width < 1:
-        raise ContractViolation("branch_width must be >= 1")
+    check_count("branch_width", branch_width, 1)
 
     # live[j]: job j's hypotheses as (partially filled tokens, step probabilities);
     # each job starts as one hypothesis over its masked tokens, copied at step 0

@@ -13,7 +13,7 @@ import string
 
 from .backends import MaskedLanguageModel, NliClassifier
 from .data import extract_sentence, trim_span
-from .errors import ContractViolation, FrozenRecord, Record, SpanError
+from .errors import ContractViolation, FrozenRecord, SpanError
 from .generation import (
     Candidate,
     GenerationConfig,
@@ -31,7 +31,7 @@ BLANK_MARKER = "_____"
 OPTION_LETTERS = string.ascii_uppercase
 
 
-class GenerationResult(Record):
+class GenerationResult(FrozenRecord):
     __slots__ = ("distractor_set", "all_candidates", "config_echo")
 
     def __init__(
@@ -40,9 +40,9 @@ class GenerationResult(Record):
         all_candidates: list[Candidate],
         config_echo: GenerationConfig,
     ):
-        self.distractor_set = distractor_set
-        self.all_candidates = all_candidates
-        self.config_echo = config_echo
+        object.__setattr__(self, "distractor_set", distractor_set)
+        object.__setattr__(self, "all_candidates", all_candidates)
+        object.__setattr__(self, "config_echo", config_echo)
 
 
 class RenderedCloze(FrozenRecord):

@@ -29,7 +29,7 @@ from __future__ import annotations
 from typing import Sequence
 
 from .backends import ENTAILMENT, NliClassifier, classify_pairs
-from .errors import ContractViolation, FrozenRecord, Record, SpanError
+from .errors import FrozenRecord, SpanError, check_count
 from .generation import normalize_text
 
 STAGE_ANSWER = "answer-entailment"
@@ -49,7 +49,7 @@ class TraceEntry(FrozenRecord):
         object.__setattr__(self, "counterpart", counterpart)
 
 
-class DistractorSet(Record):
+class DistractorSet(FrozenRecord):
     """Final distractors in rank order plus the full elimination trace."""
 
     __slots__ = ("distractors", "answer", "trace", "underfilled")
@@ -61,10 +61,10 @@ class DistractorSet(Record):
         trace: list[TraceEntry] | None = None,
         underfilled: bool = False,
     ):
-        self.distractors = distractors
-        self.answer = answer
-        self.trace = [] if trace is None else trace
-        self.underfilled = underfilled
+        object.__setattr__(self, "distractors", distractors)
+        object.__setattr__(self, "answer", answer)
+        object.__setattr__(self, "trace", [] if trace is None else trace)
+        object.__setattr__(self, "underfilled", underfilled)
 
 
 def _check_span(context: str, answer_span: tuple[int, int]) -> tuple[int, int]:
@@ -89,8 +89,7 @@ def select_distractors(
     and free of answer copies. The trace lists answer-entailment removals
     first, then pairwise ones, each in rank order.
     """
-    if type(k) is not int or k < 1:
-        raise ContractViolation(f"k must be an integer >= 1, not {k!r}")
+    check_count("k", k, 1)
     start, end = _check_span(context, answer_span)
     texts = [context[start:end], *candidates]
     sentences = [context] + [context[:start] + t + context[end:] for t in texts[1:]]

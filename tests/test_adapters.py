@@ -380,10 +380,15 @@ def test_offsets_tokenizer_failure_is_backend_error(checkpoints):
         def __call__(self, text, text_pair=None, **kwargs):
             raise RuntimeError("tokenizer crashed")
 
+        def tokenize(self, text):
+            raise RuntimeError("tokenizer crashed")
+
     checkpoints["broken-tokenizer"] = (BrokenTokenizer(), FakeMaskedLM())
     mlm = HuggingFaceMaskedLM("broken-tokenizer")
     with pytest.raises(BackendError, match="tokenization failed"):
         mlm.tokenize_with_offsets("the cat")
+    with pytest.raises(BackendError, match="tokenization failed"):
+        mlm.tokenize("the cat")
 
 
 @pytest.mark.parametrize(

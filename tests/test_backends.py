@@ -230,7 +230,8 @@ def test_mock_json_document_round_trip(tmp_path):
         "vocabulary": ["x", "y"],
         "max_sequence_length": 64,
         "predictions": [
-            {"fingerprint": "a <m> b", "position": 1, "top": [["cat", 0.6], ["dog", 0.3]]}
+            {"fingerprint": "a <m> b", "position": 1, "top": [["cat", 0.6], ["dog", 0.3]]},
+            {"fingerprint": "<m> b", "position": 0, "top": [["a", 1]]},  # an int probability
         ],
         "nli": [["p", "h", "entailment"]],
         "nli_default": "contradiction",
@@ -242,6 +243,8 @@ def test_mock_json_document_round_trip(tmp_path):
     assert mlm.info().mask_token == "<m>"
     assert mlm.info().max_sequence_length == 64
     assert mlm.fill_mask(["a", "<m>", "b"], 1, 1) == [TokenPrediction("cat", 0.6)]
+    (certain,) = mlm.fill_mask(["<m>", "b"], 0, 1)
+    assert certain == TokenPrediction("a", 1.0) and type(certain.probability) is float
     assert nli.classify_nli("p", "h") == ENTAILMENT
     assert nli.classify_nli("h", "p") == "contradiction"
 

@@ -551,6 +551,11 @@ BAD_FILES = {
         {"predictions": [{"fingerprint": "a", "position": 0, "top": [[7, 0.5]]}]},
     ),
     "mock-nli-entry-not-strings": ("generate", "mock", {"nli": [[1, 2, "entailment"]]}),
+    "mock-unknown-fallback": ("generate", "mock", {"fallback": "zigzag"}),
+    "pairs-answer-text-empty": ("generate", "input", {"context": "a b", "answer_text": ""}),
+    "cloth-blanks-answers-mismatch": (
+        "evaluate", "input", {**CLOTH_DOC, "article": "Tom went to the _ after school."}
+    ),
 }
 
 
@@ -704,6 +709,11 @@ def test_trace_error_paths(tmp_path, capsys):
     missing = tmp_path / "missing.jsonl"
     missing.write_text(json.dumps({"id": "x"}), encoding="utf-8")
     assert main(["trace", str(missing)]) == 1
+    capsys.readouterr()
+    empty = tmp_path / "empty.jsonl"
+    empty.write_text("\n", encoding="utf-8")
+    assert main(["trace", str(empty)]) == 1
+    assert capsys.readouterr().err == f"error: {empty}: no records found\n"
 
 
 def test_trace_reads_failed_items_and_unicode_line_separators(

@@ -1,4 +1,5 @@
-"""Seeded fuzz over the batch edges of one generation request.
+"""Seeded fuzz over the batch edges of one generation request and of CLOTH
+preparation.
 
 Contexts mix abbreviations, initials, unicode whitespace, quotes after
 periods and one-word sentences. Spans, ``k``, dispersion, strategy, average
@@ -7,6 +8,11 @@ hash-verdict NLI, and some draws make one backend reply malformed. Every
 request either meets the invariants of a good result or fails with a
 ``ClozegenError``; through ``clozegen generate`` a pairs file exits 0 or 2
 with one record per input line, or 1 at load if some answer is blank.
+
+CLOTH passages put blanks anywhere: at the start, glued to punctuation or
+next to each other. Every question is prepared under each input mode and
+prefill mode, and ``clozegen evaluate`` on such passages exits 0 or 2 with a
+report over exactly the questions that printed no ``error:`` line.
 """
 
 import json
@@ -18,7 +24,10 @@ from collections import Counter
 
 from clozegen.backends import MockMaskedLM, TokenPrediction
 from clozegen.cli import main
-from clozegen.data import extract_sentence, trim_span
+from clozegen.data import (
+    BLANK_RE, INPUT_MODES, PREFILL_MODES, ClozePassage, ClozeQuestion, extract_sentence,
+    prepare_context, trim_span,
+)
 from clozegen.errors import ClozegenError
 from clozegen.generation import GenerationConfig, normalize_text
 from clozegen.pipeline import generate_distractors, result_to_dict
@@ -222,3 +231,123 @@ def test_generate_writes_one_record_per_pair_and_exits_0_or_2(tmp_path, capsys):
         assert all("distractors" in r for r in records if "error" not in r)
         codes.add(code)
     assert codes == {0, 1, 2}
+
+
+PASSAGE_WORDS = [
+    "Tom", "ran", "home", "the", "cat", "Dr.", "Mr.", "J.", "e.g.", "U.S.", "etc.",
+    '"Stop."', "'Yes.'", "end.", "Why?", "Go!", "café",
+]
+BLANK_SHAPES = ["_", "__", "_.", "_,", "(_)", "_ _", '"_"']
+GLUES = [" ", " ", " ", "", "\t", "\n", "\u00a0", "\u2028", ". "]
+PREFILL_FILLS = ["", " ", "x y", "_", "end.", "Dr.", "tea", "Mr.", "?"]
+OPTIONS = ["tea", "rice", "x y", "Dr.", "end.", "café", "U.S.", "go"]
+
+
+def draw_article(rnd):
+    """Words with blanks anywhere, the first piece at the very start."""
+    pieces = rnd.choices(PASSAGE_WORDS, k=rnd.randint(0, 10))
+    for _ in range(rnd.randint(1, 4)):
+        pieces.insert(rnd.randint(0, len(pieces)), rnd.choice(BLANK_SHAPES))
+    return pieces[0] + "".join(rnd.choice(GLUES) + piece for piece in pieces[1:])
+
+
+def draw_options(rnd):
+    options = rnd.sample(OPTIONS, 4)
+    return options, rnd.randrange(4)
+
+
+def draw_prefill_mock(rnd, salt):
+    return {
+        "vocabulary": rnd.sample(PREFILL_FILLS, rnd.randint(1, len(PREFILL_FILLS))),
+        "fallback": "seeded",
+        "salt": salt,
+        "max_sequence_length": rnd.choice([512, 512, 6, 3, 2]),
+    }
+
+
+def test_cloth_preparation_meets_its_invariants_or_fails_cleanly():
+    rnd = random.Random(11)
+    outcomes = Counter()
+    for trial in range(800):
+        text = draw_article(rnd)
+        questions = []
+        for _ in BLANK_RE.finditer(text):
+            options, answer = draw_options(rnd)
+            distractors = options[:answer] + options[answer + 1 :]
+            questions.append(ClozeQuestion(options[answer], distractors))
+        passage = ClozePassage("p", text, questions)
+        mlm = MockMaskedLM(**draw_prefill_mock(rnd, trial))
+        kept_text = BLANK_RE.split(text)
+        for qi in range(len(questions)):
+            for prefill in PREFILL_MODES:
+                prepared = {}
+                for mode in INPUT_MODES:
+                    with warnings.catch_warnings():
+                        warnings.simplefilter("ignore")  # a sentence union warns
+                        try:
+                            prepared[mode] = prepare_context(
+                                passage, qi, mode, prefill, mlm_backend=mlm
+                            )
+                        except ClozegenError as exc:
+                            outcomes[type(exc).__name__] += 1
+                if len(prepared) < 2:
+                    continue
+                outcomes["ok"] += 1
+                full = prepared["passage"]
+                start, end = full.answer_span
+                assert BLANK_RE.fullmatch(full.context[start:end]), (text, qi, prefill)
+                if prefill != "model":  # the text between blanks survives, in order
+                    at = 0
+                    for piece in kept_text:
+                        at = full.context.index(piece, at) + len(piece)
+                with warnings.catch_warnings():
+                    warnings.simplefilter("ignore")
+                    sentence = extract_sentence(full.context, full.answer_span)
+                got = prepared["sentence"]
+                assert (got.context, got.answer_span) == sentence, (text, qi, prefill)
+    assert outcomes["ok"] > 6000, outcomes
+
+
+def test_evaluate_exits_0_or_2_and_reports_every_question_without_an_error_line(
+    tmp_path, capsys
+):
+    rnd = random.Random(13)
+    codes = set()
+    for run in range(20):
+        directory = tmp_path / f"cloth{run}"
+        directory.mkdir()
+        questions = 0
+        for p in range(rnd.randint(1, 3)):
+            article = draw_article(rnd)
+            blanks = len(BLANK_RE.findall(article))
+            drawn = [draw_options(rnd) for _ in range(blanks)]
+            doc = {
+                "article": article,
+                "options": [options for options, _ in drawn],
+                "answers": ["ABCD"[answer] for _, answer in drawn],
+            }
+            (directory / f"p{p}.json").write_text(json.dumps(doc), encoding="utf-8")
+            questions += blanks
+        mock_path = tmp_path / f"mock{run}.json"
+        mock = draw_prefill_mock(rnd, run)
+        mock["nli_default"] = rnd.choice(["entailment", "neutral"])
+        mock_path.write_text(json.dumps(mock), encoding="utf-8")
+        for mode in INPUT_MODES:
+            for prefill in PREFILL_MODES:
+                out = tmp_path / f"report{run}{mode}{prefill}.json"
+                code = main([
+                    "evaluate", str(directory),
+                    "--model", f"mock:{mock_path}", "--nli-model", f"mock:{mock_path}",
+                    "--output", str(out), "--input-mode", mode, "--prefill", prefill,
+                ])
+                err = capsys.readouterr().err
+                assert "Traceback" not in err
+                errors = [line for line in err.splitlines() if line.startswith("error: ")]
+                assert code == (2 if errors else 0), (code, err)
+                if len(errors) < questions:
+                    report = json.loads(out.read_text(encoding="utf-8"))
+                    assert report["item_count"] == questions - len(errors)
+                else:
+                    assert not out.exists()
+                codes.add(code)
+    assert codes == {0, 2}, codes

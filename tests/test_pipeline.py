@@ -1,3 +1,4 @@
+import argparse
 import hashlib
 import itertools
 import json
@@ -16,20 +17,31 @@ from clozegen.backends import (
     CONTRADICTION,
     ENTAILMENT,
     NEUTRAL,
+    BackendInfo,
+    MaskedLanguageModel,
     MockMaskedLM,
     MockNliClassifier,
     NliClassifier,
 )
 from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
 from clozegen.errors import ContractViolation, SpanError
-from clozegen.generation import GenerationConfig, decode_plan, rank_score
+from clozegen.cli import run_evaluate
+from clozegen.generation import (
+    GenerationConfig,
+    MaskedContext,
+    build_masked_context,
+    decode_order,
+    decode_plan,
+    generate_candidates,
+    rank_score,
+)
 from clozegen.pipeline import (
     generate_distractors,
     map_char_span,
     render_cloze,
     result_to_dict,
 )
-from clozegen.selection import DistractorSet, verify_distractor_set
+from clozegen.selection import DistractorSet, select_distractors, verify_distractor_set
 
 from tests.conftest import CountingMLM, CountingNli, table_entry
 from tests.oracles import whole_request_oracle
@@ -285,6 +297,51 @@ def test_config_rejects_non_integer_counts(fields):
         GenerationConfig(**fields)
 
 
+# Every count the library and the CLI take: (call with the count, its name, its least value).
+COUNT_SITES = {
+    "config-n_mask": (lambda n: GenerationConfig(n_mask=n), "n_mask", 0),
+    "config-dispersion": (lambda n: GenerationConfig(dispersion=n), "dispersion", 0),
+    "config-k": (lambda n: GenerationConfig(k=n), "k", 1),
+    "config-m_s": (lambda n: GenerationConfig(m_s=n), "m_s", 1),
+    "config-seed": (lambda n: GenerationConfig(seed=n), "seed", 0),
+    "select_distractors-k": (
+        lambda n: select_distractors(MockNliClassifier(), CONTEXT, ["shut"], n, ANSWER_SPAN),
+        "k",
+        1,
+    ),
+    "decode_plan": (lambda n: decode_plan(GenerationConfig(), n), "answer_token_count", 1),
+    "build_masked_context": (
+        lambda n: build_masked_context(["a", "b"], (0, 1), n, "[MASK]", 8), "mask_count", 1
+    ),
+    "decode_order": (lambda n: decode_order("l2r", n), "mask_count", 1),
+    "generate_candidates": (
+        lambda n: generate_candidates(
+            MockMaskedLM(vocabulary=["x"]), [(MaskedContext(["[MASK]"], [0]), [0])], n, "geometric"
+        ),
+        "branch_width",
+        1,
+    ),
+    "fill_mask-top_k": (
+        lambda n: MockMaskedLM(vocabulary=["x"]).fill_mask(["[MASK]"], 0, n), "top_k", 1
+    ),
+    "backend_info": (lambda n: BackendInfo("n", n, "[MASK]"), "max_sequence_length", 1),
+    "evaluate-limit": (lambda n: run_evaluate(argparse.Namespace(limit=n)), "--limit", 1),
+}
+
+
+@pytest.mark.parametrize("value", [2.0, True, "below"])
+@pytest.mark.parametrize("site", list(COUNT_SITES))
+def test_every_count_is_an_integer_at_or_above_its_bound(site, value):
+    call, name, low = COUNT_SITES[site]
+    if value == "below":
+        value, message = low - 1, f"{name} must be >= {low}"
+    else:
+        message = f"{name} must be an integer, not {value!r}"
+    with pytest.raises(ContractViolation) as raised:
+        call(value)
+    assert str(raised.value) == message
+
+
 def test_resolve_search_multiplier_defaults():
     assert decode_plan(GenerationConfig(), 1)[1] == 3 * 10
     assert decode_plan(GenerationConfig(), 2)[1] == 3 * 7
@@ -306,13 +363,16 @@ def test_map_char_span_aligned_and_subtoken():
 
 
 def test_map_char_span_without_offset_support():
-    class NoOffsets(MockMaskedLM):
-        def tokenize_with_offsets(self, text):
-            return None
+    class NoOffsets(MockMaskedLM):  # keeps the contract's default: no offsets
+        tokenize_with_offsets = MaskedLanguageModel.tokenize_with_offsets
 
+    assert NoOffsets().tokenize_with_offsets("open the door") is None
     tokens, span = map_char_span(NoOffsets(), "open the door", (0, 4))
     assert tokens == ["open", "the", "door"]
     assert span == (0, 1)
+    tokens, span = map_char_span(NoOffsets(), "reopen the door", (2, 6))
+    assert tokens == ["re", "open", "the", "door"]
+    assert span == (1, 2)
 
 
 def test_map_char_span_starts_at_the_first_piece_of_a_split_character():
@@ -446,6 +506,8 @@ def test_render_cloze_underfilled_and_empty():
     assert rendered.underfilled is True
     with pytest.raises(ContractViolation):
         render_cloze(CONTEXT, ANSWER_SPAN, _distractor_set([]), 0)
+    with pytest.raises(SpanError, match="outside context"):
+        render_cloze(CONTEXT, (40, 99), _distractor_set(["shut"]), 0)
 
 
 def test_render_cloze_letters_every_option():
@@ -493,6 +555,11 @@ def test_package_root_exports_public_names():
 # third-party modules loaded, and site-packages .pth files may import more.
 STDLIB_ONLY_RUN = """
 import sys
+
+import clozegen
+
+# the library alone loads neither the command line nor the checkpoint adapters
+assert not {"clozegen.cli", "clozegen.adapters"} & set(sys.modules)
 
 import clozegen.cli
 from clozegen import GenerationConfig, MockMaskedLM, MockNliClassifier, generate_distractors
