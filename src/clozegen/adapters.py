@@ -22,7 +22,7 @@ from .backends import (
     _check_text,
     sort_predictions,
 )
-from .errors import BackendError
+from .errors import BackendError, SequenceLengthError
 
 
 def _load_checkpoint(model_id, model_class, what, device, cache_dir):
@@ -173,7 +173,10 @@ class HuggingFaceNli(NliClassifier):
     """Three-way (or two-way) sequence classification over sentence pairs.
 
     Checkpoint labels are normalized onto entailment/neutral/contradiction
-    by substring matching, so two-way entailment models work as well.
+    by substring matching, so two-way entailment models work as well. A pair
+    is never truncated, since two cut sentences can become identical: a
+    batch wider than the checkpoint's limit is a SequenceLengthError before
+    the model runs.
     """
 
     def __init__(
@@ -189,6 +192,7 @@ class HuggingFaceNli(NliClassifier):
             int(i): _normalize_label(str(label))
             for i, label in self._model.config.id2label.items()
         }
+        self._max_length = min(int(self._tokenizer.model_max_length), 100_000)
 
     def classify_nli(self, premise: str, hypothesis: str) -> str:
         return self.classify_nli_batch([(premise, hypothesis)])[0]
@@ -199,17 +203,25 @@ class HuggingFaceNli(NliClassifier):
             self._check_pair(premise, hypothesis)
         if not pairs:
             return []
+        try:
+            encoded = self._tokenizer(
+                [premise for premise, _ in pairs],
+                [hypothesis for _, hypothesis in pairs],
+                return_tensors="pt",
+                padding=True,
+            )
+        except Exception as exc:
+            raise BackendError(f"NLI tokenization failed: {exc}") from exc
+        width = encoded["input_ids"].shape[-1]
+        if width > self._max_length:
+            raise SequenceLengthError(
+                f"NLI pair of {width} tokens exceeds backend maximum {self._max_length}"
+            )
         torch = self._torch
         try:
             with torch.no_grad():
-                encoded = self._tokenizer(
-                    [premise for premise, _ in pairs],
-                    [hypothesis for _, hypothesis in pairs],
-                    return_tensors="pt",
-                    padding=True,
-                    truncation=True,
-                ).to(self._device)
-                indices = torch.argmax(self._model(**encoded).logits, dim=-1).tolist()
+                logits = self._model(**encoded.to(self._device)).logits
+                indices = torch.argmax(logits, dim=-1).tolist()
         except Exception as exc:
             raise BackendError(f"NLI inference failed: {exc}") from exc
         return [self._labels[int(index)] for index in indices]

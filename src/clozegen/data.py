@@ -52,20 +52,11 @@ class ClozeQuestion(FrozenRecord):
 
     __slots__ = ("answer", "distractors")
 
-    def __init__(self, answer: str, distractors: list[str]):
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "distractors", distractors)
-
 
 class ClozePassage(FrozenRecord):
     """One passage whose blanks each correspond to a question, in order."""
 
     __slots__ = ("id", "text_with_blanks", "questions")
-
-    def __init__(self, id: str, text_with_blanks: str, questions: list[ClozeQuestion]):
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "text_with_blanks", text_with_blanks)
-        object.__setattr__(self, "questions", questions)
 
     def blank_spans(self) -> list[tuple[int, int]]:
         return [m.span() for m in BLANK_RE.finditer(self.text_with_blanks)]
@@ -95,10 +86,6 @@ class PreparedContext(FrozenRecord):
     """
 
     __slots__ = ("context", "answer_span")
-
-    def __init__(self, context: str, answer_span: tuple[int, int]):
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "answer_span", answer_span)
 
 
 def load_cloth(path: str | Path) -> Iterator[ClozePassage]:
@@ -147,10 +134,8 @@ def _parse_cloth_file(path: Path) -> ClozePassage:
         idx = ANSWER_LETTERS.index(letter)
         if not opts[idx].strip():
             raise ParseError(f"{path}: options[{i}] has a blank answer option")
-        questions.append(
-            ClozeQuestion(answer=opts[idx], distractors=opts[:idx] + opts[idx + 1 :])
-        )
-    return ClozePassage(id=path.stem, text_with_blanks=article, questions=questions)
+        questions.append(ClozeQuestion(opts[idx], opts[:idx] + opts[idx + 1 :]))
+    return ClozePassage(path.stem, article, questions)
 
 
 def load_pairs(path: str | Path) -> list[ContextAnswerPair]:

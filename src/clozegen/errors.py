@@ -39,14 +39,36 @@ class ConfigError(ClozegenError):
 
 class FrozenRecord:
     """Named fields, the subclass's ``__slots__`` in order, each set once by
-    ``object.__setattr__`` in its ``__init__``.
+    ``object.__setattr__`` in ``__init__``.
 
-    A record equals one of the same type whose fields are equal, hashes by
-    them (so one holding a list is unhashable), reprs as
-    ``Name(field=value, ...)`` and cannot be assigned to.
+    The shared ``__init__`` binds positional values to the fields in order,
+    then keywords to the rest; a record that checks, converts or defaults a
+    field writes its own. A record equals one of the same type whose fields
+    are equal, hashes by them (so one holding a list is unhashable), reprs
+    as ``Name(field=value, ...)`` and cannot be assigned to.
     """
 
     __slots__ = ()
+
+    def __init__(self, *values, **fields):
+        names = self.__slots__
+        if len(values) > len(names):
+            raise self._field_error(f"{len(values)} values given")
+        for name, value in zip(names, values):
+            object.__setattr__(self, name, value)
+        if len(values) < len(names) or fields:
+            for name in names[len(values):]:
+                if name not in fields:
+                    raise self._field_error(f"field {name!r} missing")
+                object.__setattr__(self, name, fields.pop(name))
+            if fields:
+                name = next(iter(fields))
+                raise self._field_error(
+                    f"field {name!r} given twice" if name in names else f"unknown field {name!r}"
+                )
+
+    def _field_error(self, problem: str) -> TypeError:
+        return TypeError(f"{type(self).__qualname__}({', '.join(self.__slots__)}): {problem}")
 
     def _values(self) -> tuple:
         return tuple(getattr(self, name) for name in self.__slots__)

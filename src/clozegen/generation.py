@@ -57,22 +57,17 @@ class GenerationConfig(FrozenRecord):
         object.__setattr__(self, "dispersion", check_count("dispersion", dispersion, 0))
         object.__setattr__(self, "k", check_count("k", k, 1))
         object.__setattr__(self, "m_s", m_s if m_s is None else check_count("m_s", m_s, 1))
-        object.__setattr__(self, "strategy", canonical_strategy(strategy))
-        object.__setattr__(self, "avg", canonical_average(avg))
+        object.__setattr__(self, "strategy", canonical_name(strategy, STRATEGIES, "strategy"))
+        object.__setattr__(self, "avg", canonical_name(avg, AVERAGES, "average"))
         object.__setattr__(self, "seed", check_count("seed", seed, 0))
 
 
-def canonical_strategy(name: str) -> str:
+def canonical_name(name: str, allowed: tuple[str, ...], what: str) -> str:
+    """``name`` lowercased if that is one of ``allowed``, else a
+    ContractViolation naming it as an unknown ``what``."""
     lowered = str(name).lower()
-    if lowered not in STRATEGIES:
-        raise ContractViolation(f"unknown strategy {name!r}; expected one of {STRATEGIES}")
-    return lowered
-
-
-def canonical_average(name: str) -> str:
-    lowered = str(name).lower()
-    if lowered not in AVERAGES:
-        raise ContractViolation(f"unknown average {name!r}; expected one of {AVERAGES}")
+    if lowered not in allowed:
+        raise ContractViolation(f"unknown {what} {name!r}; expected one of {allowed}")
     return lowered
 
 
@@ -105,18 +100,6 @@ class Candidate(FrozenRecord):
     """
 
     __slots__ = ("token_strings", "text", "step_probabilities", "rank_score")
-
-    def __init__(
-        self,
-        token_strings: list[str],
-        text: str,
-        step_probabilities: list[float],
-        rank_score: float,
-    ):
-        object.__setattr__(self, "token_strings", token_strings)
-        object.__setattr__(self, "text", text)
-        object.__setattr__(self, "step_probabilities", step_probabilities)
-        object.__setattr__(self, "rank_score", rank_score)
 
 
 def normalize_text(text: str) -> str:
@@ -216,7 +199,7 @@ def decode_order(strategy: str, mask_count: int) -> list[int]:
     ends moving inward (0, m-1, 1, m-2, ...).
     """
     check_count("mask_count", mask_count, 1)
-    strategy = canonical_strategy(strategy)
+    strategy = canonical_name(strategy, STRATEGIES, "strategy")
     if strategy == L2R:
         return list(range(mask_count))
     if strategy == R2L:
@@ -252,7 +235,7 @@ def generate_candidates(
     Returns each job's candidates (at most ``branch_width``, in first-step
     probability order; ``rank_score`` under ``avg``), jobs in input order.
     """
-    avg = canonical_average(avg)
+    avg = canonical_name(avg, AVERAGES, "average")
     jobs = list(jobs)
     for ctx, order in jobs:
         slots = len(ctx.mask_positions)
@@ -293,14 +276,8 @@ def generate_candidates(
     for (ctx, _), hypotheses in zip(jobs, live):
         for tokens, probs in hypotheses:
             token_strings = [tokens[p] for p in ctx.mask_positions]
-            candidates.append(
-                Candidate(
-                    token_strings=token_strings,
-                    text=backend.detokenize(token_strings),
-                    step_probabilities=probs,
-                    rank_score=rank_score(probs, avg),
-                )
-            )
+            text = backend.detokenize(token_strings)
+            candidates.append(Candidate(token_strings, text, probs, rank_score(probs, avg)))
     return candidates
 
 
@@ -318,7 +295,7 @@ def rank_score(step_probabilities: list[float], avg: str) -> float:
     means degenerate to it, so no rounding is introduced). Every step
     probability must be in (0, 1], as for :func:`score_candidate`.
     """
-    avg = canonical_average(avg)
+    avg = canonical_name(avg, AVERAGES, "average")
     _check_probabilities(step_probabilities)
     first = step_probabilities[0]
     if all(p == first for p in step_probabilities):

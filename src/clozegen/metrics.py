@@ -24,36 +24,15 @@ _METRIC_HEADERS = {
 
 
 class EvalItemResult(FrozenRecord):
-    __slots__ = ("item_id", "p_at_1", "f1_at_3", "mrr_at_10", "ndcg_at_10", "matched_ranks")
+    """One item's four metrics, each in [0, 1], and the 1-based ranks of its gold matches."""
 
-    def __init__(
-        self,
-        item_id: str,
-        p_at_1: float,
-        f1_at_3: float,
-        mrr_at_10: float,
-        ndcg_at_10: float,
-        matched_ranks: list[int],
-    ):
-        object.__setattr__(self, "item_id", item_id)
-        object.__setattr__(self, "p_at_1", p_at_1)
-        object.__setattr__(self, "f1_at_3", f1_at_3)
-        object.__setattr__(self, "mrr_at_10", mrr_at_10)
-        object.__setattr__(self, "ndcg_at_10", ndcg_at_10)
-        object.__setattr__(self, "matched_ranks", matched_ranks)
+    __slots__ = ("item_id", "p_at_1", "f1_at_3", "mrr_at_10", "ndcg_at_10", "matched_ranks")
 
 
 class EvalReport(FrozenRecord):
     """Per-item metrics plus dataset averages expressed as percentages."""
 
     __slots__ = ("per_item", "averages", "item_count")
-
-    def __init__(
-        self, per_item: list[EvalItemResult], averages: dict[str, float], item_count: int
-    ):
-        object.__setattr__(self, "per_item", per_item)
-        object.__setattr__(self, "averages", averages)
-        object.__setattr__(self, "item_count", item_count)
 
 
 def compute_item(
@@ -99,14 +78,7 @@ def compute_item(
     idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_hits + 1))
     ndcg_at_10 = dcg / idcg if idcg else 0.0
 
-    return EvalItemResult(
-        item_id=item_id,
-        p_at_1=p_at_1,
-        f1_at_3=f1_at_3,
-        mrr_at_10=mrr_at_10,
-        ndcg_at_10=ndcg_at_10,
-        matched_ranks=matched_ranks,
-    )
+    return EvalItemResult(item_id, p_at_1, f1_at_3, mrr_at_10, ndcg_at_10, matched_ranks)
 
 
 def evaluate_dataset(

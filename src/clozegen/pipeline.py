@@ -15,7 +15,6 @@ from .backends import MaskedLanguageModel, NliClassifier
 from .data import extract_sentence, trim_span
 from .errors import ContractViolation, FrozenRecord, SpanError
 from .generation import (
-    Candidate,
     GenerationConfig,
     build_masked_context,
     decode_order,
@@ -32,29 +31,15 @@ OPTION_LETTERS = string.ascii_uppercase
 
 
 class GenerationResult(FrozenRecord):
-    __slots__ = ("distractor_set", "all_candidates", "config_echo")
+    """The selected distractors, every ranked candidate and the config that produced them."""
 
-    def __init__(
-        self,
-        distractor_set: DistractorSet,
-        all_candidates: list[Candidate],
-        config_echo: GenerationConfig,
-    ):
-        object.__setattr__(self, "distractor_set", distractor_set)
-        object.__setattr__(self, "all_candidates", all_candidates)
-        object.__setattr__(self, "config_echo", config_echo)
+    __slots__ = ("distractor_set", "all_candidates", "config_echo")
 
 
 class RenderedCloze(FrozenRecord):
     """A presentable item: stem with a blank, shuffled options, answer key."""
 
     __slots__ = ("stem", "options", "answer_index", "underfilled")
-
-    def __init__(self, stem: str, options: list[str], answer_index: int, underfilled: bool):
-        object.__setattr__(self, "stem", stem)
-        object.__setattr__(self, "options", options)
-        object.__setattr__(self, "answer_index", answer_index)
-        object.__setattr__(self, "underfilled", underfilled)
 
     @property
     def answer_letter(self) -> str:
@@ -94,11 +79,7 @@ def generate_distractors(
         nli_backend, sentence, [c.text for c in ranked], config.k, sentence_span
     )
 
-    return GenerationResult(
-        distractor_set=distractor_set,
-        all_candidates=ranked,
-        config_echo=config,
-    )
+    return GenerationResult(distractor_set, ranked, config)
 
 
 def render_cloze(

@@ -43,11 +43,6 @@ class TraceEntry(FrozenRecord):
 
     __slots__ = ("candidate", "stage", "counterpart")
 
-    def __init__(self, candidate: str, stage: str, counterpart: str):
-        object.__setattr__(self, "candidate", candidate)
-        object.__setattr__(self, "stage", stage)
-        object.__setattr__(self, "counterpart", counterpart)
-
 
 class DistractorSet(FrozenRecord):
     """Final distractors in rank order plus the full elimination trace."""

@@ -107,8 +107,6 @@ class FakeTokenizer:
             + [*self.convert_tokens_to_ids(hypothesis.split()), IDS["[SEP]"]]
             for premise, hypothesis in zip(text, text_pair)
         ]
-        if kwargs.get("truncation"):
-            rows = [row[: self.model_max_length] for row in rows]
         width = max(len(row) for row in rows)
         pad = self.pad_token_id or 0
         return Encoding(
@@ -329,11 +327,7 @@ def test_classify_nli_batch_equals_per_pair_classify_nli(checkpoints):
     ]
     labels = nli.classify_nli_batch(pairs)
     assert model.calls == 1
-    assert tokenizer.pair_calls[-1] == {
-        "return_tensors": "pt",
-        "padding": True,
-        "truncation": True,
-    }
+    assert tokenizer.pair_calls[-1] == {"return_tensors": "pt", "padding": True}
     assert labels == [nli.classify_nli(p, h) for p, h in pairs]
     assert classify_pairs(nli, pairs) == labels
     assert labels[0] == ENTAILMENT
@@ -341,6 +335,19 @@ def test_classify_nli_batch_equals_per_pair_classify_nli(checkpoints):
     assert nli.classify_nli_batch([]) == []
     with pytest.raises(ContractViolation):
         nli.classify_nli_batch([("the cat", "the cat"), ("", "a dog")])
+
+
+def test_an_nli_pair_past_the_checkpoint_limit_fails_uncut(checkpoints):
+    nli = HuggingFaceNli("nli")
+    _, model = checkpoints["nli"]
+    # [CLS] premise [SEP] hypothesis [SEP]: 29 words make 32 tokens, the limit
+    premise = " ".join(["the cat"] * 7)
+    fits = (premise, premise + " sat")
+    with pytest.raises(SequenceLengthError, match="33 tokens exceeds backend maximum 32"):
+        nli.classify_nli_batch([fits, (premise, premise + " sat red")])
+    assert model.calls == 0
+    assert nli.classify_nli_batch([fits]) == [nli.classify_nli(*fits)]
+    assert model.calls == 2
 
 
 @pytest.mark.parametrize(

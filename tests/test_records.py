@@ -2,8 +2,10 @@
 immutability, copying and the field order of the wire formats."""
 
 import copy
+import inspect
 import json
 import pickle
+import re
 
 import pytest
 
@@ -136,6 +138,7 @@ RECORDS = {
     ),
 }
 UNCHECKED = (ClozeQuestion, PreparedContext, ClozePassage, TraceEntry, Candidate, RenderedCloze)
+SHARED_INIT = (*UNCHECKED, EvalItemResult, EvalReport, GenerationResult)
 
 
 def _hashable(value):
@@ -190,3 +193,24 @@ def test_record_behaves_like_a_value(cls):
         (item,) = json.loads(report_to_json(report))["per_item"]
         assert list(item) == list(names) and list(item.values()) == list(values)
 
+
+
+@pytest.mark.parametrize("cls", SHARED_INIT, ids=lambda cls: cls.__name__)
+def test_shared_constructor_binds_values_then_keywords(cls):
+    names, values, _, _ = RECORDS[cls]
+    assert "__init__" not in vars(cls)
+    assert str(inspect.signature(cls)) == "(*values, **fields)"
+    record = cls(*values)
+    for split in range(len(names) + 1):
+        assert cls(*values[:split], **dict(zip(names[split:], values[split:]))) == record
+
+    prefix = f"{cls.__name__}({', '.join(names)}): "
+    wrong = [
+        ((*values, values[0]), {}, f"{len(names) + 1} values given"),
+        (values[:-1], {}, f"field {names[-1]!r} missing"),
+        (values, {"colour": "red"}, "unknown field 'colour'"),
+        (values, {names[0]: values[0]}, f"field {names[0]!r} given twice"),
+    ]
+    for args, kwargs, problem in wrong:
+        with pytest.raises(TypeError, match=re.escape(prefix + problem)):
+            cls(*args, **kwargs)
