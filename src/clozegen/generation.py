@@ -7,19 +7,24 @@ narrow: the first decoded position branches into ``k * m_s`` hypotheses,
 every later position extends each hypothesis with its single most
 probable fill, conditioning on everything already committed.
 
-The contexts of all sampled mask counts are decoded in one lockstep loop:
-each decode step is one checked ``fill_masks`` call over every live hypothesis
-of every context that still has a slot to fill, so a request makes as many
-masked-LM passes as its largest mask count. The branch is step 0 of that
-loop: it asks for the ``k * m_s`` top fills where later steps ask for one.
+The contexts of all sampled mask counts are decoded together: the branch
+(step 0) is one checked ``fill_masks`` call over every context, asking for
+the ``k * m_s`` top fills, and every later pass is one call asking for one
+fill per hypothesis it extends. Decoding is exact best-first: no finished
+candidate can score above a hypothesis's ``bound``, so a finished candidate
+scoring strictly above every live bound is certain of its rank and comes
+out; a reader that stops early leaves the hypotheses it never needed
+unfinished. Drained, decoding extends every live hypothesis in every pass,
+so a request makes as many masked-LM passes as its largest mask count.
 """
 
 from __future__ import annotations
 
+import itertools
 import math
 import random
 import warnings
-from typing import Sequence
+from typing import Callable, Iterable, Iterator, Sequence
 
 from .backends import MaskedLanguageModel, fill_masks
 from .errors import ContractViolation, FrozenRecord, SpanError, check_count
@@ -220,20 +225,34 @@ def generate_candidates(
     jobs: Sequence[tuple[MaskedContext, list[int]]],
     branch_width: int,
     avg: str,
+    consume: Callable[..., object] | None = None,
 ) -> list[Candidate]:
-    """Branch-then-greedy decoding of several masked contexts in one loop.
+    """Branch-then-greedy decoding of several masked contexts, on demand.
 
-    Each job is a masked context with its decode order and starts as one
-    unfilled hypothesis. Step ``s`` fills the ``s``-th position of every
-    job's order with one ``fill_masks`` call over all live hypotheses,
-    queried on the partially filled tokens so later steps condition on
-    earlier commitments. Step 0 copies each hypothesis once per fill of its
-    ``branch_width`` best; later steps commit the single top fill in place.
+    Each job is a masked context with its decode order. Step 0 fills the
+    first position of every job's order in one ``fill_masks`` call and copies
+    the job once per fill of its ``branch_width`` best. Every later pass is
+    one ``fill_masks(top_k=1)`` call that commits the top fill at the next
+    position of some live hypotheses, queried on their partially filled
+    tokens, so later steps condition on earlier commitments.
+
+    Candidates come out best first, in ``rank_candidates``' order, through
+    ``pull``: ``consume`` is called once with it, and each ``pull(wanted)``
+    returns the next candidate, or None once all have come out. A candidate
+    comes out once its ``rank_score`` is strictly above the ``bound`` of
+    every live hypothesis. Until then each pass extends every live
+    hypothesis whose bound is at least the n-th best score among the
+    finished candidates still held, n being ``wanted`` less the candidates
+    already out (at least 1), or every live hypothesis while fewer than n are
+    finished. ``wanted`` is how many candidates the reader expects to take;
+    without it every pass extends every live hypothesis, as does the default
+    ``consume``, which pulls every candidate.
+
     A hypothesis with no prediction is dropped with a ``RuntimeWarning`` that
     names its position, mask count and decode step; a malformed reply is a
-    ``BackendError`` (see ``fill_masks``).
-    Returns each job's candidates (at most ``branch_width``, in first-step
-    probability order; ``rank_score`` under ``avg``), jobs in input order.
+    ``BackendError`` (see ``fill_masks``). Returns the candidates that came
+    out (each job's at most ``branch_width``, in first-step probability
+    order; ``rank_score`` under ``avg``), jobs in input order.
     """
     avg = canonical_name(avg, AVERAGES, "average")
     jobs = list(jobs)
@@ -245,40 +264,83 @@ def generate_candidates(
             )
     check_count("branch_width", branch_width, 1)
 
-    # live[j]: job j's hypotheses as (partially filled tokens, step probabilities);
-    # each job starts as one hypothesis over its masked tokens, copied at step 0
-    live = [[(ctx.tokens, [])] for ctx, _ in jobs]
-    for step in range(max((len(order) for _, order in jobs), default=0)):
-        owners, queries = [], []
-        for j, (ctx, order) in enumerate(jobs):
-            if step < len(order):
-                position = ctx.mask_positions[order[step]]
-                for hypothesis in live[j]:
-                    owners.append((j, position, hypothesis))
-                    queries.append((hypothesis[0], position))
-                live[j] = []
-        top_k = branch_width if step == 0 else 1
+    # A hypothesis is (origin, job, filled tokens, step probabilities, bound);
+    # origin numbers the step-0 copies, so sorting by it gives job then fill order.
+    serial = itertools.count()
+    finished: list[tuple[int, Candidate]] = []  # held, best last
+    out: list[tuple[int, Candidate]] = []
+
+    def extend(hypotheses, top_k):
+        """Fill the next position of each hypothesis in one ``fill_masks`` call;
+        returns those still unfinished, finishing the rest into ``finished``."""
+        queries = [
+            (tokens, jobs[j][0].mask_positions[jobs[j][1][len(probs)]])
+            for _, j, tokens, probs, _ in hypotheses
+        ]
+        unfinished = []
         replies = fill_masks(backend, queries, top_k)
-        for (j, position, (tokens, probs)), preds in zip(owners, replies):
+        for (origin, j, tokens, probs, _), (_, position), preds in zip(
+            hypotheses, queries, replies
+        ):
+            ctx, order = jobs[j]
             if not preds:
                 warnings.warn(
                     f"backend returned no predictions at position {position} "
-                    f"(mask count {len(jobs[j][1])}, decode step {step}); dropping hypothesis",
+                    f"(mask count {len(order)}, decode step {len(probs)}); dropping hypothesis",
                     RuntimeWarning,
-                    stacklevel=2,
                 )
             for pred in preds[:top_k]:
-                filled = list(tokens) if step == 0 else tokens
+                filled = tokens if probs else list(tokens)
                 filled[position] = pred.token
-                live[j].append((filled, probs + [pred.probability]))
+                grown = probs + [pred.probability]
+                origin = origin if probs else next(serial)
+                if len(grown) < len(order):
+                    unfinished.append((origin, j, filled, grown, bound(grown, len(order), avg)))
+                else:
+                    strings = [filled[p] for p in ctx.mask_positions]
+                    text = backend.detokenize(strings)
+                    score = rank_score(grown, avg)
+                    finished.append((origin, Candidate(strings, text, grown, score)))
+        finished.sort(key=lambda held: (_rank_key(held[1]), held[0]), reverse=True)
+        return unfinished
 
-    candidates = []
-    for (ctx, _), hypotheses in zip(jobs, live):
-        for tokens, probs in hypotheses:
-            token_strings = [tokens[p] for p in ctx.mask_positions]
-            text = backend.detokenize(token_strings)
-            candidates.append(Candidate(token_strings, text, probs, rank_score(probs, avg)))
-    return candidates
+    unfilled = [(None, j, ctx.tokens, [], None) for j, (ctx, _) in enumerate(jobs)]
+    live = extend(unfilled, branch_width)
+
+    def pull(wanted: int | None = None) -> Candidate | None:
+        nonlocal live
+        while finished or live:
+            if finished and all(finished[-1][1].rank_score > h[4] for h in live):
+                out.append(finished.pop())
+                return out[-1][1]
+            n = max(1, wanted - len(out)) if wanted is not None else math.inf
+            floor = finished[-n][1].rank_score if n <= len(finished) else 0.0
+            reached = [h for h in live if h[4] >= floor]
+            live = sorted(
+                [h for h in live if h[4] < floor] + extend(reached, 1), key=lambda h: h[0]
+            )
+        return None
+
+    if consume is None:
+        while pull() is not None:
+            pass
+    else:
+        consume(pull)
+    return [c for _, c in sorted(out, key=lambda held: held[0])]
+
+
+def bound(step_probabilities: list[float], mask_count: int, avg: str) -> float:
+    """The highest ``rank_score`` a hypothesis with these step probabilities
+    can reach once all ``mask_count`` steps are filled: every step left is
+    scored as if its probability were 1.0.
+
+    Both averages only grow with any one step's probability, so no finished
+    candidate scores above this. It is never below the least probability so
+    far: when every step repeats one probability, ``rank_score`` returns that
+    constant exactly, and the padded mean may round one unit below it.
+    """
+    padded = step_probabilities + [1.0] * (mask_count - len(step_probabilities))
+    return max(rank_score(padded, avg), min(step_probabilities))
 
 
 def score_candidate(step_probabilities: list[float]) -> float:
@@ -319,15 +381,23 @@ def rank_candidates(candidates: list[Candidate], answer_text: str) -> list[Candi
 
     Candidates are sorted by their stored ``rank_score``, descending, with
     ties resolved toward the shorter mask count and then lexicographic
-    text. Each case- and whitespace-insensitive text keeps only its
-    best-ranked copy; the answer's text and the blank text are taken before
-    the pass, so answer copies and blank fills drop out like duplicates.
+    text; ``distinct_candidates`` then drops answer copies, blank fills and
+    duplicates.
     """
+    return list(distinct_candidates(sorted(candidates, key=_rank_key), answer_text))
+
+
+def distinct_candidates(ranked: Iterable[Candidate], answer_text: str) -> Iterator[Candidate]:
+    """``ranked`` in order, each case- and whitespace-insensitive text at its
+    first copy only. The answer's text and the blank text are taken before
+    the pass, so answer copies and blank fills drop out like duplicates."""
     taken = {normalize_text(answer_text), ""}
-    ranked = []
-    for c in sorted(candidates, key=lambda c: (-c.rank_score, len(c.step_probabilities), c.text)):
+    for c in ranked:
         key = normalize_text(c.text)
         if key not in taken:
             taken.add(key)
-            ranked.append(c)
-    return ranked
+            yield c
+
+
+def _rank_key(c: Candidate) -> tuple[float, int, str]:
+    return (-c.rank_score, len(c.step_probabilities), c.text)

@@ -1,9 +1,10 @@
 """End-to-end orchestration for one (context, answer span) request.
 
-Plans the mask counts and branch width, decodes candidates for all sampled
-counts in one lockstep call, merges and ranks them, then hands the ranked
-list to the entailment-based selector. Entailment comparisons always run on the
-sentence containing the answer, extracted from the original context.
+Plans the mask counts and branch width, then runs the entailment-based
+selector over the candidates of all sampled counts as decoding hands them
+over, best first: selection pulls each candidate when its scan reaches it,
+so decoding stops where selection does. Entailment comparisons always run on
+the sentence containing the answer, extracted from the original context.
 """
 
 from __future__ import annotations
@@ -19,6 +20,7 @@ from .generation import (
     build_masked_context,
     decode_order,
     decode_plan,
+    distinct_candidates,
     generate_candidates,
     map_char_span,
     rank_candidates,
@@ -31,7 +33,8 @@ OPTION_LETTERS = string.ascii_uppercase
 
 
 class GenerationResult(FrozenRecord):
-    """The selected distractors, every ranked candidate and the config that produced them."""
+    """The selected distractors, the ranked candidates selection read (a prefix
+    of the full ranking) and the config that produced them."""
 
     __slots__ = ("distractor_set", "all_candidates", "config_echo")
 
@@ -57,6 +60,9 @@ def generate_distractors(
 
     The span is trimmed to its non-whitespace core first, so the answer text,
     its tokens, the comparison sentence and selection all read one span.
+    Selection reads the candidates ``rank_candidates`` would keep, pulling
+    each from ``generate_candidates`` as its scan reaches it, with ``k``
+    candidates wanted; ``all_candidates`` ranks the ones it pulled.
     """
     answer_span = start, end = trim_span(context, answer_span)
     answer_text = context[start:end]
@@ -71,15 +77,18 @@ def generate_distractors(
             tokens, token_span, count, info.mask_token, info.max_sequence_length
         )
         jobs.append((masked, decode_order(config.strategy, count)))
-    candidates = generate_candidates(mlm_backend, jobs, branch_width, config.avg)
-    ranked = rank_candidates(candidates, answer_text)
-
     sentence, sentence_span = extract_sentence(context, answer_span)
-    distractor_set = select_distractors(
-        nli_backend, sentence, [c.text for c in ranked], config.k, sentence_span
-    )
+    distractor_set = None
 
-    return GenerationResult(distractor_set, ranked, config)
+    def select(pull):
+        nonlocal distractor_set
+        pulled = distinct_candidates(iter(lambda: pull(config.k), None), answer_text)
+        distractor_set = select_distractors(
+            nli_backend, sentence, (c.text for c in pulled), config.k, sentence_span
+        )
+
+    candidates = generate_candidates(mlm_backend, jobs, branch_width, config.avg, select)
+    return GenerationResult(distractor_set, rank_candidates(candidates, answer_text), config)
 
 
 def render_cloze(

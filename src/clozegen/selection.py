@@ -1,14 +1,14 @@
 """Distractor selection: one best-first entailment scan over candidates.
 
-Candidates are scanned in rank order. A candidate is dropped when its
-substituted sentence mutually entails the answer sentence (it would be an
-alternative correct answer), or else when it mutually entails the sentence
-of an already kept candidate (a near-duplicate; the lower-ranked member of
-a pair is always the one removed). Any other candidate is kept, and the
-scan stops once ``k`` are kept, so lower-ranked candidates are never
-classified. A pair counts as entailing only when the classifier says
-entailment in *both* argument orders; neutral or contradictory verdicts
-retain the candidate.
+Candidates are scanned in rank order, each read from its iterable only when
+the scan reaches it. A candidate is dropped when its substituted sentence
+mutually entails the answer sentence (it would be an alternative correct
+answer), or else when it mutually entails the sentence of an already kept
+candidate (a near-duplicate; the lower-ranked member of a pair is always the
+one removed). Any other candidate is kept, and the scan stops once ``k``
+are kept, so lower-ranked candidates are never read or classified. A pair
+counts as entailing only when the classifier says entailment in *both*
+argument orders; neutral or contradictory verdicts retain the candidate.
 
 The scan runs in waves, all in one loop. Each wave resumes it at the first
 undecided candidate, advances it over the verdicts known so far and
@@ -26,7 +26,7 @@ unless a reply holds one of the three verdicts per pair.
 
 from __future__ import annotations
 
-from typing import Sequence
+from typing import Iterable
 
 from .backends import ENTAILMENT, NliClassifier, classify_pairs
 from .errors import FrozenRecord, SpanError, check_count
@@ -73,7 +73,7 @@ def _check_span(context: str, answer_span: tuple[int, int]) -> tuple[int, int]:
 def select_distractors(
     nli_backend: NliClassifier,
     context: str,
-    candidates: Sequence[str],
+    candidates: Iterable[str],
     k: int,
     answer_span: tuple[int, int],
 ) -> DistractorSet:
@@ -81,13 +81,16 @@ def select_distractors(
 
     ``context`` is the comparison sentence and the answer is its text at
     ``answer_span``. Candidate texts must arrive ranked best-first, non-blank
-    and free of answer copies. The trace lists answer-entailment removals
-    first, then pairwise ones, each in rank order.
+    and free of answer copies, from any iterable. Each is read when the scan
+    reaches past the ones already read with fewer than ``k`` kept or
+    undecided, before that wave's pairs are sent, so the waves are those of
+    a list and texts no wave reaches are never read. The trace lists
+    answer-entailment removals first, then pairwise ones, each in rank order.
     """
     check_count("k", k, 1)
     start, end = _check_span(context, answer_span)
-    texts = [context[start:end], *candidates]
-    sentences = [context] + [context[:start] + t + context[end:] for t in texts[1:]]
+    texts, sentences = [context[start:end]], [context]
+    unread = iter(candidates)
     verdicts: dict[tuple[str, str], str] = {}
     kept: list[int] = []
     removed: dict[int, int] = {}  # candidate -> counterpart, 0 for the answer
@@ -95,9 +98,14 @@ def select_distractors(
     while True:
         needed: list[tuple[str, str]] = []
         undecided = 0
-        for i in range(first, len(sentences)):
-            if len(kept) + undecided == k:  # the rest may never be reached
-                break
+        i = first
+        while len(kept) + undecided < k:  # past k, the rest may never be reached
+            if i == len(sentences):  # read one more candidate, if any is left
+                text = next(unread, None)
+                if text is None:
+                    break
+                texts.append(text)
+                sentences.append(context[:start] + text + context[end:])
             # behind an undecided candidate, i may never be reached either: a
             # pass or a pending pair counts it undecided; a removal is not recorded
             for j in (0, *kept):
@@ -117,6 +125,7 @@ def select_distractors(
                     undecided += 1
                 else:
                     kept.append(i)
+            i += 1
         if not needed:
             break
         verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))

@@ -8,7 +8,17 @@ from clozegen.backends import (
     NliClassifier,
     TokenPrediction,
 )
-from clozegen.generation import Candidate
+from clozegen.data import extract_sentence, trim_span
+from clozegen.generation import (
+    Candidate,
+    build_masked_context,
+    decode_order,
+    decode_plan,
+    generate_candidates,
+    map_char_span,
+    rank_candidates,
+)
+from clozegen.selection import select_distractors
 
 ACCEPTANCE_LABELS = {
     "test_criterion_1": "1 decode-order suite",
@@ -35,6 +45,30 @@ def make_candidate(text, probs, avg="geometric"):
         step_probabilities=list(probs),
         rank_score=rank,
     )
+
+
+def eager_request(context, span, config, mlm, nli):
+    """The request with every candidate decoded: the drained candidates, ranked,
+    and selection over the whole ranked list."""
+    start, end = span = trim_span(context, span)
+    tokens, token_span = map_char_span(mlm, context, span)
+    counts, branch_width = decode_plan(config, token_span[1] - token_span[0])
+    info = mlm.info()
+    jobs = [
+        (
+            build_masked_context(
+                tokens, token_span, count, info.mask_token, info.max_sequence_length
+            ),
+            decode_order(config.strategy, count),
+        )
+        for count in counts
+    ]
+    ranked = rank_candidates(
+        generate_candidates(mlm, jobs, branch_width, config.avg), context[start:end]
+    )
+    sentence, sentence_span = extract_sentence(context, span)
+    texts = [c.text for c in ranked]
+    return ranked, select_distractors(nli, sentence, texts, config.k, sentence_span)
 
 
 class CountingMLM(MaskedLanguageModel):

@@ -14,7 +14,11 @@ import re
 import pytest
 
 from clozegen.adapters import HuggingFaceMaskedLM, HuggingFaceNli
-from clozegen.generation import build_masked_context, map_char_span
+from clozegen.backends import MockNliClassifier
+from clozegen.generation import GenerationConfig, build_masked_context, map_char_span
+from clozegen.pipeline import generate_distractors
+
+from tests.conftest import eager_request
 
 SENTENCES = [
     "The boy will open the door.",
@@ -105,3 +109,19 @@ def test_no_fill_is_a_special_token(mlm):
     fills = mlm.fill_mask_batch(mask_queries(mlm), top_k=50)
     assert all(p.token not in special for preds in fills for p in preds)
     assert all(0.0 < p.probability <= 1.0 for preds in fills for p in preds)
+
+
+def test_lazy_decoding_reads_a_prefix_of_the_drained_ranking(mlm):
+    # Passes after the branch batch a subset of the live hypotheses, so the
+    # rows padded together differ from those of a drained decode.
+    config = GenerationConfig()
+    nli = MockNliClassifier()  # neutral: selection keeps the first k it reads
+    for sentence in SENTENCES:
+        for span in word_spans(sentence):
+            ranked, _ = eager_request(sentence, span, config, mlm, nli)
+            got = generate_distractors(sentence, span, config, mlm, nli).all_candidates
+            assert [c.text for c in got] == [c.text for c in ranked[: len(got)]], span
+            for lazy, drained in zip(got, ranked):
+                assert lazy.step_probabilities == pytest.approx(
+                    drained.step_probabilities, abs=1e-4
+                ), (sentence, span)

@@ -5,9 +5,11 @@ Contexts mix abbreviations, initials, unicode whitespace, quotes after
 periods and one-word sentences. Spans, ``k``, dispersion, strategy, average
 and the model window are drawn at random, on a seeded ``MockMaskedLM`` and a
 hash-verdict NLI, and some draws make one backend reply malformed. Every
-request either meets the invariants of a good result or fails with a
-``ClozegenError``; through ``clozegen generate`` a pairs file exits 0 or 2
-with one record per input line, or 1 at load if some answer is blank.
+request either meets the invariants of a good result and matches the
+request decoded in full and then selected from the whole ranked list, or
+fails with a ``ClozegenError``; through ``clozegen generate`` a pairs file
+exits 0 or 2 with one record per input line, or 1 at load if some answer is
+blank.
 
 CLOTH passages put blanks anywhere: at the start, glued to punctuation or
 next to each other. Every question is prepared under each input mode and
@@ -33,7 +35,7 @@ from clozegen.generation import GenerationConfig, normalize_text
 from clozegen.pipeline import generate_distractors, result_to_dict
 from clozegen.selection import verify_distractor_set
 
-from tests.conftest import CountingMLM, CountingNli
+from tests.conftest import CountingMLM, CountingNli, eager_request
 from tests.test_pipeline import HashNli
 
 WORDS = [
@@ -144,6 +146,7 @@ def check_result(result, context, span, config, nli):
 def test_generation_requests_meet_the_invariants_or_fail_cleanly():
     rnd = random.Random(3)
     outcomes = Counter()
+    shortened = 0  # requests whose selection stopped before the last candidate
     for trial in range(2000):
         context = draw_context(rnd)
         span = draw_span(rnd, context)
@@ -174,9 +177,14 @@ def test_generation_requests_meet_the_invariants_or_fail_cleanly():
             assert outcome != "ContractViolation", (context, span, config)
             if outcome == "ok":
                 check_result(result, context, span, config, nli)
+                ranked, chosen = eager_request(context, span, config, mock, nli.inner)
+                assert result.distractor_set == chosen, (context, span, config)
+                assert result.all_candidates == ranked[: len(result.all_candidates)]
+                shortened += len(result.all_candidates) < len(ranked)
         outcomes[outcome] += 1
     assert outcomes["ok"] > 1300, outcomes
     assert outcomes["BackendError"] and outcomes["SpanError"], outcomes
+    assert shortened > 500, shortened
 
 
 def test_generate_writes_one_record_per_pair_and_exits_0_or_2(tmp_path, capsys):

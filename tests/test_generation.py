@@ -1,3 +1,4 @@
+import functools
 import json
 import math
 import random
@@ -9,8 +10,10 @@ from clozegen.backends import MockMaskedLM, MockNliClassifier, TokenPrediction, 
 from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
 from clozegen.errors import BackendError, ContractViolation, SpanError
 from clozegen.generation import (
+    AVERAGES,
     STRATEGIES,
     GenerationConfig,
+    bound,
     build_masked_context,
     decode_order,
     decode_plan,
@@ -591,3 +594,103 @@ def test_generate_distractors_one_batch_call_per_decode_step():
         assert mlm.batches[0] == (len(counts), width)
         # one query per hypothesis per decode step, as when each was its own pass
         assert len(mlm.calls) == sum(1 + (c - 1) * width for c in counts)
+
+
+# --- on-demand decoding: the bound and the certification rule ---------------
+
+# the four largest probabilities below 1.0
+NEAR_ONE = [1.0 - i * 2.0**-53 for i in (1, 2, 3, 4)]
+
+
+def _step_probabilities(rnd, r):
+    kind = rnd.randrange(3)
+    if kind == 0:  # a constant run: rank_score returns the constant itself
+        return [rnd.choice([*NEAR_ONE, 1.0, rnd.uniform(1e-6, 1.0)])] * r
+    if kind == 1:
+        return [rnd.choice([*NEAR_ONE, 1.0, rnd.uniform(1e-6, 1.0)]) for _ in range(r)]
+    return [rnd.uniform(1e-6, 1.0) for _ in range(r)]
+
+
+def test_bound_is_never_below_the_final_score():
+    rnd = random.Random(27)
+    for _ in range(3000):
+        r = rnd.randint(2, 9)
+        probs = _step_probabilities(rnd, r)
+        for avg in AVERAGES:
+            final = rank_score(probs, avg)
+            bounds = [bound(probs[:t], r, avg) for t in range(1, r)]
+            assert all(b >= final for b in bounds), (probs, avg)
+            # filling a step never raises the bound
+            assert bounds == sorted(bounds, reverse=True), (probs, avg)
+    for avg in AVERAGES:
+        assert bound([1.0], 3, avg) == bound([1.0, 1.0], 3, avg) == 1.0
+        assert bound([0.5, 1.0], 3, avg) == bound([1.0, 0.5], 3, avg)
+    # the padded harmonic mean of this constant run rounds one unit below the
+    # constant, which is the finished candidate's score
+    probs = [NEAR_ONE[0]] * 4
+    assert bound(probs[:3], 4, "harmonic") == rank_score(probs, "harmonic") == NEAR_ONE[0]
+
+
+def _tie_jobs():
+    """A one-mask job finishing "g" at 0.8 and a two-mask job branching into
+    "q" (1.0) and "c" (0.5), which finish as "q z" [1.0, 0.5] and "c d"
+    [0.5, 1.0]: equal scores, "c d" first by text. "c"'s bound is that score."""
+    one = build_masked_context(["a", "x", "b"], (1, 2), 1, "[MASK]", 512)
+    two = build_masked_context(["a", "x", "b"], (1, 2), 2, "[MASK]", 512)
+    table = {
+        ("a [MASK] b", 1): [TokenPrediction("g", 0.8)],
+        ("a [MASK] [MASK] b", 1): [TokenPrediction("q", 1.0), TokenPrediction("c", 0.5)],
+        ("a q [MASK] b", 2): [TokenPrediction("z", 0.5)],
+        ("a c [MASK] b", 2): [TokenPrediction("d", 1.0)],
+    }
+    return MockMaskedLM(table=table), [(one, [0]), (two, [0, 1])]
+
+
+def _pulled(mlm, jobs, width, wanted):
+    """The texts in the order ``generate_candidates`` hands them over, pulled
+    with ``wanted`` candidates wanted, and the candidates it returns."""
+    texts = []
+
+    def consume(pull):
+        texts.extend(c.text for c in iter(functools.partial(pull, wanted), None))
+
+    return texts, generate_candidates(mlm, jobs, width, "geometric", consume)
+
+
+def test_a_live_bound_equal_to_a_finished_score_blocks_it():
+    mlm, jobs = _tie_jobs()
+    counting = CountingMLM(mlm)
+    texts, returned = _pulled(counting, jobs, 2, 1)
+    drained = generate_candidates(mlm, jobs, 2, "geometric")
+    assert returned == drained
+    # "q z" finished while "c" was live with a bound equal to its score, so
+    # "c d", first on the tie, was decoded before "q z" came out
+    assert texts == [c.text for c in rank_candidates(drained, "answer")] == ["g", "c d", "q z"]
+    assert bound([0.5], 2, "geometric") == drained[1].rank_score == drained[2].rank_score
+    # after the branch, one pass extended "q" alone (only its bound reached 0.8),
+    # a second extended "c"
+    assert counting.batches == [(2, 2), (1, 1), (1, 1)]
+
+
+def test_pulled_candidates_come_out_in_rank_order_and_drain_to_the_full_list():
+    rnd = random.Random(41)
+    for _ in range(150):
+        vocab = [f"w{i}" for i in range(rnd.randint(2, 6))]
+        mlm = MockMaskedLM(vocabulary=vocab, fallback="seeded", salt=rnd.randint(0, 999))
+        jobs = []
+        for mask_count in sorted(rnd.sample(range(1, 5), rnd.randint(1, 3))):
+            ctx = build_masked_context(["l", "ans", "r"], (1, 2), mask_count, "[MASK]", 512)
+            jobs.append((ctx, decode_order(rnd.choice(STRATEGIES), mask_count)))
+        width = rnd.randint(1, 6)
+        drained = generate_candidates(mlm, jobs, width, "geometric")
+        ranked = sorted(drained, key=lambda c: (-c.rank_score, len(c.step_probabilities), c.text))
+        for wanted in (None, 1, 3):
+            texts, returned = _pulled(mlm, jobs, width, wanted)
+            assert returned == drained
+            assert texts == [c.text for c in ranked]
+        # a reader that stops after its first candidate gets the best one
+        first = []
+        returned = generate_candidates(
+            mlm, jobs, width, "geometric", lambda pull: first.append(pull(1))
+        )
+        assert first == ranked[:1] == returned

@@ -192,6 +192,30 @@ def test_generation_and_prefill_use_only_batch_mlm_calls():
         assert prepared == prepare_context(passage, qi, "passage", "model", mlm)
 
 
+def test_selection_that_stops_early_leaves_hypotheses_undecoded():
+    mlm, nli = golden_backends()
+    # "force" has no continuation: extending it would drop it with a warning
+    del mlm.table[(AFTER_FORCE, 4)]
+    config = GenerationConfig(n_mask=0, dispersion=1, k=1, m_s=2, strategy="l2r", seed=0)
+    lazy = CountingMLM(mlm)
+    result = generate_distractors(CONTEXT, ANSWER_SPAN, config, lazy, nli)
+    assert result.distractor_set.distractors == ["slam shut"]
+    assert [c.text for c in result.all_candidates] == ["slam shut"]
+    # after the branch one pass extended "slam", the one hypothesis whose bound
+    # reached "open" (0.9); "slam shut" then scored above "force"'s bound
+    assert lazy.batches == [(2, 2), (1, 1)]
+
+    drained = CountingMLM(mlm)
+    jobs = [
+        (build_masked_context(CONTEXT.split(), (3, 4), count, "[MASK]", 512), list(range(count)))
+        for count in (1, 2)
+    ]
+    with pytest.warns(RuntimeWarning, match="decode step 1"):
+        everything = generate_candidates(drained, jobs, 2, "geometric")
+    assert [c.text for c in everything] == ["open", "shut", "slam shut"]
+    assert len(lazy.calls) == 3 < len(drained.calls) == 4
+
+
 def test_average_switch_changes_order_not_set():
     mlm, nli = golden_backends()
     geo = generate_distractors(CONTEXT, ANSWER_SPAN, GOLDEN_CONFIG, mlm, nli)
@@ -246,7 +270,7 @@ def _oracle_request(rnd):
 def test_generate_distractors_matches_the_whole_request_oracle():
     rnd = random.Random(2024)
     grid = itertools.product(("geometric", "harmonic"), ("l2r", "r2l", "ctl"), (0, 1, 2))
-    reached = set()
+    reached, shortened = set(), 0
     for (avg, strategy, dispersion), _ in itertools.product(grid, range(6)):
         context, span, bounds = _oracle_request(rnd)
         config = GenerationConfig(
@@ -264,6 +288,13 @@ def test_generate_distractors_matches_the_whole_request_oracle():
         ranked, expected = whole_request_oracle(mlm, nli, context, span, bounds, config)
         result = generate_distractors(context, span, config, mlm, nli)
         got = result.all_candidates
+        # selection pulled a prefix of the oracle's ranking, holding every
+        # candidate it kept or removed
+        read = set(result.distractor_set.distractors)
+        read.update(e.candidate for e in result.distractor_set.trace)
+        assert read <= {c.text for c in got}, where
+        shortened += len(got) < len(ranked)
+        ranked = ranked[: len(got)]
         assert [c.text for c in got] == [c[0] for c in ranked], where
         assert [c.step_probabilities for c in got] == [c[2] for c in ranked], where
         wire = result_to_dict(result)["candidates"]
@@ -277,6 +308,7 @@ def test_generate_distractors_matches_the_whole_request_oracle():
         assert chosen.trace == expected.trace, where
         reached.update(e.stage for e in chosen.trace)
     assert reached == {"answer-entailment", "pairwise-entailment"}
+    assert shortened, "no request stopped reading before the last candidate"
 
 
 def test_default_config_is_best_reported_setup():
