@@ -14,8 +14,12 @@ fill per hypothesis it extends. Decoding is exact best-first: no finished
 candidate can score above a hypothesis's ``bound``, so a finished candidate
 scoring strictly above every live bound is certain of its rank and comes
 out; a reader that stops early leaves the hypotheses it never needed
-unfinished. Drained, decoding extends every live hypothesis in every pass,
-so a request makes as many masked-LM passes as its largest mask count.
+unfinished. While a reader waits, a pass extends only the hypotheses that
+cannot wait: those with the most steps left, which set the pass count, and
+the few nearest to finishing. Any other has a spare pass, in which the
+finished candidates of shorter mask counts may rule it out. Drained,
+decoding extends every live hypothesis in every pass, so a request makes as
+many masked-LM passes as its largest mask count.
 """
 
 from __future__ import annotations
@@ -240,11 +244,13 @@ def generate_candidates(
     ``pull``: ``consume`` is called once with it, and each ``pull(wanted)``
     returns the next candidate, or None once all have come out. A candidate
     comes out once its ``rank_score`` is strictly above the ``bound`` of
-    every live hypothesis. Until then each pass extends every live
-    hypothesis whose bound is at least the n-th best score among the
-    finished candidates still held, n being ``wanted`` less the candidates
-    already out (at least 1), or every live hypothesis while fewer than n are
-    finished. ``wanted`` is how many candidates the reader expects to take;
+    every live hypothesis. Until then a pass reaches every live hypothesis
+    whose bound is at least the n-th best score among the finished
+    candidates still held, n being ``wanted`` less the candidates already out
+    (at least 1), or every live hypothesis while fewer than n are finished.
+    Of those it extends the ones with the most decode steps left and the n
+    nearest to finishing, highest bound first; the others have a spare pass
+    and wait. ``wanted`` is how many candidates the reader expects to take;
     without it every pass extends every live hypothesis, as does the default
     ``consume``, which pulls every candidate.
 
@@ -304,6 +310,10 @@ def generate_candidates(
         finished.sort(key=lambda held: (_rank_key(held[1]), held[0]), reverse=True)
         return unfinished
 
+    def left(hypothesis):
+        """Decode steps the hypothesis has still to fill."""
+        return len(jobs[hypothesis[1]][1]) - len(hypothesis[3])
+
     unfilled = [(None, j, ctx.tokens, [], None) for j, (ctx, _) in enumerate(jobs)]
     live = extend(unfilled, branch_width)
 
@@ -315,9 +325,14 @@ def generate_candidates(
                 return out[-1][1]
             n = max(1, wanted - len(out)) if wanted is not None else math.inf
             floor = finished[-n][1].rank_score if n <= len(finished) else 0.0
-            reached = [h for h in live if h[4] >= floor]
+            # reached hypotheses, nearest to finishing and highest bound first;
+            # the first n and those with the most steps left cannot wait
+            reached = sorted((h for h in live if h[4] >= floor), key=lambda h: (left(h), -h[4]))
+            due = {h[0] for i, h in enumerate(reached) if i < n or left(h) == left(reached[-1])}
             live = sorted(
-                [h for h in live if h[4] < floor] + extend(reached, 1), key=lambda h: h[0]
+                [h for h in live if h[0] not in due]
+                + extend([h for h in live if h[0] in due], 1),
+                key=lambda h: h[0],
             )
         return None
 

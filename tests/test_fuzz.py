@@ -36,6 +36,7 @@ from clozegen.pipeline import generate_distractors, result_to_dict
 from clozegen.selection import verify_distractor_set
 
 from tests.conftest import CountingMLM, CountingNli, eager_request
+from tests.oracles import query_string_prefill
 from tests.test_pipeline import HashNli
 
 WORDS = [
@@ -276,6 +277,7 @@ def draw_prefill_mock(rnd, salt):
 def test_cloth_preparation_meets_its_invariants_or_fails_cleanly():
     rnd = random.Random(11)
     outcomes = Counter()
+    compared = 0  # model prefills checked against the query-string recipe
     for trial in range(800):
         text = draw_article(rnd)
         questions = []
@@ -302,6 +304,13 @@ def test_cloth_preparation_meets_its_invariants_or_fails_cleanly():
                     continue
                 outcomes["ok"] += 1
                 full = prepared["passage"]
+                if prefill == "model":
+                    # the recipe fails where a mask glued to text does not
+                    # survive whitespace tokenization; elsewhere both agree
+                    oracle = query_string_prefill(mlm, text, qi)
+                    if oracle is not None:
+                        assert full.context == oracle, (text, qi)
+                        compared += len(questions) > 1  # some blank was filled
                 start, end = full.answer_span
                 assert BLANK_RE.fullmatch(full.context[start:end]), (text, qi, prefill)
                 if prefill != "model":  # the text between blanks survives, in order
@@ -314,6 +323,7 @@ def test_cloth_preparation_meets_its_invariants_or_fails_cleanly():
                 got = prepared["sentence"]
                 assert (got.context, got.answer_span) == sentence, (text, qi, prefill)
     assert outcomes["ok"] > 6000, outcomes
+    assert compared > 250, compared
 
 
 def test_evaluate_exits_0_or_2_and_reports_every_question_without_an_error_line(

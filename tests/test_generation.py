@@ -24,7 +24,7 @@ from clozegen.generation import (
 )
 from clozegen.pipeline import generate_distractors
 
-from tests.conftest import CountingMLM, make_candidate
+from tests.conftest import CountingMLM, eager_request, make_candidate
 from tests.oracles import brute_force_candidates
 
 
@@ -584,16 +584,22 @@ def test_generate_distractors_one_batch_call_per_decode_step():
     for answer in ("open wide", "open it wide", "open it very wide"):
         context = f"The boy will {answer} the door. Then he waits."
         start = context.index(answer)
-        mlm = CountingMLM(MockMaskedLM(vocabulary=vocab, fallback="seeded", salt=5))
-        generate_distractors(
-            context, (start, start + len(answer)), config, mlm, MockNliClassifier()
-        )
+        span = (start, start + len(answer))
+        mock = MockMaskedLM(vocabulary=vocab, fallback="seeded", salt=5)
+        drained = CountingMLM(mock)
+        ranked, _ = eager_request(context, span, config, drained, MockNliClassifier())
         counts, branch_width = decode_plan(config, len(answer.split()))
         assert branch_width == width
-        assert len(mlm.batches) == max(counts)
-        assert mlm.batches[0] == (len(counts), width)
+        assert len(drained.batches) == max(counts)
+        assert drained.batches[0] == (len(counts), width)
         # one query per hypothesis per decode step, as when each was its own pass
-        assert len(mlm.calls) == sum(1 + (c - 1) * width for c in counts)
+        assert len(drained.calls) == sum(1 + (c - 1) * width for c in counts)
+        # pulled by selection, decoding hands over a prefix of that ranking and
+        # sends no more queries
+        pulled = CountingMLM(mock)
+        result = generate_distractors(context, span, config, pulled, MockNliClassifier())
+        assert result.all_candidates == ranked[: len(result.all_candidates)]
+        assert len(pulled.calls) <= len(drained.calls)
 
 
 # --- on-demand decoding: the bound and the certification rule ---------------
@@ -694,3 +700,45 @@ def test_pulled_candidates_come_out_in_rank_order_and_drain_to_the_full_list():
             mlm, jobs, width, "geometric", lambda pull: first.append(pull(1))
         )
         assert first == ranked[:1] == returned
+
+
+class _ScriptedMLM(MockMaskedLM):
+    """Step 0 of mask count c gives the fills ``BRANCH[c]``; every later step
+    of a hypothesis repeats its first fill, at ``LATER[first fill]``."""
+
+    BRANCH = {
+        2: [("p", 0.9), ("q", 0.3)],
+        3: [("r", 0.95), ("s", 0.4)],
+        4: [("t", 0.99), ("u", 0.97)],
+    }
+    LATER = {"p": 0.9, "q": 0.9, "r": 0.95, "s": 0.9, "t": 0.99, "u": 0.95}
+
+    def fill_mask(self, tokens, mask_position, top_k):
+        first = tokens[1]
+        fills = self.BRANCH[len(tokens) - 2] if first == "[MASK]" else [(first, self.LATER[first])]
+        return [TokenPrediction(token, p) for token, p in fills[:top_k]]
+
+
+def test_a_hypothesis_with_a_spare_pass_waits_until_a_finished_candidate_rules_it_out():
+    jobs = [
+        (build_masked_context(["a", "x", "b"], (1, 2), count, "[MASK]", 512), [*range(count)])
+        for count in (2, 3, 4)
+    ]
+    mlm = CountingMLM(_ScriptedMLM())
+    first = []
+    generate_candidates(mlm, jobs, 2, "geometric", lambda pull: first.append(pull(1)))
+    assert [c.text for c in first] == ["t t t t"]
+    # each pass as the set of first fills of the hypotheses it extended
+    calls = iter(mlm.calls)
+    passes = [{next(calls)[0].split()[1] for _ in range(size)} for size, _ in mlm.batches]
+    assert passes == [{"[MASK]"}, {"p", "t", "u"}, {"r", "t", "u"}, {"r", "t", "u"}]
+    # the count-4 hypotheses have no spare pass, so every pass extends them
+    assert all({"t", "u"} <= extended for extended in passes[1:])
+    # "r" and "s" waited in the first pass, which finished "p p" at 0.9; that
+    # is above the bound of "s" (0.4 ** (1/3)), so "s" is never queried, where
+    # extending every reached hypothesis would have queried it in that pass
+    assert not any("s" in extended for extended in passes)
+    assert bound([0.4], 3, "geometric") < 0.9
+    # as many passes as extending every reached hypothesis takes: one per step
+    # of the count-4 job
+    assert len(mlm.batches) == 4
