@@ -14,9 +14,12 @@ The scan runs in waves, all in one loop. Each wave resumes it at the first
 undecided candidate, advances it over the verdicts known so far and
 collects, for every candidate certain to be reached (its kept and undecided
 predecessors number fewer than ``k``), the next pair its checks need; one
-``classify_pairs`` call classifies them all. So the classifier sees
-exactly the pairs of a one-pair-at-a-time scan, in as many passes as the
-longest chain of verdicts that depend on one another.
+``classify_pairs`` call classifies them all. A lone wave (one pair) also sends
+that candidate's next unknown forward pair, which a one-pair-at-a-time scan
+sends too unless an earlier pair removes the candidate. So the classifier sees
+each pair of that scan once, plus at most one per lone wave, and decisions,
+read off the verdicts in scan order, do not change. On a real checkpoint a
+wasted pair can still raise its batch's ``SequenceLengthError`` (unverified).
 
 Every removal is recorded in an elimination trace, and
 ``verify_distractor_set`` audits a final set after the fact. Both send their
@@ -84,8 +87,10 @@ def select_distractors(
     and free of answer copies, from any iterable. Each is read when the scan
     reaches past the ones already read with fewer than ``k`` kept or
     undecided, before that wave's pairs are sent, so the waves are those of
-    a list and texts no wave reaches are never read. The trace lists
-    answer-entailment removals first, then pairwise ones, each in rank order.
+    a list and texts no wave reaches are never read. A one-pair wave also
+    sends its candidate's next unknown forward pair, wasted if an earlier
+    pair removes it. The trace lists answer-entailment removals first, then
+    pairwise ones, each in rank order.
     """
     check_count("k", k, 1)
     start, end = _check_span(context, answer_span)
@@ -108,7 +113,7 @@ def select_distractors(
                 sentences.append(context[:start] + text + context[end:])
             # behind an undecided candidate, i may never be reached either: a
             # pass or a pending pair counts it undecided; a removal is not recorded
-            for j in (0, *kept):
+            for n, j in enumerate((0, *kept)):
                 verdict = _two_way(verdicts, sentences[i], sentences[j])
                 if verdict is True:
                     if not undecided:
@@ -118,6 +123,7 @@ def select_distractors(
                     if not undecided:
                         first = i
                     needed.append(verdict)
+                    owner, later = i, kept[n:]  # its forward pairs still to come
                     undecided += 1
                     break
             else:
@@ -128,6 +134,9 @@ def select_distractors(
             i += 1
         if not needed:
             break
+        if len(needed) == 1:  # a lone pair: its candidate's next forward pair rides along
+            forward = [(sentences[owner], sentences[c]) for c in later]
+            needed += [pair for pair in forward if pair not in verdicts and pair != needed[0]][:1]
         verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))
     trace = [
         TraceEntry(texts[i], STAGES[j > 0], texts[j])

@@ -5,6 +5,7 @@ kept free of the code paths under test: the search oracle replays the
 branch-then-greedy process with its own bookkeeping, the eager selection
 oracle runs the two elimination stages one after the other, the sequential
 selection oracle and the per-pair audit classify one ordered pair at a time,
+the wave oracle replays the scan from its first candidate on every wave,
 the whole-request oracle chains the search oracle, its own scoring and
 ranking and the sequential selection oracle, the abbreviation
 oracle keeps the regex form of the look-back, the prefill oracle masks a
@@ -266,8 +267,10 @@ def sequential_selection(nli_backend, context, answer, candidates, k, answer_spa
 
 
 def scan_wave_bound(classify, sentences, k):
-    """The fewest passes a scan giving the verdicts of ``sequential_selection``
-    can take: the critical path of its chain of dependent pairs.
+    """The fewest passes a scan sending only the pairs of
+    ``sequential_selection`` can take: the critical path of its chain of
+    dependent pairs. The wave schedule, whose lone waves also send a pair
+    early, takes no more.
 
     ``sentences`` are the answer sentence, then each candidate's in rank
     order; ``classify(premise, hypothesis)`` labels one pair. Candidate i
@@ -296,6 +299,58 @@ def scan_wave_bound(classify, sentences, k):
             kept.append(i)
         decided[i] = wave
     return max(decided.values())
+
+
+def wave_selection_batches(classify, sentences, k):
+    """The batches of the wave schedule, each wave replayed from scratch.
+
+    ``sentences`` are the answer sentence, then each candidate's in rank
+    order; ``classify(premise, hypothesis)`` labels one pair. Every wave
+    walks the candidates from the first over the verdicts known so far. A
+    candidate is reached while fewer than ``k`` before it are kept or open;
+    it is checked against the answer and then each candidate kept before the
+    first open one, forward pair first, reverse only after a forward
+    entailment. Its first unknown pair is collected, and a removal behind an
+    open candidate takes no room. A wave that collects one pair also sends
+    the first unknown forward pair of that candidate against a kept
+    candidate after the pair's counterpart. Returns the pairs of each wave.
+    """
+    known = {}
+
+    def check(i, kept):
+        """("removed" | "kept", None, None) or ("open", next pair, later forward pairs)."""
+        counterparts = [0] + kept
+        for n, j in enumerate(counterparts):
+            for pair in ((sentences[i], sentences[j]), (sentences[j], sentences[i])):
+                if pair not in known:
+                    later = [(sentences[i], sentences[c]) for c in counterparts[n + 1 :]]
+                    return "open", pair, later
+                if known[pair] != ENTAILMENT:
+                    break
+            else:
+                return "removed", None, None
+        return "kept", None, None
+
+    batches = []
+    while True:
+        kept, open_count, wave = [], 0, []
+        for i in range(1, len(sentences)):
+            if len(kept) + open_count >= k:
+                break
+            fate, pair, later = check(i, kept)
+            if fate == "open":
+                wave.append((pair, later))
+            if fate == "open" or (fate == "kept" and open_count):
+                open_count += 1
+            elif fate == "kept":
+                kept.append(i)
+        if not wave:
+            return batches
+        pairs = [pair for pair, _ in wave]
+        if len(wave) == 1:
+            pairs += [p for p in wave[0][1] if p not in known and p != pairs[0]][:1]
+        known.update((pair, classify(*pair)) for pair in pairs)
+        batches.append(pairs)
 
 
 def ends_with_abbreviation_regex(text, period_index):

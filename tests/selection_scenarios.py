@@ -3,7 +3,8 @@
 Each scenario fixes a ranked candidate list, an entailment table over the
 instantiated sentences, and the expected distractors/trace worked out by
 hand before implementation. The frame is "I <word> the door." with gold
-answer "open".
+answer "open". The lone-wave scenarios also pin ``batches``: the pairs of
+each NLI batch, as (premise word, hypothesis word).
 """
 
 from clozegen.backends import CONTRADICTION, ENTAILMENT, MockNliClassifier
@@ -230,6 +231,52 @@ def _scenarios():
             expected=["shut", "lift"],
             expected_trace=[("push", "answer-entailment", ANSWER)],
             underfilled=True,
+        )
+    )
+
+    # 13. a lone wave's extra pair is wasted: "unlock" entails the answer
+    # forward, so wave 2 holds only its reverse pair and carries its forward
+    # pair against the kept "shut" too. The reverse entails, "unlock" falls at
+    # the answer stage, and the trace names the answer although "unlock" and
+    # "shut" entail each other as well
+    table = {}
+    _both(table, "unlock", ANSWER)
+    _both(table, "unlock", "shut")
+    scenarios.append(
+        dict(
+            name="lone-wave-extra-pair-wasted",
+            candidates=["shut", "unlock"],
+            table=table,
+            k=2,
+            expected=["shut"],
+            expected_trace=[("unlock", "answer-entailment", ANSWER)],
+            underfilled=True,
+            batches=[
+                [("shut", ANSWER), ("unlock", ANSWER)],
+                [(ANSWER, "unlock"), ("unlock", "shut")],
+            ],
+        )
+    )
+
+    # 14. a lone wave's extra pair saves a pass: the reverse of "stand"'s
+    # forward entailment is neutral, and its pair against "shut" is already
+    # known, so "stand" is kept after two passes instead of three, and "lift"
+    # is never reached
+    table = {}
+    _one_way(table, "stand", ANSWER, ENTAILMENT)
+    scenarios.append(
+        dict(
+            name="lone-wave-extra-pair-saves-a-pass",
+            candidates=["shut", "stand", "lift"],
+            table=table,
+            k=2,
+            expected=["shut", "stand"],
+            expected_trace=[],
+            underfilled=False,
+            batches=[
+                [("shut", ANSWER), ("stand", ANSWER)],
+                [(ANSWER, "stand"), ("stand", "shut")],
+            ],
         )
     )
 

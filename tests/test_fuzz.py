@@ -140,6 +140,7 @@ def check_result(result, context, span, config, nli):
     sentence, (s, e) = extract_sentence(context, span)
     allowed = {sentence[:s] + t + sentence[e:] for t in [answer, *texts]}
     assert {text for pair in nli.calls for text in pair} <= allowed
+    assert len(set(nli.calls)) == len(nli.calls)  # no pair is classified twice
     assert verify_distractor_set(nli.inner, sentence, chosen, (s, e))
     json.dumps(result_to_dict(result), allow_nan=False)
 

@@ -19,6 +19,7 @@ from tests.oracles import (
     per_pair_audit,
     scan_wave_bound,
     sequential_selection,
+    wave_selection_batches,
 )
 from tests.selection_scenarios import (
     ANSWER,
@@ -111,6 +112,23 @@ def test_select_distractors_scenarios():
         got_trace = [(e.candidate, e.stage, e.counterpart) for e in result.trace]
         assert got_trace == scenario["expected_trace"], scenario["name"]
         assert result.answer == ANSWER
+
+
+def test_lone_wave_scenarios_pin_their_batches():
+    pinned = [scenario for scenario in SCENARIOS if "batches" in scenario]
+    assert len(pinned) == 2
+    for scenario in pinned:
+        nli = CountingNli(build_nli(scenario))
+        result = select_distractors(
+            nli, CONTEXT, scenario["candidates"], scenario["k"], ANSWER_SPAN
+        )
+        assert [(e.candidate, e.stage, e.counterpart) for e in result.trace] == (
+            scenario["expected_trace"]
+        ), scenario["name"]
+        assert _split_batches(nli) == [
+            [(instantiate(a), instantiate(b)) for a, b in batch]
+            for batch in scenario["batches"]
+        ], scenario["name"]
 
 
 def test_select_distractors_trace_accounting():
@@ -269,6 +287,23 @@ def test_selection_and_audit_reject_a_span_outside_the_sentence(span):
         verify_distractor_set(MockNliClassifier(), context, DistractorSet(["shut"], "open"), span)
 
 
+def _split_batches(nli):
+    """The pairs a ``CountingNli`` classified, one list per batch call."""
+    batches, at = [], 0
+    for size in nli.batches:
+        batches.append(nli.calls[at : at + size])
+        at += size
+    assert at == len(nli.calls)
+    return batches
+
+
+def _sequential_pairs(table, texts, k):
+    """The pairs the one-pair-at-a-time scan classifies."""
+    nli = CountingNli(MockNliClassifier(table=table))
+    sequential_selection(nli, CONTEXT, ANSWER, texts, k, answer_span=ANSWER_SPAN)
+    return set(nli.calls)
+
+
 def _assert_matches_eager(table, texts, k, label):
     """The best-first scan against the eager two-stage oracle on one instance."""
     fused_nli = CountingNli(MockNliClassifier(table=table))
@@ -289,7 +324,13 @@ def _assert_matches_eager(table, texts, k, label):
     ]
     got_trace = [(e.candidate, e.stage, e.counterpart) for e in result.trace]
     assert got_trace == expected_trace, label
-    assert len(fused_nli.calls) <= len(eager_nli.calls), label
+    # the pairs of the one-pair-at-a-time scan are never more than eager's;
+    # a lone wave (one such pair in its batch) adds at most one more pair
+    sequential = _sequential_pairs(table, texts, k)
+    batches = [[pair in sequential for pair in batch] for batch in _split_batches(fused_nli)]
+    assert sum(map(sum, batches)) <= len(eager_nli.calls), label
+    extras = sum(flags.count(False) for flags in batches)
+    assert extras <= sum(sum(flags) == 1 for flags in batches), label
 
 
 def test_best_first_scan_matches_eager_stages_on_scenarios():
@@ -319,7 +360,8 @@ def test_best_first_scan_matches_eager_stages_on_random_tables():
 
 def _assert_matches_sequential(table, texts, k, label):
     """The wave scheduler against the one-pair-at-a-time scan on one instance:
-    the same verdicts from the same pairs, in the fewest passes possible."""
+    the same verdicts, from every pair of that scan sent once plus at most one
+    forward pair per lone wave, in the batches the wave oracle replays."""
     wave_nli = CountingNli(MockNliClassifier(table=table))
     sequential_nli = CountingNli(MockNliClassifier(table=table))
     got = select_distractors(wave_nli, CONTEXT, texts, k, answer_span=ANSWER_SPAN)
@@ -329,12 +371,23 @@ def _assert_matches_sequential(table, texts, k, label):
     assert got.distractors == expected.distractors, label
     assert got.trace == expected.trace, label
     assert got.underfilled is expected.underfilled, label
-    assert Counter(wave_nli.calls) == Counter(sequential_nli.calls), label
     assert len(set(wave_nli.calls)) == len(wave_nli.calls), label
+    sequential = set(sequential_nli.calls)
+    assert sequential <= set(wave_nli.calls), label
+    # an extra pair rides in a two-pair batch with its candidate's lone pair,
+    # against a counterpart the sequential scan kept before that candidate
     sentences = [CONTEXT] + [instantiate(t) for t in texts]
-    bound = scan_wave_bound(MockNliClassifier(table=table).classify_nli, sentences, k)
-    assert len(wave_nli.batches) == bound, label
-    assert sum(wave_nli.batches) == len(wave_nli.calls), label
+    rank = {sentence: i for i, sentence in enumerate(sentences)}
+    kept = {rank[instantiate(d)] for d in expected.distractors}
+    for batch in _split_batches(wave_nli):
+        for pair in batch:
+            if pair not in sequential:
+                assert len(batch) == 2 and pair == batch[1], label
+                assert pair[0] in batch[0], label
+                assert rank[pair[1]] in kept and rank[pair[1]] < rank[pair[0]], label
+    classify = MockNliClassifier(table=table).classify_nli
+    assert _split_batches(wave_nli) == wave_selection_batches(classify, sentences, k), label
+    assert len(wave_nli.batches) <= scan_wave_bound(classify, sentences, k), label
 
 
 def test_wave_selection_matches_sequential_scan_on_scenarios():
