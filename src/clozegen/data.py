@@ -23,7 +23,7 @@ from typing import Iterator
 from .backends import MaskedLanguageModel, fill_masks
 from .errors import (
     BackendError, ConfigError, ContractViolation, FrozenRecord, ParseError, ResolveError,
-    SpanError, read_field, read_json, read_json_lines,
+    SpanError, check_span, read_field, read_json, read_json_lines,
 )
 from .generation import build_masked_context, map_char_span
 
@@ -68,9 +68,7 @@ class ContextAnswerPair(FrozenRecord):
     __slots__ = ("id", "context", "answer_span")
 
     def __init__(self, id: str, context: str, answer_span: tuple[int, int]):
-        start, end = answer_span
-        if not (0 <= start < end <= len(context)):
-            raise SpanError(f"span ({start}, {end}) outside context of pair {id!r}")
+        start, end = check_span(answer_span, len(context), f"context of pair {id!r}")
         if context[start:end].isspace():
             raise SpanError(f"span ({start}, {end}) of pair {id!r} holds no text")
         object.__setattr__(self, "id", id)

@@ -1,6 +1,6 @@
 """Exception types shared across the package, the base of its record types,
-the one check of every count, the two readers that every input file goes
-through, and the typed reader for every field."""
+the one check of every count and of every span, the two readers that every
+input file goes through, and the typed reader for every field."""
 
 import json
 
@@ -105,6 +105,15 @@ def check_count(name: str, value, low: int) -> int:
     return value
 
 
+def check_span(span: tuple[int, int], length: int, what: str) -> tuple[int, int]:
+    """``span`` if it is a nonempty half-open span inside ``length``, else a
+    SpanError naming it as outside ``what``."""
+    start, end = span
+    if not 0 <= start < end <= length:
+        raise SpanError(f"span ({start}, {end}) outside {what}")
+    return span
+
+
 def read_json(path) -> dict:
     """The one JSON object in the file at ``path``.
 
@@ -175,11 +184,6 @@ def _check(value, kind, where: object, name: str) -> None:
     if type(value) is list and type(kind) in (list, tuple):
         kinds = kind * len(value) if type(kind) is list else kind
         if len(kinds) == len(value):
-            # one comparison settles the common case, every type exact one or two
-            # levels down (such as a CLOTH file's options); else walk the items
-            shape = [tuple(map(type, v)) if type(v) is list else type(v) for v in value]
-            if shape == list(kinds):
-                return
             for i, item in enumerate(value):
                 if type(item) is not kinds[i]:
                     _check(item, kinds[i], where, f"{name}[{i}]")

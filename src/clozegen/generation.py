@@ -13,13 +13,13 @@ the ``k * m_s`` top fills, and every later pass is one call asking for one
 fill per hypothesis it extends. Decoding is exact best-first: no finished
 candidate can score above a hypothesis's ``bound``, so a finished candidate
 scoring strictly above every live bound is certain of its rank and comes
-out; a reader that stops early leaves the hypotheses it never needed
-unfinished. While a reader waits, a pass extends only the hypotheses that
-cannot wait: those with the most steps left, which set the pass count, and
-the few nearest to finishing. Any other has a spare pass, in which the
-finished candidates of shorter mask counts may rule it out. Drained,
-decoding extends every live hypothesis in every pass, so a request makes as
-many masked-LM passes as its largest mask count.
+out of one iterator, best first; a reader that stops early leaves the
+hypotheses it never needed unfinished. While a reader waits, a pass extends
+only the hypotheses that cannot wait: those with the most steps left, which
+set the pass count, and the few nearest to finishing. Any other has a spare
+pass, in which the finished candidates of shorter mask counts may rule it
+out. Drained, decoding extends every live hypothesis in every pass, so a
+request makes as many masked-LM passes as its largest mask count.
 """
 
 from __future__ import annotations
@@ -31,7 +31,7 @@ import warnings
 from typing import Callable, Iterable, Iterator, Sequence
 
 from .backends import MaskedLanguageModel, fill_masks
-from .errors import ContractViolation, FrozenRecord, SpanError, check_count
+from .errors import ContractViolation, FrozenRecord, SpanError, check_count, check_span
 
 L2R = "l2r"
 R2L = "r2l"
@@ -179,11 +179,7 @@ def build_masked_context(
     ``max_length`` tokens around the mask run, split as evenly between the
     two sides as the context allows.
     """
-    start, end = answer_span
-    if not (0 <= start < end <= len(context_tokens)):
-        raise SpanError(
-            f"span ({start}, {end}) invalid for {len(context_tokens)} tokens"
-        )
+    start, end = check_span(answer_span, len(context_tokens), f"{len(context_tokens)} tokens")
     check_count("mask_count", mask_count, 1)
     left, right = start, len(context_tokens) - end  # tokens kept on each side
     if left + mask_count + right > max_length:
@@ -229,7 +225,8 @@ def generate_candidates(
     jobs: Sequence[tuple[MaskedContext, list[int]]],
     branch_width: int,
     avg: str,
-    consume: Callable[..., object] | None = None,
+    consume: Callable[[Iterator[Candidate]], object] = list,
+    wanted: int | None = None,
 ) -> list[Candidate]:
     """Branch-then-greedy decoding of several masked contexts, on demand.
 
@@ -240,19 +237,19 @@ def generate_candidates(
     position of some live hypotheses, queried on their partially filled
     tokens, so later steps condition on earlier commitments.
 
-    Candidates come out best first, in ``rank_candidates``' order, through
-    ``pull``: ``consume`` is called once with it, and each ``pull(wanted)``
-    returns the next candidate, or None once all have come out. A candidate
-    comes out once its ``rank_score`` is strictly above the ``bound`` of
-    every live hypothesis. Until then a pass reaches every live hypothesis
-    whose bound is at least the n-th best score among the finished
-    candidates still held, n being ``wanted`` less the candidates already out
-    (at least 1), or every live hypothesis while fewer than n are finished.
+    ``consume`` is called once with an iterator of the candidates, best
+    first, in ``rank_candidates``' order. Step 0 runs on its first read, so a
+    reader that reads nothing makes no masked-LM call. A candidate comes out
+    once its ``rank_score`` is strictly above the ``bound`` of every live
+    hypothesis. Until then a pass reaches every live hypothesis whose bound
+    is at least the n-th best score among the finished candidates still
+    held, n being ``wanted`` less the candidates already out (at least 1), or
+    every live hypothesis while fewer than n are finished.
     Of those it extends the ones with the most decode steps left and the n
     nearest to finishing, highest bound first; the others have a spare pass
     and wait. ``wanted`` is how many candidates the reader expects to take;
-    without it every pass extends every live hypothesis, as does the default
-    ``consume``, which pulls every candidate.
+    without it every pass extends every live hypothesis. The default
+    ``consume``, ``list``, reads every candidate.
 
     A hypothesis with no prediction is dropped with a ``RuntimeWarning`` that
     names its position, mask count and decode step; a malformed reply is a
@@ -296,7 +293,7 @@ def generate_candidates(
                     RuntimeWarning,
                 )
             for pred in preds[:top_k]:
-                filled = tokens if probs else list(tokens)
+                filled = list(tokens)
                 filled[position] = pred.token
                 grown = probs + [pred.probability]
                 origin = origin if probs else next(serial)
@@ -314,15 +311,14 @@ def generate_candidates(
         """Decode steps the hypothesis has still to fill."""
         return len(jobs[hypothesis[1]][1]) - len(hypothesis[3])
 
-    unfilled = [(None, j, ctx.tokens, [], None) for j, (ctx, _) in enumerate(jobs)]
-    live = extend(unfilled, branch_width)
-
-    def pull(wanted: int | None = None) -> Candidate | None:
-        nonlocal live
+    def best_first():
+        unfilled = [(None, j, ctx.tokens, [], None) for j, (ctx, _) in enumerate(jobs)]
+        live = extend(unfilled, branch_width)
         while finished or live:
             if finished and all(finished[-1][1].rank_score > h[4] for h in live):
                 out.append(finished.pop())
-                return out[-1][1]
+                yield out[-1][1]
+                continue
             n = max(1, wanted - len(out)) if wanted is not None else math.inf
             floor = finished[-n][1].rank_score if n <= len(finished) else 0.0
             # reached hypotheses, nearest to finishing and highest bound first;
@@ -334,13 +330,8 @@ def generate_candidates(
                 + extend([h for h in live if h[0] in due], 1),
                 key=lambda h: h[0],
             )
-        return None
 
-    if consume is None:
-        while pull() is not None:
-            pass
-    else:
-        consume(pull)
+    consume(best_first())
     return [c for _, c in sorted(out, key=lambda held: held[0])]
 
 

@@ -2,9 +2,10 @@
 
 Plans the mask counts and branch width, then runs the entailment-based
 selector over the candidates of all sampled counts as decoding hands them
-over, best first: selection pulls each candidate when its scan reaches it,
-so decoding stops where selection does. Entailment comparisons always run on
-the sentence containing the answer, extracted from the original context.
+over, best first, in one iterator: selection reads each candidate when its
+scan reaches it, so decoding stops where selection does. Entailment
+comparisons always run on the sentence containing the answer, extracted
+from the original context.
 """
 
 from __future__ import annotations
@@ -14,7 +15,7 @@ import string
 
 from .backends import MaskedLanguageModel, NliClassifier
 from .data import extract_sentence, trim_span
-from .errors import ContractViolation, FrozenRecord, SpanError
+from .errors import ContractViolation, FrozenRecord, check_span
 from .generation import (
     GenerationConfig,
     build_masked_context,
@@ -60,9 +61,10 @@ def generate_distractors(
 
     The span is trimmed to its non-whitespace core first, so the answer text,
     its tokens, the comparison sentence and selection all read one span.
-    Selection reads the candidates ``rank_candidates`` would keep, pulling
-    each from ``generate_candidates`` as its scan reaches it, with ``k``
-    candidates wanted; ``all_candidates`` ranks the ones it pulled.
+    Selection reads the candidates ``rank_candidates`` would keep from
+    ``generate_candidates``' best-first iterator, each as its scan reaches
+    it, with ``k`` candidates wanted; ``all_candidates`` ranks the ones it
+    read.
     """
     answer_span = start, end = trim_span(context, answer_span)
     answer_text = context[start:end]
@@ -80,14 +82,16 @@ def generate_distractors(
     sentence, sentence_span = extract_sentence(context, answer_span)
     distractor_set = None
 
-    def select(pull):
+    def select(ranked):
         nonlocal distractor_set
-        pulled = distinct_candidates(iter(lambda: pull(config.k), None), answer_text)
+        distinct = distinct_candidates(ranked, answer_text)
         distractor_set = select_distractors(
-            nli_backend, sentence, (c.text for c in pulled), config.k, sentence_span
+            nli_backend, sentence, (c.text for c in distinct), config.k, sentence_span
         )
 
-    candidates = generate_candidates(mlm_backend, jobs, branch_width, config.avg, select)
+    candidates = generate_candidates(
+        mlm_backend, jobs, branch_width, config.avg, consume=select, wanted=config.k
+    )
     return GenerationResult(distractor_set, rank_candidates(candidates, answer_text), config)
 
 
@@ -102,9 +106,7 @@ def render_cloze(
         raise ContractViolation("cannot render a cloze item without distractors")
     if len(distractor_set.distractors) >= len(OPTION_LETTERS):
         raise ContractViolation(f"more than {len(OPTION_LETTERS)} options to letter")
-    start, end = answer_span
-    if not (0 <= start < end <= len(context)):
-        raise SpanError(f"answer span ({start}, {end}) outside context")
+    start, end = check_span(answer_span, len(context), "context")
     stem = context[:start] + BLANK_MARKER + context[end:]
     options = [distractor_set.answer] + list(distractor_set.distractors)
     random.Random(shuffle_seed).shuffle(options)

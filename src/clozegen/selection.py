@@ -32,7 +32,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .backends import ENTAILMENT, NliClassifier, classify_pairs
-from .errors import FrozenRecord, SpanError, check_count
+from .errors import FrozenRecord, check_count, check_span
 from .generation import normalize_text
 
 STAGE_ANSWER = "answer-entailment"
@@ -65,14 +65,6 @@ class DistractorSet(FrozenRecord):
         object.__setattr__(self, "underfilled", underfilled)
 
 
-def _check_span(context: str, answer_span: tuple[int, int]) -> tuple[int, int]:
-    """``answer_span``, the answer's place in the comparison text, bounds-checked."""
-    start, end = answer_span
-    if not (0 <= start < end <= len(context)):
-        raise SpanError(f"answer span ({start}, {end}) outside comparison text")
-    return answer_span
-
-
 def select_distractors(
     nli_backend: NliClassifier,
     context: str,
@@ -93,7 +85,7 @@ def select_distractors(
     pairwise ones, each in rank order.
     """
     check_count("k", k, 1)
-    start, end = _check_span(context, answer_span)
+    start, end = check_span(answer_span, len(context), "comparison text")
     texts, sentences = [context[start:end]], [context]
     unread = iter(candidates)
     verdicts: dict[tuple[str, str], str] = {}
@@ -171,7 +163,7 @@ def verify_distractor_set(
     batch classifies every pair in rank order, a second the reverse of each
     pair that entailed.
     """
-    start, end = _check_span(context, answer_span)
+    start, end = check_span(answer_span, len(context), "comparison text")
     answer_key = normalize_text(result.answer)
     if any(normalize_text(d) == answer_key for d in result.distractors):
         return False

@@ -6,8 +6,9 @@ periods and one-word sentences. Spans, ``k``, dispersion, strategy, average
 and the model window are drawn at random, on a seeded ``MockMaskedLM`` and a
 hash-verdict NLI, and some draws make one backend reply malformed. Every
 request either meets the invariants of a good result and matches the
-request decoded in full and then selected from the whole ranked list, or
-fails with a ``ClozegenError``; through ``clozegen generate`` a pairs file
+request decoded in full and then selected from the whole ranked list (and,
+where the span lies on whitespace-token boundaries and nothing is windowed,
+the whole-request oracle), or fails with a ``ClozegenError``; through ``clozegen generate`` a pairs file
 exits 0 or 2 with one record per input line, or 1 at load if some answer is
 blank.
 
@@ -31,12 +32,12 @@ from clozegen.data import (
     prepare_context, trim_span,
 )
 from clozegen.errors import ClozegenError
-from clozegen.generation import GenerationConfig, normalize_text
+from clozegen.generation import GenerationConfig, decode_plan, normalize_text
 from clozegen.pipeline import generate_distractors, result_to_dict
 from clozegen.selection import verify_distractor_set
 
 from tests.conftest import CountingMLM, CountingNli, eager_request
-from tests.oracles import query_string_prefill
+from tests.oracles import query_string_prefill, whole_request_oracle
 from tests.test_pipeline import HashNli
 
 WORDS = [
@@ -145,10 +146,41 @@ def check_result(result, context, span, config, nli):
     json.dumps(result_to_dict(result), allow_nan=False)
 
 
+def oracle_domain(context, span, config, mlm):
+    """The trimmed span, if it lies on whitespace-token boundaries and no mask
+    count of the request is windowed, so ``whole_request_oracle`` can replay
+    it; else None."""
+    start, end = trim_span(context, span)
+    if context[start - 1 : start].strip() or context[end : end + 1].strip():
+        return None
+    counts, _ = decode_plan(config, len(context[start:end].split()))
+    outside = len(context[:start].split()) + len(context[end:].split())
+    return (start, end) if outside + max(counts) <= mlm.info().max_sequence_length else None
+
+
+def check_against_oracle(result, context, span, config, mlm, nli):
+    """``result`` read a prefix of the oracle's ranking and chose as it does."""
+    sentence, (s, _) = extract_sentence(context, span)
+    bounds = (span[0] - s, span[0] - s + len(sentence))
+    ranked, expected = whole_request_oracle(mlm, nli, context, span, bounds, config)
+    got = result.all_candidates
+    where = (context, span, config)
+    assert len(got) <= len(ranked), where
+    assert [c.text for c in got] == [c[0] for c in ranked[: len(got)]], where
+    assert [c.step_probabilities for c in got] == [c[2] for c in ranked[: len(got)]], where
+    for c, (_, score, _, _) in zip(got, ranked):
+        assert abs(c.rank_score - score) <= 1e-12, where
+    chosen = result.distractor_set
+    assert chosen.distractors == expected.distractors, where
+    assert chosen.underfilled is expected.underfilled, where
+    assert chosen.trace == expected.trace, where
+
+
 def test_generation_requests_meet_the_invariants_or_fail_cleanly():
     rnd = random.Random(3)
     outcomes = Counter()
     shortened = 0  # requests whose selection stopped before the last candidate
+    replayed = 0  # requests checked against the whole-request oracle
     for trial in range(2000):
         context = draw_context(rnd)
         span = draw_span(rnd, context)
@@ -183,10 +215,15 @@ def test_generation_requests_meet_the_invariants_or_fail_cleanly():
                 assert result.distractor_set == chosen, (context, span, config)
                 assert result.all_candidates == ranked[: len(result.all_candidates)]
                 shortened += len(result.all_candidates) < len(ranked)
+                trimmed = oracle_domain(context, span, config, mock)
+                if trimmed is not None:
+                    check_against_oracle(result, context, trimmed, config, mock, nli.inner)
+                    replayed += 1
         outcomes[outcome] += 1
     assert outcomes["ok"] > 1300, outcomes
     assert outcomes["BackendError"] and outcomes["SpanError"], outcomes
     assert shortened > 500, shortened
+    assert replayed == 773, replayed
 
 
 def test_generate_writes_one_record_per_pair_and_exits_0_or_2(tmp_path, capsys):

@@ -1,4 +1,3 @@
-import functools
 import json
 import math
 import random
@@ -653,14 +652,14 @@ def _tie_jobs():
 
 
 def _pulled(mlm, jobs, width, wanted):
-    """The texts in the order ``generate_candidates`` hands them over, pulled
+    """The texts in the order ``generate_candidates`` hands them over, read
     with ``wanted`` candidates wanted, and the candidates it returns."""
     texts = []
 
-    def consume(pull):
-        texts.extend(c.text for c in iter(functools.partial(pull, wanted), None))
+    def consume(candidates):
+        texts.extend(c.text for c in candidates)
 
-    return texts, generate_candidates(mlm, jobs, width, "geometric", consume)
+    return texts, generate_candidates(mlm, jobs, width, "geometric", consume, wanted)
 
 
 def test_a_live_bound_equal_to_a_finished_score_blocks_it():
@@ -697,9 +696,58 @@ def test_pulled_candidates_come_out_in_rank_order_and_drain_to_the_full_list():
         # a reader that stops after its first candidate gets the best one
         first = []
         returned = generate_candidates(
-            mlm, jobs, width, "geometric", lambda pull: first.append(pull(1))
+            mlm, jobs, width, "geometric", lambda candidates: first.append(next(candidates)), 1
         )
         assert first == ranked[:1] == returned
+
+
+def test_a_reader_that_reads_nothing_makes_no_call():
+    mlm, jobs = _tie_jobs()
+    counting = CountingMLM(mlm)
+    assert generate_candidates(counting, jobs, 2, "geometric", lambda candidates: None, 1) == []
+    assert counting.batches == []
+
+
+def test_the_default_reader_drains_every_candidate_in_one_pass_per_step():
+    rnd = random.Random(43)
+    for _ in range(60):
+        vocab = [f"w{i}" for i in range(6)]  # more than the widest branch
+        mlm = MockMaskedLM(vocabulary=vocab, fallback="seeded", salt=rnd.randint(0, 999))
+        jobs = []
+        for mask_count in sorted(rnd.sample(range(1, 5), rnd.randint(1, 3))):
+            ctx = build_masked_context(["l", "ans", "r"], (1, 2), mask_count, "[MASK]", 512)
+            jobs.append((ctx, decode_order(rnd.choice(STRATEGIES), mask_count)))
+        width = rnd.randint(1, 4)
+        drained = CountingMLM(mlm)
+        got = generate_candidates(drained, jobs, width, "geometric")
+        # step 0 branches every job; each later pass extends every live hypothesis
+        live = [sum(len(order) > step for _, order in jobs) * width for step in range(4)]
+        assert drained.batches == [(len(jobs), width)] + [(n, 1) for n in live[1:] if n]
+        # a reader that reads every candidate itself decodes the same way
+        read = CountingMLM(mlm)
+        assert generate_candidates(read, jobs, width, "geometric", lambda c: [*c]) == got
+        assert read.calls == drained.calls
+
+
+class _RecordingMLM(MockMaskedLM):
+    """Keeps each query's token list as it was sent, beside a copy taken then."""
+
+    def __init__(self, **kwargs):
+        super().__init__(**kwargs)
+        self.sent = []
+
+    def fill_mask_batch(self, queries, top_k):
+        self.sent += [(tokens, list(tokens)) for tokens, _ in queries]
+        return super().fill_mask_batch(queries, top_k)
+
+
+def test_decoding_never_rewrites_a_query_it_has_sent():
+    mlm = _RecordingMLM(vocabulary=["x", "y"], fallback="seeded", salt=1)
+    ctx = build_masked_context(["a", "ans", "b"], (1, 2), 3, "[MASK]", 512)
+    got = generate_candidates(mlm, [(ctx, [0, 1, 2])], 2, "geometric")
+    assert len(got) == 2 and len(mlm.sent) == 5  # one branch query, two per later step
+    assert [tokens for tokens, _ in mlm.sent] == [sent for _, sent in mlm.sent]
+    assert ctx.tokens == ["a", "[MASK]", "[MASK]", "[MASK]", "b"]
 
 
 class _ScriptedMLM(MockMaskedLM):
@@ -726,7 +774,9 @@ def test_a_hypothesis_with_a_spare_pass_waits_until_a_finished_candidate_rules_i
     ]
     mlm = CountingMLM(_ScriptedMLM())
     first = []
-    generate_candidates(mlm, jobs, 2, "geometric", lambda pull: first.append(pull(1)))
+    generate_candidates(
+        mlm, jobs, 2, "geometric", lambda candidates: first.append(next(candidates)), 1
+    )
     assert [c.text for c in first] == ["t t t t"]
     # each pass as the set of first fills of the hypotheses it extended
     calls = iter(mlm.calls)
