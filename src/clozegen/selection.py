@@ -14,12 +14,19 @@ The scan runs in waves, all in one loop. Each wave resumes it at the first
 undecided candidate, advances it over the verdicts known so far and
 collects, for every candidate certain to be reached (its kept and undecided
 predecessors number fewer than ``k``), the next pair its checks need; one
-``classify_pairs`` call classifies them all. A lone wave (one pair) also sends
-that candidate's next unknown forward pair, which a one-pair-at-a-time scan
-sends too unless an earlier pair removes the candidate. So the classifier sees
-each pair of that scan once, plus at most one per lone wave, and decisions,
-read off the verdicts in scan order, do not change. On a real checkpoint a
-wasted pair can still raise its batch's ``SequenceLengthError`` (unverified).
+``classify_pairs`` call classifies them all. Two rules send one pair ahead:
+a candidate whose next pair is forward (its sentence first) and the candidate
+of a lone wave (one pair) also send their next unknown forward pair against a
+kept candidate after that pair's counterpart. A one-pair-at-a-time scan sends
+it too unless an earlier pair removes the candidate, so it is wasted only when
+the pair it rides with entails: behind a forward pair, only when that pair
+and its reverse both do (about 9% of pairs when each direction entails 30% of
+the time); behind a reverse pair, whenever that one does (about 30%), which is
+why a reverse pair carries one only in a lone wave. So the classifier sees
+each pair of that scan once, plus at most one per candidate with a pair in the
+wave, and decisions, read off the verdicts in scan order, do not change. On a
+real checkpoint a wasted pair can still raise its batch's
+``SequenceLengthError`` (unverified).
 
 Every removal is recorded in an elimination trace, and
 ``verify_distractor_set`` audits a final set after the fact. Both send their
@@ -79,10 +86,11 @@ def select_distractors(
     and free of answer copies, from any iterable. Each is read when the scan
     reaches past the ones already read with fewer than ``k`` kept or
     undecided, before that wave's pairs are sent, so the waves are those of
-    a list and texts no wave reaches are never read. A one-pair wave also
-    sends its candidate's next unknown forward pair, wasted if an earlier
-    pair removes it. The trace lists answer-entailment removals first, then
-    pairwise ones, each in rank order.
+    a list and texts no wave reaches are never read. A candidate whose next
+    pair is forward, or the one candidate of a one-pair wave, also sends its
+    next unknown forward pair, wasted if an earlier pair removes it. The
+    trace lists answer-entailment removals first, then pairwise ones, each in
+    rank order.
     """
     check_count("k", k, 1)
     start, end = check_span(answer_span, len(context), "comparison text")
@@ -93,7 +101,7 @@ def select_distractors(
     removed: dict[int, int] = {}  # candidate -> counterpart, 0 for the answer
     first = 1  # first undecided candidate: every one before it is settled
     while True:
-        needed: list[tuple[str, str]] = []
+        pending: list[tuple[int, tuple[str, str], int]] = []  # (candidate, pair, n)
         undecided = 0
         i = first
         while len(kept) + undecided < k:  # past k, the rest may never be reached
@@ -114,8 +122,7 @@ def select_distractors(
                 if verdict is not False:
                     if not undecided:
                         first = i
-                    needed.append(verdict)
-                    owner, later = i, kept[n:]  # its forward pairs still to come
+                    pending.append((i, verdict, n))
                     undecided += 1
                     break
             else:
@@ -124,11 +131,16 @@ def select_distractors(
                 else:
                     kept.append(i)
             i += 1
-        if not needed:
+        if not pending:
             break
-        if len(needed) == 1:  # a lone pair: its candidate's next forward pair rides along
-            forward = [(sentences[owner], sentences[c]) for c in later]
-            needed += [pair for pair in forward if pair not in verdicts and pair != needed[0]][:1]
+        needed = []
+        for owner, pair, n in pending:
+            needed.append(pair)
+            # a forward pair, or a lone one, brings its owner's next forward pair
+            # against a kept candidate after the pair's counterpart (kept[n:])
+            if pair[0] == sentences[owner] or len(pending) == 1:
+                forward = [(sentences[owner], sentences[c]) for c in kept[n:]]
+                needed += [p for p in forward if p not in verdicts and p != pair][:1]
         verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))
     trace = [
         TraceEntry(texts[i], STAGES[j > 0], texts[j])

@@ -269,8 +269,9 @@ def sequential_selection(nli_backend, context, answer, candidates, k, answer_spa
 def scan_wave_bound(classify, sentences, k):
     """The fewest passes a scan sending only the pairs of
     ``sequential_selection`` can take: the critical path of its chain of
-    dependent pairs. The wave schedule, whose lone waves also send a pair
-    early, takes no more.
+    dependent pairs. The wave schedule, which also sends a forward pair
+    early behind each pending forward pair and in a lone wave, takes no
+    more.
 
     ``sentences`` are the answer sentence, then each candidate's in rank
     order; ``classify(premise, hypothesis)`` labels one pair. Candidate i
@@ -311,25 +312,31 @@ def wave_selection_batches(classify, sentences, k):
     it is checked against the answer and then each candidate kept before the
     first open one, forward pair first, reverse only after a forward
     entailment. Its first unknown pair is collected, and a removal behind an
-    open candidate takes no room. A wave that collects one pair also sends
-    the first unknown forward pair of that candidate against a kept
-    candidate after the pair's counterpart. Returns the pairs of each wave.
+    open candidate takes no room. When that pair is a forward one, the
+    candidate's first unknown forward pair against a kept candidate after the
+    pair's counterpart goes right after it; a wave that collects one reverse
+    pair sends that forward pair too. Returns the pairs of each wave.
     """
     known = {}
 
     def check(i, kept):
-        """("removed" | "kept", None, None) or ("open", next pair, later forward pairs)."""
+        """("removed" | "kept", None, None, None) or ("open", next pair, whether
+        it is forward, the first unknown later forward pair or None)."""
         counterparts = [0] + kept
         for n, j in enumerate(counterparts):
-            for pair in ((sentences[i], sentences[j]), (sentences[j], sentences[i])):
+            for forward, pair in (
+                (True, (sentences[i], sentences[j])),
+                (False, (sentences[j], sentences[i])),
+            ):
                 if pair not in known:
                     later = [(sentences[i], sentences[c]) for c in counterparts[n + 1 :]]
-                    return "open", pair, later
+                    ahead = next((p for p in later if p not in known), None)
+                    return "open", pair, forward, ahead
                 if known[pair] != ENTAILMENT:
                     break
             else:
-                return "removed", None, None
-        return "kept", None, None
+                return "removed", None, None, None
+        return "kept", None, None, None
 
     batches = []
     while True:
@@ -337,18 +344,24 @@ def wave_selection_batches(classify, sentences, k):
         for i in range(1, len(sentences)):
             if len(kept) + open_count >= k:
                 break
-            fate, pair, later = check(i, kept)
+            fate, pair, forward, ahead = check(i, kept)
             if fate == "open":
-                wave.append((pair, later))
+                wave.append((pair, forward, ahead))
             if fate == "open" or (fate == "kept" and open_count):
                 open_count += 1
             elif fate == "kept":
                 kept.append(i)
         if not wave:
             return batches
-        pairs = [pair for pair, _ in wave]
-        if len(wave) == 1:
-            pairs += [p for p in wave[0][1] if p not in known and p != pairs[0]][:1]
+        pairs = []
+        for pair, forward, ahead in wave:
+            pairs.append(pair)
+            if forward and ahead is not None:
+                pairs.append(ahead)
+        if len(wave) == 1:  # a lone reverse pair brings the forward pair too
+            (_, forward, ahead), = wave
+            if not forward and ahead is not None:
+                pairs.append(ahead)
         known.update((pair, classify(*pair)) for pair in pairs)
         batches.append(pairs)
 

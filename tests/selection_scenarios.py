@@ -3,8 +3,8 @@
 Each scenario fixes a ranked candidate list, an entailment table over the
 instantiated sentences, and the expected distractors/trace worked out by
 hand before implementation. The frame is "I <word> the door." with gold
-answer "open". The lone-wave scenarios also pin ``batches``: the pairs of
-each NLI batch, as (premise word, hypothesis word).
+answer "open". The lone-wave and ride-along scenarios also pin ``batches``:
+the pairs of each NLI batch, as (premise word, hypothesis word).
 """
 
 from clozegen.backends import CONTRADICTION, ENTAILMENT, MockNliClassifier
@@ -276,6 +276,67 @@ def _scenarios():
             batches=[
                 [("shut", ANSWER), ("stand", ANSWER)],
                 [(ANSWER, "stand"), ("stand", "shut")],
+            ],
+        )
+    )
+
+    # 15. a forward pair's ride-along saves a pass: "unlock" and "crack" fall
+    # at the answer stage, so wave 3 reaches "stand" and "lift" with "shut"
+    # kept. Each sends its answer pair and, since that pair is a forward one,
+    # its pair against "shut" with it. All four are neutral, so "stand" is
+    # kept and wave 4 holds only "lift" against it: four passes, not five
+    table = {}
+    _both(table, "unlock", ANSWER)
+    _both(table, "crack", ANSWER)
+    scenarios.append(
+        dict(
+            name="forward-ride-along-saves-a-pass",
+            candidates=["shut", "unlock", "crack", "stand", "lift"],
+            table=table,
+            k=3,
+            expected=["shut", "stand", "lift"],
+            expected_trace=[
+                ("unlock", "answer-entailment", ANSWER),
+                ("crack", "answer-entailment", ANSWER),
+            ],
+            underfilled=False,
+            batches=[
+                [("shut", ANSWER), ("unlock", ANSWER), ("crack", ANSWER)],
+                [(ANSWER, "unlock"), (ANSWER, "crack")],
+                [("stand", ANSWER), ("stand", "shut"), ("lift", ANSWER), ("lift", "shut")],
+                [("lift", "stand")],
+            ],
+        )
+    )
+
+    # 16. a forward pair's ride-along is wasted: in wave 3 "stand" sends its
+    # pair against "shut" with its forward answer pair, but that pair and its
+    # reverse both entail, so "stand" falls at the answer stage. The trace
+    # names the answer although "stand" and "shut" entail each other as well,
+    # and the reverse of the wasted pair is never sent
+    table = {}
+    _both(table, "unlock", ANSWER)
+    _both(table, "crack", ANSWER)
+    _both(table, "stand", ANSWER)
+    _both(table, "stand", "shut")
+    scenarios.append(
+        dict(
+            name="forward-ride-along-wasted",
+            candidates=["shut", "unlock", "crack", "stand", "lift"],
+            table=table,
+            k=3,
+            expected=["shut", "lift"],
+            expected_trace=[
+                ("unlock", "answer-entailment", ANSWER),
+                ("crack", "answer-entailment", ANSWER),
+                ("stand", "answer-entailment", ANSWER),
+            ],
+            underfilled=True,
+            batches=[
+                [("shut", ANSWER), ("unlock", ANSWER), ("crack", ANSWER)],
+                [(ANSWER, "unlock"), (ANSWER, "crack")],
+                [("stand", ANSWER), ("stand", "shut"), ("lift", ANSWER), ("lift", "shut")],
+                [(ANSWER, "stand")],
             ],
         )
     )

@@ -15,10 +15,12 @@ import pytest
 
 from clozegen.adapters import HuggingFaceMaskedLM, HuggingFaceNli
 from clozegen.backends import MockNliClassifier
+from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
 from clozegen.generation import GenerationConfig, build_masked_context, map_char_span
 from clozegen.pipeline import generate_distractors
 
 from tests.conftest import eager_request
+from tests.oracles import query_string_prefill
 
 SENTENCES = [
     "The boy will open the door.",
@@ -102,6 +104,19 @@ def test_offsets_and_retokenize_paths_agree_on_word_answers(mlm, monkeypatch):
         for span in word_spans(sentence)
     ]
     assert by_offsets == by_retokenizing
+
+
+def test_prefill_through_offsets_matches_the_query_string_prefill(mlm):
+    # every blank is a spaced word, so splicing the mask string into the text
+    # and re-tokenizing masks the position the offsets map
+    text = "The boy will _ the door when the bell _ at noon, and his sister _ in."
+    if mlm.tokenize_with_offsets(text) is None:
+        pytest.skip("slow tokenizer: prefill has no offsets path")
+    blanks = text.count("_")
+    passage = ClozePassage("p", text, [ClozeQuestion("x", [])] * blanks)
+    for qi in range(blanks):
+        prepared = prepare_context(passage, qi, "passage", "model", mlm)
+        assert prepared.context == query_string_prefill(mlm, text, qi), qi
 
 
 def test_no_fill_is_a_special_token(mlm):

@@ -115,8 +115,9 @@ def test_select_distractors_scenarios():
 
 
 def test_lone_wave_scenarios_pin_their_batches():
+    # the two lone-wave scenarios and the two forward ride-along ones
     pinned = [scenario for scenario in SCENARIOS if "batches" in scenario]
-    assert len(pinned) == 2
+    assert len(pinned) == 4
     for scenario in pinned:
         nli = CountingNli(build_nli(scenario))
         result = select_distractors(
@@ -325,12 +326,14 @@ def _assert_matches_eager(table, texts, k, label):
     got_trace = [(e.candidate, e.stage, e.counterpart) for e in result.trace]
     assert got_trace == expected_trace, label
     # the pairs of the one-pair-at-a-time scan are never more than eager's;
-    # a lone wave (one such pair in its batch) adds at most one more pair
+    # each candidate with such a pair in a batch adds at most one more pair
     sequential = _sequential_pairs(table, texts, k)
-    batches = [[pair in sequential for pair in batch] for batch in _split_batches(fused_nli)]
-    assert sum(map(sum, batches)) <= len(eager_nli.calls), label
-    extras = sum(flags.count(False) for flags in batches)
-    assert extras <= sum(sum(flags) == 1 for flags in batches), label
+    batches = _split_batches(fused_nli)
+    assert sum(p in sequential for batch in batches for p in batch) <= len(eager_nli.calls), label
+    owner = _owner(texts)
+    for batch in batches:
+        extras = sum(pair not in sequential for pair in batch)
+        assert extras <= len({owner(pair) for pair in batch if pair in sequential}), label
 
 
 def test_best_first_scan_matches_eager_stages_on_scenarios():
@@ -358,10 +361,19 @@ def test_best_first_scan_matches_eager_stages_on_random_tables():
         _assert_matches_eager(table, texts, k, f"trial {trial}")
 
 
+def _owner(texts):
+    """The sentence of a pair's lower-ranked member: the candidate whose check
+    the pair belongs to (the answer sentence ranks first)."""
+    rank = {instantiate(t): i for i, t in enumerate(texts, 1)}
+    rank[CONTEXT] = 0
+    return lambda pair: max(pair, key=rank.__getitem__)
+
+
 def _assert_matches_sequential(table, texts, k, label):
     """The wave scheduler against the one-pair-at-a-time scan on one instance:
     the same verdicts, from every pair of that scan sent once plus at most one
-    forward pair per lone wave, in the batches the wave oracle replays."""
+    forward pair per candidate with a pending pair in a batch, in the batches
+    the wave oracle replays."""
     wave_nli = CountingNli(MockNliClassifier(table=table))
     sequential_nli = CountingNli(MockNliClassifier(table=table))
     got = select_distractors(wave_nli, CONTEXT, texts, k, answer_span=ANSWER_SPAN)
@@ -374,17 +386,22 @@ def _assert_matches_sequential(table, texts, k, label):
     assert len(set(wave_nli.calls)) == len(wave_nli.calls), label
     sequential = set(sequential_nli.calls)
     assert sequential <= set(wave_nli.calls), label
-    # an extra pair rides in a two-pair batch with its candidate's lone pair,
-    # against a counterpart the sequential scan kept before that candidate
+    # an extra pair is a forward pair (c, d): it rides in a batch with c's own
+    # pending pair, c has at most two pairs in any batch, and d is a
+    # counterpart the sequential scan kept before c
     sentences = [CONTEXT] + [instantiate(t) for t in texts]
     rank = {sentence: i for i, sentence in enumerate(sentences)}
     kept = {rank[instantiate(d)] for d in expected.distractors}
+    owner = _owner(texts)
     for batch in _split_batches(wave_nli):
+        owners = Counter(map(owner, batch))
+        assert max(owners.values(), default=0) <= 2, label
         for pair in batch:
             if pair not in sequential:
-                assert len(batch) == 2 and pair == batch[1], label
-                assert pair[0] in batch[0], label
-                assert rank[pair[1]] in kept and rank[pair[1]] < rank[pair[0]], label
+                c, d = pair
+                assert owner(pair) == c, label
+                assert any(p in sequential and owner(p) == c for p in batch), label
+                assert rank[d] in kept and rank[d] < rank[c], label
     classify = MockNliClassifier(table=table).classify_nli
     assert _split_batches(wave_nli) == wave_selection_batches(classify, sentences, k), label
     assert len(wave_nli.batches) <= scan_wave_bound(classify, sentences, k), label
