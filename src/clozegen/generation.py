@@ -28,7 +28,7 @@ import itertools
 import math
 import random
 import warnings
-from typing import Callable, Iterable, Iterator, Sequence
+from typing import Callable, Iterator, Sequence
 
 from .backends import MaskedLanguageModel, fill_masks
 from .errors import ContractViolation, FrozenRecord, SpanError, check_count, check_span
@@ -266,6 +266,8 @@ def generate_candidates(
                 f"order {order!r} is not a permutation of 0..{slots - 1}"
             )
     check_count("branch_width", branch_width, 1)
+    if wanted is not None:
+        check_count("wanted", wanted, 1)
 
     # A hypothesis is (origin, job, filled tokens, step probabilities, bound);
     # origin numbers the step-0 copies, so sorting by it gives job then fill order.
@@ -383,26 +385,21 @@ def _check_probabilities(values: list[float]) -> None:
 
 
 def rank_candidates(candidates: list[Candidate], answer_text: str) -> list[Candidate]:
-    """Merge candidates from all contexts into the one ranked pool selection reads.
+    """Merge candidates from all contexts into one ranked list, each text once.
 
     Candidates are sorted by their stored ``rank_score``, descending, with
     ties resolved toward the shorter mask count and then lexicographic
-    text; ``distinct_candidates`` then drops answer copies, blank fills and
-    duplicates.
+    text. Each case- and whitespace-insensitive text is kept at its first
+    copy only; answer copies and blank fills are dropped.
     """
-    return list(distinct_candidates(sorted(candidates, key=_rank_key), answer_text))
-
-
-def distinct_candidates(ranked: Iterable[Candidate], answer_text: str) -> Iterator[Candidate]:
-    """``ranked`` in order, each case- and whitespace-insensitive text at its
-    first copy only. The answer's text and the blank text are taken before
-    the pass, so answer copies and blank fills drop out like duplicates."""
     taken = {normalize_text(answer_text), ""}
-    for c in ranked:
+    ranked = []
+    for c in sorted(candidates, key=_rank_key):
         key = normalize_text(c.text)
         if key not in taken:
             taken.add(key)
-            yield c
+            ranked.append(c)
+    return ranked
 
 
 def _rank_key(c: Candidate) -> tuple[float, int, str]:

@@ -21,9 +21,9 @@ from .generation import (
     build_masked_context,
     decode_order,
     decode_plan,
-    distinct_candidates,
     generate_candidates,
     map_char_span,
+    normalize_text,
     rank_candidates,
     score_candidate,
 )
@@ -61,10 +61,9 @@ def generate_distractors(
 
     The span is trimmed to its non-whitespace core first, so the answer text,
     its tokens, the comparison sentence and selection all read one span.
-    Selection reads the candidates ``rank_candidates`` would keep from
-    ``generate_candidates``' best-first iterator, each as its scan reaches
-    it, with ``k`` candidates wanted; ``all_candidates`` ranks the ones it
-    read.
+    Selection reads the texts of ``generate_candidates``' best-first
+    iterator, each as its scan reaches it, with ``k`` candidates wanted;
+    ``all_candidates`` ranks the ones it read.
     """
     answer_span = start, end = trim_span(context, answer_span)
     answer_text = context[start:end]
@@ -84,9 +83,8 @@ def generate_distractors(
 
     def select(ranked):
         nonlocal distractor_set
-        distinct = distinct_candidates(ranked, answer_text)
         distractor_set = select_distractors(
-            nli_backend, sentence, (c.text for c in distinct), config.k, sentence_span
+            nli_backend, sentence, (c.text for c in ranked), config.k, sentence_span
         )
 
     candidates = generate_candidates(
@@ -101,7 +99,11 @@ def render_cloze(
     distractor_set: DistractorSet,
     shuffle_seed: int = 0,
 ) -> RenderedCloze:
-    """Turn a generation result into a stem plus shuffled options, A to Z."""
+    """Turn a generation result into a stem plus shuffled options, A to Z.
+
+    Options that read the same under ``normalize_text`` (a distractor that
+    repeats the answer or another distractor) are a ContractViolation.
+    """
     if not distractor_set.distractors:
         raise ContractViolation("cannot render a cloze item without distractors")
     if len(distractor_set.distractors) >= len(OPTION_LETTERS):
@@ -109,6 +111,8 @@ def render_cloze(
     start, end = check_span(answer_span, len(context), "context")
     stem = context[:start] + BLANK_MARKER + context[end:]
     options = [distractor_set.answer] + list(distractor_set.distractors)
+    if len({normalize_text(option) for option in options}) < len(options):
+        raise ContractViolation(f"options {options!r} repeat one text")
     random.Random(shuffle_seed).shuffle(options)
     return RenderedCloze(
         stem=stem,

@@ -82,8 +82,9 @@ def select_distractors(
     """Keep up to ``k`` candidates, best-first, entailing neither answer nor each other.
 
     ``context`` is the comparison sentence and the answer is its text at
-    ``answer_span``. Candidate texts must arrive ranked best-first, non-blank
-    and free of answer copies, from any iterable. Each is read when the scan
+    ``answer_span``. Candidate texts arrive ranked best-first from any
+    iterable; one whose ``normalize_text`` form is blank, the answer's or an
+    earlier text's is skipped as it is read. Each is read when the scan
     reaches past the ones already read with fewer than ``k`` kept or
     undecided, before that wave's pairs are sent, so the waves are those of
     a list and texts no wave reaches are never read. A candidate whose next
@@ -95,6 +96,7 @@ def select_distractors(
     check_count("k", k, 1)
     start, end = check_span(answer_span, len(context), "comparison text")
     texts, sentences = [context[start:end]], [context]
+    taken = {normalize_text(texts[0]), ""}
     unread = iter(candidates)
     verdicts: dict[tuple[str, str], str] = {}
     kept: list[int] = []
@@ -109,6 +111,10 @@ def select_distractors(
                 text = next(unread, None)
                 if text is None:
                     break
+                key = normalize_text(text)
+                if key in taken:  # blank, an answer copy or a repeat
+                    continue
+                taken.add(key)
                 texts.append(text)
                 sentences.append(context[:start] + text + context[end:])
             # behind an undecided candidate, i may never be reached either: a
@@ -140,7 +146,7 @@ def select_distractors(
             # against a kept candidate after the pair's counterpart (kept[n:])
             if pair[0] == sentences[owner] or len(pending) == 1:
                 forward = [(sentences[owner], sentences[c]) for c in kept[n:]]
-                needed += [p for p in forward if p not in verdicts and p != pair][:1]
+                needed += [p for p in forward if p not in verdicts][:1]
         verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))
     trace = [
         TraceEntry(texts[i], STAGES[j > 0], texts[j])

@@ -353,6 +353,17 @@ COUNT_SITES = {
         "branch_width",
         1,
     ),
+    "generate_candidates-wanted": (
+        lambda n: generate_candidates(
+            MockMaskedLM(vocabulary=["x"]),
+            [(MaskedContext(["[MASK]"], [0]), [0])],
+            1,
+            "geometric",
+            wanted=n,
+        ),
+        "wanted",
+        1,
+    ),
     "fill_mask-top_k": (
         lambda n: MockMaskedLM(vocabulary=["x"]).fill_mask(["[MASK]"], 0, n), "top_k", 1
     ),
@@ -540,6 +551,15 @@ def test_render_cloze_underfilled_and_empty():
         render_cloze(CONTEXT, ANSWER_SPAN, _distractor_set([]), 0)
     with pytest.raises(SpanError, match="outside context"):
         render_cloze(CONTEXT, (40, 99), _distractor_set(["shut"]), 0)
+
+
+@pytest.mark.parametrize(
+    "distractors", [["open", "shut"], ["shut", " Open "], ["shut", "lock", "SHUT"]]
+)
+def test_render_cloze_rejects_two_options_that_read_the_same(distractors):
+    # a repeat of the answer would render two correct options
+    with pytest.raises(ContractViolation, match="repeat one text"):
+        render_cloze(CONTEXT, ANSWER_SPAN, _distractor_set(distractors), 0)
 
 
 def test_render_cloze_letters_every_option():

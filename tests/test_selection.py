@@ -251,6 +251,26 @@ def test_select_distractors_empty_input():
     assert result.trace == []
 
 
+def test_selection_skips_answer_copies_blanks_and_repeats_as_it_reads():
+    # every scenario again, each candidate followed by an answer copy, a blank
+    # text and a case- and spacing-variant repeat of it: same batches, same set
+    for scenario in SCENARIOS:
+        noisy = []
+        for n, text in enumerate(scenario["candidates"]):
+            noisy += [text, f" {ANSWER.upper()}", " " * n, text.title() + " "]
+        clean_nli = CountingNli(build_nli(scenario))
+        noisy_nli = CountingNli(build_nli(scenario))
+        k = scenario["k"]
+        expected = select_distractors(clean_nli, CONTEXT, scenario["candidates"], k, ANSWER_SPAN)
+        result = select_distractors(noisy_nli, CONTEXT, noisy, k, ANSWER_SPAN)
+        assert result == expected, scenario["name"]
+        assert _split_batches(noisy_nli) == _split_batches(clean_nli), scenario["name"]
+    context = "The door was open all day."
+    texts = ["OPEN", "shut", "shut", " ", "Shut"]
+    result = select_distractors(MockNliClassifier(), context, texts, 3, (13, 17))
+    assert result == DistractorSet(["shut"], "open", [], True)
+
+
 def test_selection_and_audit_substitute_at_the_given_span():
     # the answer text also occurs earlier in the sentence: only the span says which
     context = "We open the door, then open the gate."
