@@ -14,18 +14,32 @@ The scan runs in waves, all in one loop. Each wave resumes it at the first
 undecided candidate, advances it over the verdicts known so far and
 collects, for every candidate certain to be reached (its kept and undecided
 predecessors number fewer than ``k``), the next pair its checks need; one
-``classify_pairs`` call classifies them all. Two rules send one pair ahead:
-a candidate whose next pair is forward (its sentence first) and the candidate
-of a lone wave (one pair) also send their next unknown forward pair against a
-kept candidate after that pair's counterpart. A one-pair-at-a-time scan sends
-it too unless an earlier pair removes the candidate, so it is wasted only when
-the pair it rides with entails: behind a forward pair, only when that pair
-and its reverse both do (about 9% of pairs when each direction entails 30% of
-the time); behind a reverse pair, whenever that one does (about 30%), which is
-why a reverse pair carries one only in a lone wave. So the classifier sees
-each pair of that scan once, plus at most one per candidate with a pair in the
-wave, and decisions, read off the verdicts in scan order, do not change. On a
-real checkpoint a wasted pair can still raise its batch's
+``classify_pairs`` call classifies them all. A candidate is pending while a
+pair against the answer or a kept candidate is unknown, and waiting once it
+has cleared those with an undecided (pending or waiting) one before it.
+Decisions are read off the verdicts in scan order against the answer and
+the kept candidates only, so they do not change; three rules send pairs
+ahead of a one-pair-at-a-time scan:
+
+- A candidate whose next pair is forward (its sentence first), and a wave's
+  only pending candidate whatever its pair, also send their next unknown
+  forward pair against a kept candidate after that pair's counterpart.
+- A waiting candidate walks the undecided candidates before it as if they
+  were kept, stopping at the first it entails both ways, and sends its
+  first unknown pair against one, plus, when that pair is forward, its next
+  unknown forward pair against a later one.
+
+The one-pair-at-a-time scan sends a ride-along pair too unless an earlier
+pair removes the candidate, so it is wasted only when the pair it rides
+with entails: behind a forward pair, only when that pair and its reverse
+both do (about 9% of pairs when each direction entails 30% of the time);
+behind a reverse pair, whenever that one does (about 30%), which is why a
+reverse pair carries one only for a lone pending candidate. A waiting
+candidate has cleared the answer and every kept candidate, so that scan
+also sends each of its pairs unless their counterpart falls or, as above,
+an earlier pair removes the candidate. So the classifier sees each pair of
+that scan once, plus at most one per pending and two per waiting candidate
+of the wave. On a real checkpoint a wasted pair can still raise its batch's
 ``SequenceLengthError`` (unverified).
 
 Every removal is recorded in an elimination trace, and
@@ -88,8 +102,10 @@ def select_distractors(
     reaches past the ones already read with fewer than ``k`` kept or
     undecided, before that wave's pairs are sent, so the waves are those of
     a list and texts no wave reaches are never read. A candidate whose next
-    pair is forward, or the one candidate of a one-pair wave, also sends its
-    next unknown forward pair, wasted if an earlier pair removes it. The
+    pair is forward, or a wave's lone pending candidate, also sends its next
+    unknown forward pair, wasted if an earlier pair removes it. A candidate
+    waiting behind an undecided one checks itself against the undecided ones
+    before it in the same way, a pair wasted if its counterpart falls. The
     trace lists answer-entailment removals first, then pairwise ones, each in
     rank order.
     """
@@ -103,10 +119,12 @@ def select_distractors(
     removed: dict[int, int] = {}  # candidate -> counterpart, 0 for the answer
     first = 1  # first undecided candidate: every one before it is settled
     while True:
-        pending: list[tuple[int, tuple[str, str], int]] = []  # (candidate, pair, n)
-        undecided = 0
+        # (candidate, pair, the counterparts after the pair's own in its chain)
+        pending: list[tuple[int, tuple[str, str], list[int]]] = []
+        waiting: list[tuple[int, tuple[str, str], list[int]]] = []
+        undecided: list[int] = []  # pending and waiting candidates, in rank order
         i = first
-        while len(kept) + undecided < k:  # past k, the rest may never be reached
+        while len(kept) + len(undecided) < k:  # past k, the rest may never be reached
             if i == len(sentences):  # read one more candidate, if any is left
                 text = next(unread, None)
                 if text is None:
@@ -128,24 +146,28 @@ def select_distractors(
                 if verdict is not False:
                     if not undecided:
                         first = i
-                    pending.append((i, verdict, n))
-                    undecided += 1
+                    pending.append((i, verdict, kept[n:]))
+                    undecided.append(i)
                     break
             else:
-                if undecided:
-                    undecided += 1
-                else:
-                    kept.append(i)
+                # waiting: its chain runs on over the undecided ones before it
+                for n, j in enumerate(undecided):
+                    verdict = _two_way(verdicts, sentences[i], sentences[j])
+                    if verdict is not False:
+                        if verdict is not True:
+                            waiting.append((i, verdict, undecided[n + 1 :]))
+                        break
+                (undecided if undecided else kept).append(i)
             i += 1
         if not pending:
             break
         needed = []
-        for owner, pair, n in pending:
+        for owner, pair, later in pending + waiting:
             needed.append(pair)
-            # a forward pair, or a lone one, brings its owner's next forward pair
-            # against a kept candidate after the pair's counterpart (kept[n:])
-            if pair[0] == sentences[owner] or len(pending) == 1:
-                forward = [(sentences[owner], sentences[c]) for c in kept[n:]]
+            # a forward pair, or a lone pending one, brings its owner's next
+            # forward pair against a counterpart after the pair's own
+            if pair[0] == sentences[owner] or owner == first and len(pending) == 1:
+                forward = [(sentences[owner], sentences[c]) for c in later]
                 needed += [p for p in forward if p not in verdicts][:1]
         verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))
     trace = [

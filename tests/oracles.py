@@ -270,8 +270,9 @@ def scan_wave_bound(classify, sentences, k):
     """The fewest passes a scan sending only the pairs of
     ``sequential_selection`` can take: the critical path of its chain of
     dependent pairs. The wave schedule, which also sends a forward pair
-    early behind each pending forward pair and in a lone wave, takes no
-    more.
+    early behind each pending forward pair and in a lone wave, and the pairs
+    of a candidate waiting behind an open one against the open ones, takes
+    no more.
 
     ``sentences`` are the answer sentence, then each candidate's in rank
     order; ``classify(premise, hypothesis)`` labels one pair. Candidate i
@@ -311,18 +312,24 @@ def wave_selection_batches(classify, sentences, k):
     candidate is reached while fewer than ``k`` before it are kept or open;
     it is checked against the answer and then each candidate kept before the
     first open one, forward pair first, reverse only after a forward
-    entailment. Its first unknown pair is collected, and a removal behind an
-    open candidate takes no room. When that pair is a forward one, the
-    candidate's first unknown forward pair against a kept candidate after the
-    pair's counterpart goes right after it; a wave that collects one reverse
-    pair sends that forward pair too. Returns the pairs of each wave.
+    entailment. Its first unknown pair is collected and the candidate is
+    open; a removal behind an open candidate takes no room. When that pair
+    is a forward one, the candidate's first unknown forward pair against a
+    kept candidate after the pair's counterpart goes right after it, and so
+    it does behind a reverse pair when no other candidate collects one. A
+    candidate that clears the answer and the kept ones behind an open one is
+    open too, and is checked the same way against the open ones before it;
+    it stops at the first it entails both ways, and its first unknown pair,
+    with its ride-along when that is a forward one, goes after all the pairs
+    collected against the answer and kept ones. Returns the pairs of each
+    wave and the number of candidates the waves reach.
     """
     known = {}
 
-    def check(i, kept):
-        """("removed" | "kept", None, None, None) or ("open", next pair, whether
-        it is forward, the first unknown later forward pair or None)."""
-        counterparts = [0] + kept
+    def check(i, counterparts):
+        """("entails" | "clear", None, None, None) or ("open", i's first unknown
+        pair against ``counterparts`` in order, whether it is forward, i's first
+        unknown forward pair against a later counterpart or None)."""
         for n, j in enumerate(counterparts):
             for forward, pair in (
                 (True, (sentences[i], sentences[j])),
@@ -335,32 +342,34 @@ def wave_selection_batches(classify, sentences, k):
                 if known[pair] != ENTAILMENT:
                     break
             else:
-                return "removed", None, None, None
-        return "kept", None, None, None
+                return "entails", None, None, None
+        return "clear", None, None, None
 
-    batches = []
+    batches, reached = [], 0
     while True:
-        kept, open_count, wave = [], 0, []
+        kept, opened, wave, waiting = [], [], [], []
         for i in range(1, len(sentences)):
-            if len(kept) + open_count >= k:
+            if len(kept) + len(opened) >= k:
                 break
-            fate, pair, forward, ahead = check(i, kept)
+            reached = max(reached, i)
+            fate, pair, forward, ahead = check(i, [0] + kept)
             if fate == "open":
                 wave.append((pair, forward, ahead))
-            if fate == "open" or (fate == "kept" and open_count):
-                open_count += 1
-            elif fate == "kept":
+                opened.append(i)
+            elif fate == "clear" and opened:
+                fate, pair, forward, ahead = check(i, opened)
+                if fate == "open":
+                    waiting.append((pair, forward, ahead))
+                opened.append(i)
+            elif fate == "clear":
                 kept.append(i)
         if not wave:
-            return batches
+            return batches, reached
+        lone = len(wave) == 1  # a lone reverse pair brings the forward pair too
         pairs = []
-        for pair, forward, ahead in wave:
+        for pair, brings, ahead in [(p, f or lone, a) for p, f, a in wave] + waiting:
             pairs.append(pair)
-            if forward and ahead is not None:
-                pairs.append(ahead)
-        if len(wave) == 1:  # a lone reverse pair brings the forward pair too
-            (_, forward, ahead), = wave
-            if not forward and ahead is not None:
+            if brings and ahead is not None:
                 pairs.append(ahead)
         known.update((pair, classify(*pair)) for pair in pairs)
         batches.append(pairs)

@@ -3,8 +3,9 @@
 Each scenario fixes a ranked candidate list, an entailment table over the
 instantiated sentences, and the expected distractors/trace worked out by
 hand before implementation. The frame is "I <word> the door." with gold
-answer "open". The lone-wave and ride-along scenarios also pin ``batches``:
-the pairs of each NLI batch, as (premise word, hypothesis word).
+answer "open". The lone-wave, ride-along and waiting-candidate scenarios
+also pin ``batches``: the pairs of each NLI batch, as (premise word,
+hypothesis word).
 """
 
 from clozegen.backends import CONTRADICTION, ENTAILMENT, MockNliClassifier
@@ -313,7 +314,9 @@ def _scenarios():
     # pair against "shut" with its forward answer pair, but that pair and its
     # reverse both entail, so "stand" falls at the answer stage. The trace
     # names the answer although "stand" and "shut" entail each other as well,
-    # and the reverse of the wasted pair is never sent
+    # and the reverse of the wasted pair is never sent. In wave 4 "lift" has
+    # cleared the answer and "shut" and waits behind "stand", so it sends its
+    # pair against "stand", wasted as well when "stand" falls
     table = {}
     _both(table, "unlock", ANSWER)
     _both(table, "crack", ANSWER)
@@ -336,7 +339,56 @@ def _scenarios():
                 [("shut", ANSWER), ("unlock", ANSWER), ("crack", ANSWER)],
                 [(ANSWER, "unlock"), (ANSWER, "crack")],
                 [("stand", ANSWER), ("stand", "shut"), ("lift", ANSWER), ("lift", "shut")],
-                [(ANSWER, "stand")],
+                [(ANSWER, "stand"), ("lift", "stand")],
+            ],
+        )
+    )
+
+    # 17. a waiting candidate saves a pass: "stand" entails the answer one
+    # way only, so in wave 3 it sends its pair against the kept "shut", while
+    # "lift", which has cleared the answer and "shut", waits behind it and
+    # sends its pair against "stand" in the same wave. Everything is neutral,
+    # so both are kept after three passes instead of four
+    table = {}
+    _one_way(table, "stand", ANSWER, ENTAILMENT)
+    scenarios.append(
+        dict(
+            name="waiting-candidate-saves-a-pass",
+            candidates=["shut", "stand", "lift"],
+            table=table,
+            k=3,
+            expected=["shut", "stand", "lift"],
+            expected_trace=[],
+            underfilled=False,
+            batches=[
+                [("shut", ANSWER), ("stand", ANSWER), ("lift", ANSWER)],
+                [(ANSWER, "stand"), ("lift", "shut")],
+                [("stand", "shut"), ("lift", "stand")],
+            ],
+        )
+    )
+
+    # 18. a waiting candidate's pair is wasted: as in 17, "lift" sends its pair
+    # against "stand" in wave 3, but "stand" and "shut" entail each other, so
+    # "stand" falls after wave 4 and "lift" is kept without that pair. The
+    # passes are those of a scan without it
+    table = {}
+    _one_way(table, "stand", ANSWER, ENTAILMENT)
+    _both(table, "stand", "shut")
+    scenarios.append(
+        dict(
+            name="waiting-candidate-pair-wasted",
+            candidates=["shut", "stand", "lift"],
+            table=table,
+            k=3,
+            expected=["shut", "lift"],
+            expected_trace=[("stand", "pairwise-entailment", "shut")],
+            underfilled=True,
+            batches=[
+                [("shut", ANSWER), ("stand", ANSWER), ("lift", ANSWER)],
+                [(ANSWER, "stand"), ("lift", "shut")],
+                [("stand", "shut"), ("lift", "stand")],
+                [("shut", "stand")],
             ],
         )
     )

@@ -115,9 +115,10 @@ def test_select_distractors_scenarios():
 
 
 def test_lone_wave_scenarios_pin_their_batches():
-    # the two lone-wave scenarios and the two forward ride-along ones
+    # the two lone-wave scenarios, the two forward ride-along ones and the two
+    # waiting-candidate ones
     pinned = [scenario for scenario in SCENARIOS if "batches" in scenario]
-    assert len(pinned) == 4
+    assert len(pinned) == 6
     for scenario in pinned:
         nli = CountingNli(build_nli(scenario))
         result = select_distractors(
@@ -346,14 +347,18 @@ def _assert_matches_eager(table, texts, k, label):
     got_trace = [(e.candidate, e.stage, e.counterpart) for e in result.trace]
     assert got_trace == expected_trace, label
     # the pairs of the one-pair-at-a-time scan are never more than eager's;
-    # each candidate with such a pair in a batch adds at most one more pair
+    # each candidate with such a pair in a batch adds at most one more pair,
+    # and each candidate waiting behind an undecided one at most two
     sequential = _sequential_pairs(table, texts, k)
     batches = _split_batches(fused_nli)
     assert sum(p in sequential for batch in batches for p in batch) <= len(eager_nli.calls), label
+    rank = _rank(texts)
     owner = _owner(texts)
     for batch in batches:
         extras = sum(pair not in sequential for pair in batch)
-        assert extras <= len({owner(pair) for pair in batch if pair in sequential}), label
+        owners = {owner(pair) for pair in batch if pair in sequential}
+        waiting = {owner(pair) for pair in _waiting_pairs(batch, sequential, rank)}
+        assert extras <= len(owners) + 2 * len(waiting), label
 
 
 def test_best_first_scan_matches_eager_stages_on_scenarios():
@@ -381,22 +386,45 @@ def test_best_first_scan_matches_eager_stages_on_random_tables():
         _assert_matches_eager(table, texts, k, f"trial {trial}")
 
 
+def _rank(texts):
+    """Each sentence's rank: 0 for the answer sentence, then the candidates'."""
+    rank = {instantiate(t): i for i, t in enumerate(texts, 1)}
+    rank[CONTEXT] = 0
+    return rank
+
+
 def _owner(texts):
     """The sentence of a pair's lower-ranked member: the candidate whose check
     the pair belongs to (the answer sentence ranks first)."""
-    rank = {instantiate(t): i for i, t in enumerate(texts, 1)}
-    rank[CONTEXT] = 0
+    rank = _rank(texts)
     return lambda pair: max(pair, key=rank.__getitem__)
+
+
+def _waiting_pairs(batch, sequential, rank):
+    """The pairs of a batch whose higher-ranked member ranks at or after the
+    wave's first undecided candidate: the best-ranked owner of a pair of the
+    one-pair-at-a-time scan in it. Only a candidate waiting behind an
+    undecided one sends a pair against such a counterpart."""
+    first = min(max(rank[s] for s in pair) for pair in batch if pair in sequential)
+    return [pair for pair in batch if min(rank[s] for s in pair) >= first]
 
 
 def _assert_matches_sequential(table, texts, k, label):
     """The wave scheduler against the one-pair-at-a-time scan on one instance:
     the same verdicts, from every pair of that scan sent once plus at most one
-    forward pair per candidate with a pending pair in a batch, in the batches
-    the wave oracle replays."""
+    forward pair per candidate with a pending pair in a batch and the pairs
+    of candidates waiting behind undecided ones, in the batches the wave
+    oracle replays, reading no candidate past the window it replays."""
+    read = []
+
+    def feed():
+        for text in texts:
+            read.append(text)
+            yield text
+
     wave_nli = CountingNli(MockNliClassifier(table=table))
     sequential_nli = CountingNli(MockNliClassifier(table=table))
-    got = select_distractors(wave_nli, CONTEXT, texts, k, answer_span=ANSWER_SPAN)
+    got = select_distractors(wave_nli, CONTEXT, feed(), k, answer_span=ANSWER_SPAN)
     expected = sequential_selection(
         sequential_nli, CONTEXT, ANSWER, texts, k, answer_span=ANSWER_SPAN
     )
@@ -406,24 +434,29 @@ def _assert_matches_sequential(table, texts, k, label):
     assert len(set(wave_nli.calls)) == len(wave_nli.calls), label
     sequential = set(sequential_nli.calls)
     assert sequential <= set(wave_nli.calls), label
-    # an extra pair is a forward pair (c, d): it rides in a batch with c's own
-    # pending pair, c has at most two pairs in any batch, and d is a
-    # counterpart the sequential scan kept before c
+    # c, a pair's owner, has at most two pairs in any batch. An extra pair is a
+    # waiting pair of c (against a d that ranks before c and at or after the
+    # wave's first undecided candidate), or else a forward pair (c, d) riding
+    # in a batch with c's own pending pair, d a counterpart the sequential
+    # scan kept before c
     sentences = [CONTEXT] + [instantiate(t) for t in texts]
-    rank = {sentence: i for i, sentence in enumerate(sentences)}
+    rank = _rank(texts)
     kept = {rank[instantiate(d)] for d in expected.distractors}
     owner = _owner(texts)
     for batch in _split_batches(wave_nli):
         owners = Counter(map(owner, batch))
         assert max(owners.values(), default=0) <= 2, label
+        waiting = _waiting_pairs(batch, sequential, rank)
         for pair in batch:
-            if pair not in sequential:
+            if pair not in sequential and pair not in waiting:
                 c, d = pair
                 assert owner(pair) == c, label
                 assert any(p in sequential and owner(p) == c for p in batch), label
                 assert rank[d] in kept and rank[d] < rank[c], label
     classify = MockNliClassifier(table=table).classify_nli
-    assert _split_batches(wave_nli) == wave_selection_batches(classify, sentences, k), label
+    batches, reached = wave_selection_batches(classify, sentences, k)
+    assert _split_batches(wave_nli) == batches, label
+    assert len(read) == reached, label
     assert len(wave_nli.batches) <= scan_wave_bound(classify, sentences, k), label
 
 
