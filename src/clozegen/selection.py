@@ -21,26 +21,34 @@ Decisions are read off the verdicts in scan order against the answer and
 the kept candidates only, so they do not change; three rules send pairs
 ahead of a one-pair-at-a-time scan:
 
-- A candidate whose next pair is forward (its sentence first), and a wave's
-  only pending candidate whatever its pair, also send their next unknown
-  forward pair against a kept candidate after that pair's counterpart.
+- A candidate whose next pair is forward (its sentence first) also sends
+  its next unknown forward pair against a kept candidate after that pair's
+  counterpart.
+- A wave's only pending candidate instead sends, whatever its pair, the
+  rest of its chain: every unknown forward pair against a kept candidate
+  after that pair's counterpart, and the first unknown reverse pair among
+  them (one whose forward pair is known to entail), stopping at a kept
+  candidate it is known to entail both ways.
 - A waiting candidate walks the undecided candidates before it as if they
   were kept, stopping at the first it entails both ways, and sends its
   first unknown pair against one, plus, when that pair is forward, its next
   unknown forward pair against a later one.
 
-The one-pair-at-a-time scan sends a ride-along pair too unless an earlier
-pair removes the candidate, so it is wasted only when the pair it rides
-with entails: behind a forward pair, only when that pair and its reverse
-both do (about 9% of pairs when each direction entails 30% of the time);
-behind a reverse pair, whenever that one does (about 30%), which is why a
-reverse pair carries one only for a lone pending candidate. A waiting
-candidate has cleared the answer and every kept candidate, so that scan
-also sends each of its pairs unless their counterpart falls or, as above,
-an earlier pair removes the candidate. So the classifier sees each pair of
-that scan once, plus at most one per pending and two per waiting candidate
-of the wave. On a real checkpoint a wasted pair can still raise its batch's
-``SequenceLengthError`` (unverified).
+The one-pair-at-a-time scan sends a pending candidate's extra pairs too
+unless an earlier pair of its chain removes it, so that is their only
+waste. A counterpart with an unknown forward pair removes it only when that pair and
+its reverse both entail (about 9% of counterparts when each direction
+entails 30% of the time), so forward pairs are seldom wasted. A counterpart
+whose reverse pair is pending removes it whenever that pair entails (about
+30%), which is why a reverse pair carries a forward one only for the lone
+candidate, and why its chain holds one reverse pair: a second one is
+wasted whenever the first entails. A waiting candidate has cleared the
+answer and every kept candidate, so that scan also sends each of its pairs
+unless their counterpart falls or, as above, an earlier pair removes the
+candidate. So the classifier sees each pair of that scan once, plus the
+lone candidate's chain, at most one pair per other pending candidate and
+two per waiting candidate of the wave. On a real checkpoint a wasted pair
+can still raise its batch's ``SequenceLengthError`` (unverified).
 
 Every removal is recorded in an elimination trace, and
 ``verify_distractor_set`` audits a final set after the fact. Both send their
@@ -102,12 +110,14 @@ def select_distractors(
     reaches past the ones already read with fewer than ``k`` kept or
     undecided, before that wave's pairs are sent, so the waves are those of
     a list and texts no wave reaches are never read. A candidate whose next
-    pair is forward, or a wave's lone pending candidate, also sends its next
-    unknown forward pair, wasted if an earlier pair removes it. A candidate
-    waiting behind an undecided one checks itself against the undecided ones
-    before it in the same way, a pair wasted if its counterpart falls. The
-    trace lists answer-entailment removals first, then pairwise ones, each in
-    rank order.
+    pair is forward also sends its next unknown forward pair; a wave's lone
+    pending candidate sends the rest of its chain, every unknown forward pair
+    and the first unknown reverse one; each is wasted if an earlier pair
+    removes the candidate. A candidate waiting behind an undecided one checks
+    itself against the undecided ones before it as if they were kept, with
+    the forward ride-along, a pair wasted if its counterpart falls. The trace
+    lists answer-entailment removals first, then pairwise ones, each in rank
+    order.
     """
     check_count("k", k, 1)
     start, end = check_span(answer_span, len(context), "comparison text")
@@ -164,9 +174,11 @@ def select_distractors(
         needed = []
         for owner, pair, later in pending + waiting:
             needed.append(pair)
-            # a forward pair, or a lone pending one, brings its owner's next
-            # forward pair against a counterpart after the pair's own
-            if pair[0] == sentences[owner] or owner == first and len(pending) == 1:
+            if owner == first and len(pending) == 1:
+                needed += _chain(verdicts, sentences[owner], [sentences[c] for c in later])
+            elif pair[0] == sentences[owner]:
+                # a forward pair brings its owner's next forward pair against
+                # a counterpart after the pair's own
                 forward = [(sentences[owner], sentences[c]) for c in later]
                 needed += [p for p in forward if p not in verdicts][:1]
         verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))
@@ -189,6 +201,24 @@ def _two_way(
         if label != ENTAILMENT:
             return False
     return True
+
+
+def _chain(
+    verdicts: dict[tuple[str, str], str], text: str, others: list[str]
+) -> list[tuple[str, str]]:
+    """The unknown pairs of text's chain against ``others`` in order: every
+    forward pair, and the reverse of the first forward entailment with it
+    unknown, up to an other that text is known to entail both ways."""
+    pairs: list[tuple[str, str]] = []
+    reverse = True  # whether a reverse pair may still be sent
+    for other in others:
+        verdict = _two_way(verdicts, text, other)
+        if verdict is True:
+            break
+        if verdict is not False and (verdict[0] == text or reverse):
+            reverse = reverse and verdict[0] == text
+            pairs.append(verdict)
+    return pairs
 
 
 def verify_distractor_set(

@@ -270,9 +270,9 @@ def scan_wave_bound(classify, sentences, k):
     """The fewest passes a scan sending only the pairs of
     ``sequential_selection`` can take: the critical path of its chain of
     dependent pairs. The wave schedule, which also sends a forward pair
-    early behind each pending forward pair and in a lone wave, and the pairs
-    of a candidate waiting behind an open one against the open ones, takes
-    no more.
+    early behind each pending forward pair, the rest of a lone pending
+    candidate's chain, and the pairs of a candidate waiting behind an open
+    one against the open ones, takes no more.
 
     ``sentences`` are the answer sentence, then each candidate's in rank
     order; ``classify(premise, hypothesis)`` labels one pair. Candidate i
@@ -315,21 +315,26 @@ def wave_selection_batches(classify, sentences, k):
     entailment. Its first unknown pair is collected and the candidate is
     open; a removal behind an open candidate takes no room. When that pair
     is a forward one, the candidate's first unknown forward pair against a
-    kept candidate after the pair's counterpart goes right after it, and so
-    it does behind a reverse pair when no other candidate collects one. A
-    candidate that clears the answer and the kept ones behind an open one is
-    open too, and is checked the same way against the open ones before it;
-    it stops at the first it entails both ways, and its first unknown pair,
-    with its ride-along when that is a forward one, goes after all the pairs
-    collected against the answer and kept ones. Returns the pairs of each
-    wave and the number of candidates the waves reach.
+    kept candidate after the pair's counterpart goes right after it. When
+    no other candidate collects one, the candidate sends the rest of its
+    chain after its pair instead: for each kept candidate after the pair's
+    counterpart in turn, the forward pair if unknown, else, after a forward
+    entailment, the reverse pair if unknown and no reverse pair of the chain
+    came before it; the chain ends at a kept candidate it entails both ways.
+    A candidate that clears the answer and the kept ones behind an open one
+    is open too, and is checked the same way against the open ones before
+    it; it stops at the first it entails both ways, and its first unknown
+    pair, with its ride-along when that is a forward one, goes after all the
+    pairs collected against the answer and kept ones. Returns the pairs of
+    each wave and the number of candidates the waves reach.
     """
     known = {}
 
     def check(i, counterparts):
-        """("entails" | "clear", None, None, None) or ("open", i's first unknown
-        pair against ``counterparts`` in order, whether it is forward, i's first
-        unknown forward pair against a later counterpart or None)."""
+        """("entails" | "clear", None) or ("open", (i's first unknown pair
+        against ``counterparts`` in order, whether it is forward, i's first
+        unknown forward pair against a later counterpart or None, and the
+        rest of i's chain against the later counterparts))."""
         for n, j in enumerate(counterparts):
             for forward, pair in (
                 (True, (sentences[i], sentences[j])),
@@ -338,12 +343,29 @@ def wave_selection_batches(classify, sentences, k):
                 if pair not in known:
                     later = [(sentences[i], sentences[c]) for c in counterparts[n + 1 :]]
                     ahead = next((p for p in later if p not in known), None)
-                    return "open", pair, forward, ahead
+                    return "open", (pair, forward, ahead, chain(i, counterparts[n + 1 :]))
                 if known[pair] != ENTAILMENT:
                     break
             else:
-                return "entails", None, None, None
-        return "clear", None, None, None
+                return "entails", None
+        return "clear", None
+
+    def chain(i, later):
+        """i's unknown pairs against ``later``, see above."""
+        rest, reverse_sent = [], False
+        for c in later:
+            there, back = (sentences[i], sentences[c]), (sentences[c], sentences[i])
+            if there not in known:
+                rest.append(there)
+            elif known[there] != ENTAILMENT:
+                continue
+            elif back not in known:
+                if not reverse_sent:
+                    rest.append(back)
+                reverse_sent = True
+            elif known[back] == ENTAILMENT:
+                break
+        return rest
 
     batches, reached = [], 0
     while True:
@@ -352,24 +374,25 @@ def wave_selection_batches(classify, sentences, k):
             if len(kept) + len(opened) >= k:
                 break
             reached = max(reached, i)
-            fate, pair, forward, ahead = check(i, [0] + kept)
+            fate, found = check(i, [0] + kept)
             if fate == "open":
-                wave.append((pair, forward, ahead))
+                wave.append(found)
                 opened.append(i)
             elif fate == "clear" and opened:
-                fate, pair, forward, ahead = check(i, opened)
+                fate, found = check(i, opened)
                 if fate == "open":
-                    waiting.append((pair, forward, ahead))
+                    waiting.append(found)
                 opened.append(i)
             elif fate == "clear":
                 kept.append(i)
         if not wave:
             return batches, reached
-        lone = len(wave) == 1  # a lone reverse pair brings the forward pair too
         pairs = []
-        for pair, brings, ahead in [(p, f or lone, a) for p, f, a in wave] + waiting:
+        for n, (pair, forward, ahead, rest) in enumerate(wave + waiting):
             pairs.append(pair)
-            if brings and ahead is not None:
+            if len(wave) == 1 and n == 0:  # the lone open candidate's chain
+                pairs += rest
+            elif forward and ahead is not None:
                 pairs.append(ahead)
         known.update((pair, classify(*pair)) for pair in pairs)
         batches.append(pairs)

@@ -3,8 +3,8 @@
 Each scenario fixes a ranked candidate list, an entailment table over the
 instantiated sentences, and the expected distractors/trace worked out by
 hand before implementation. The frame is "I <word> the door." with gold
-answer "open". The lone-wave, ride-along and waiting-candidate scenarios
-also pin ``batches``: the pairs of each NLI batch, as (premise word,
+answer "open". The lone-wave, ride-along, waiting-candidate and lone-chain
+scenarios also pin ``batches``: the pairs of each NLI batch, as (premise word,
 hypothesis word).
 """
 
@@ -313,10 +313,12 @@ def _scenarios():
     # 16. a forward pair's ride-along is wasted: in wave 3 "stand" sends its
     # pair against "shut" with its forward answer pair, but that pair and its
     # reverse both entail, so "stand" falls at the answer stage. The trace
-    # names the answer although "stand" and "shut" entail each other as well,
-    # and the reverse of the wasted pair is never sent. In wave 4 "lift" has
-    # cleared the answer and "shut" and waits behind "stand", so it sends its
-    # pair against "stand", wasted as well when "stand" falls
+    # names the answer although "stand" and "shut" entail each other as well.
+    # In wave 4 "stand" is the lone pending candidate, so with its reverse
+    # answer pair it sends the rest of its chain: the reverse of the wasted
+    # pair, wasted too. "lift" has cleared the answer and "shut" and waits
+    # behind "stand", so it sends its pair against "stand", wasted as well
+    # when "stand" falls
     table = {}
     _both(table, "unlock", ANSWER)
     _both(table, "crack", ANSWER)
@@ -339,7 +341,7 @@ def _scenarios():
                 [("shut", ANSWER), ("unlock", ANSWER), ("crack", ANSWER)],
                 [(ANSWER, "unlock"), (ANSWER, "crack")],
                 [("stand", ANSWER), ("stand", "shut"), ("lift", ANSWER), ("lift", "shut")],
-                [(ANSWER, "stand"), ("lift", "stand")],
+                [(ANSWER, "stand"), ("shut", "stand"), ("lift", "stand")],
             ],
         )
     )
@@ -389,6 +391,60 @@ def _scenarios():
                 [(ANSWER, "stand"), ("lift", "shut")],
                 [("stand", "shut"), ("lift", "stand")],
                 [("shut", "stand")],
+            ],
+        )
+    )
+
+    # 19. a lone wave's candidate sends its whole chain: "unlock" falls at the
+    # answer stage after wave 2, which decides "lift" as well, so "stand", the
+    # k-th candidate, is read in wave 3 behind two kept ones and is the only
+    # pending candidate. With its answer pair it sends its forward pairs
+    # against both "shut" and "lift"; all are neutral, so it is kept after
+    # three passes, where one extra pair per wave would take four
+    table = {}
+    _both(table, "unlock", ANSWER)
+    scenarios.append(
+        dict(
+            name="lone-wave-sends-its-chain",
+            candidates=["shut", "lift", "unlock", "stand"],
+            table=table,
+            k=3,
+            expected=["shut", "lift", "stand"],
+            expected_trace=[("unlock", "answer-entailment", ANSWER)],
+            underfilled=False,
+            batches=[
+                [("shut", ANSWER), ("lift", ANSWER), ("unlock", ANSWER)],
+                [("lift", "shut"), (ANSWER, "unlock")],
+                [("stand", ANSWER), ("stand", "shut"), ("stand", "lift")],
+            ],
+        )
+    )
+
+    # 20. a lone wave's chain carries only its first reverse pair: as in 19,
+    # but "stand" entails the answer, "shut" and "lift" one way each, so
+    # wave 4 holds its reverse answer pair and, of the two reverse pairs its
+    # forward entailments open, only the one against "shut". The reverse
+    # pairs are neutral, so "stand" is kept after wave 5 sends the other
+    table = {}
+    _both(table, "unlock", ANSWER)
+    _one_way(table, "stand", ANSWER, ENTAILMENT)
+    _one_way(table, "stand", "shut", ENTAILMENT)
+    _one_way(table, "stand", "lift", ENTAILMENT)
+    scenarios.append(
+        dict(
+            name="lone-wave-sends-one-reverse-pair",
+            candidates=["shut", "lift", "unlock", "stand"],
+            table=table,
+            k=3,
+            expected=["shut", "lift", "stand"],
+            expected_trace=[("unlock", "answer-entailment", ANSWER)],
+            underfilled=False,
+            batches=[
+                [("shut", ANSWER), ("lift", ANSWER), ("unlock", ANSWER)],
+                [("lift", "shut"), (ANSWER, "unlock")],
+                [("stand", ANSWER), ("stand", "shut"), ("stand", "lift")],
+                [(ANSWER, "stand"), ("shut", "stand")],
+                [("lift", "stand")],
             ],
         )
     )

@@ -54,16 +54,17 @@ def test_bench_long_passage_smoke(tmp_path):
     # on demand sends 9177 MLM queries where decoding every branch sent 24500.
     # A lone NLI wave also carrying its candidate's next forward pair takes
     # NLI from 4628 pairs in 2864 passes to 4707 pairs in 2487 passes; every
-    # pending forward pair carrying one as well takes it to 4727 in 2444, and
+    # pending forward pair carrying one as well takes it to 4727 in 2444,
     # candidates waiting behind undecided ones checking themselves against
-    # them to 4834 in 2219.
+    # them to 4834 in 2219, and a lone wave's candidate sending the rest of
+    # its chain to 4852 in 2067.
     assert (
         "distractors_sha256 "
         "41bcdc2b8600fc18be37540ade6b48de6888834f35f94bd47b9f77434fb16ee7"
     ) in lines
     assert (
         'pool_counts {"mlm_passes_decode": 1275, "mlm_queries": 9177, '
-        '"nli_pairs_answer": 2404, "nli_pairs_pairwise": 2430, "nli_passes": 2219}'
+        '"nli_pairs_answer": 2404, "nli_pairs_pairwise": 2448, "nli_passes": 2067}'
     ) in lines
     metrics = json.loads(child.stdout.splitlines()[-1])["metrics"]
     # 1- and 2-word answers sample mask counts {1, 2} and {1, 2, 3}: 2.5 steps
@@ -87,18 +88,20 @@ def test_bench_long_passage_smoke(tmp_path):
 # waves carrying a forward pair take multitoken-default from 9143 NLI pairs in
 # 5657 passes to 9328 in 4891, and cloth-evaluate from 107254 in 35563 to
 # 108583 in 29769; every pending forward pair carrying one as well takes them
-# to 9350 in 4823 and 110085 in 24715, and candidates waiting behind undecided
-# ones checking themselves against them to 9543 in 4471 and 113719 in 23250.
+# to 9350 in 4823 and 110085 in 24715, candidates waiting behind undecided
+# ones checking themselves against them to 9543 in 4471 and 113719 in 23250,
+# and a lone wave's candidate sending the rest of its chain to 9573 in 4151
+# and 117618 in 19236.
 REFERENCE_RUNS = {
     "multitoken-default": (
         "558d5b94dbb54203e5b5d8898546cb68d8e8b2ccc2892598e60879f04d6f918e",
         '{"mlm_passes_decode": 4026, "mlm_queries": 70867, "nli_pairs_answer": 4719, '
-        '"nli_pairs_pairwise": 4824, "nli_passes": 4471}',
+        '"nli_pairs_pairwise": 4854, "nli_passes": 4151}',
     ),
     "cloth-evaluate": (
         "a721118af463b4fec166d5c9c8ecf5b36e4b96e5d4b07747e830019bb86017c4",
         '{"mlm_passes_decode": 1020, "mlm_passes_prefill": 16320, "mlm_queries": 17340, '
-        '"nli_pairs_answer": 22699, "nli_pairs_pairwise": 91020, "nli_passes": 23250}',
+        '"nli_pairs_answer": 22699, "nli_pairs_pairwise": 94919, "nli_passes": 19236}',
     ),
 }
 

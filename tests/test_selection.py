@@ -3,6 +3,7 @@ from collections import Counter
 
 import pytest
 
+from clozegen import selection
 from clozegen.backends import CONTRADICTION, ENTAILMENT, NEUTRAL, MockNliClassifier
 from clozegen.errors import BackendError, ContractViolation, SpanError
 from clozegen.selection import (
@@ -115,10 +116,10 @@ def test_select_distractors_scenarios():
 
 
 def test_lone_wave_scenarios_pin_their_batches():
-    # the two lone-wave scenarios, the two forward ride-along ones and the two
-    # waiting-candidate ones
+    # the two lone-wave scenarios, the two forward ride-along ones, the two
+    # waiting-candidate ones and the two lone-chain ones
     pinned = [scenario for scenario in SCENARIOS if "batches" in scenario]
-    assert len(pinned) == 6
+    assert len(pinned) == 8
     for scenario in pinned:
         nli = CountingNli(build_nli(scenario))
         result = select_distractors(
@@ -131,6 +132,20 @@ def test_lone_wave_scenarios_pin_their_batches():
             [(instantiate(a), instantiate(b)) for a, b in batch]
             for batch in scenario["batches"]
         ], scenario["name"]
+
+
+def test_lone_chain_stops_at_a_candidate_it_entails_both_ways():
+    # By the time a lone candidate's two-way entailment with a kept candidate
+    # is known, its pairs against every kept one before it are known too, so
+    # no scan reaches this stop; it is pinned on the helper
+    c, x, d, y = (instantiate(w) for w in ("stand", "shut", "lift", "push"))
+    verdicts = {(c, d): ENTAILMENT, (d, c): ENTAILMENT}
+    assert selection._chain(verdicts, c, [x, d, y]) == [(c, x)]
+    # only the first reverse pair of a forward entailment is sent
+    verdicts = {(c, x): ENTAILMENT, (c, d): ENTAILMENT, (x, c): NEUTRAL}
+    assert selection._chain(verdicts, c, [x, d, y]) == [(d, c), (c, y)]
+    verdicts = {(c, x): ENTAILMENT, (c, d): ENTAILMENT}
+    assert selection._chain(verdicts, c, [x, d, y]) == [(x, c), (c, y)]
 
 
 def test_select_distractors_trace_accounting():
@@ -347,6 +362,7 @@ def _assert_matches_eager(table, texts, k, label):
     got_trace = [(e.candidate, e.stage, e.counterpart) for e in result.trace]
     assert got_trace == expected_trace, label
     # the pairs of the one-pair-at-a-time scan are never more than eager's;
+    # a lone wave's candidate adds only the rest of its chain, and otherwise
     # each candidate with such a pair in a batch adds at most one more pair,
     # and each candidate waiting behind an undecided one at most two
     sequential = _sequential_pairs(table, texts, k)
@@ -354,11 +370,22 @@ def _assert_matches_eager(table, texts, k, label):
     assert sum(p in sequential for batch in batches for p in batch) <= len(eager_nli.calls), label
     rank = _rank(texts)
     owner = _owner(texts)
+    kept = {rank[instantiate(d)] for d in expected}
+    classify = MockNliClassifier(table=table).classify_nli
+    known = {}
     for batch in batches:
-        extras = sum(pair not in sequential for pair in batch)
-        owners = {owner(pair) for pair in batch if pair in sequential}
-        waiting = {owner(pair) for pair in _waiting_pairs(batch, sequential, rank)}
+        waiting_pairs = _waiting_pairs(batch, sequential, rank)
+        lone = _lone_owner(batch, waiting_pairs, owner)
+        if lone is not None:
+            _assert_lone_chain(
+                [p for p in batch if owner(p) == lone], known, kept, rank, label
+            )
+        rest = [pair for pair in batch if owner(pair) != lone]
+        extras = sum(pair not in sequential for pair in rest)
+        owners = {owner(pair) for pair in rest if pair in sequential}
+        waiting = {owner(pair) for pair in waiting_pairs}
         assert extras <= len(owners) + 2 * len(waiting), label
+        known.update((pair, classify(*pair)) for pair in batch)
 
 
 def test_best_first_scan_matches_eager_stages_on_scenarios():
@@ -409,12 +436,41 @@ def _waiting_pairs(batch, sequential, rank):
     return [pair for pair in batch if min(rank[s] for s in pair) >= first]
 
 
+def _lone_owner(batch, waiting, owner):
+    """The candidate of a lone wave, or None: the only owner of the batch's
+    pairs against the answer or a kept candidate (those not ``waiting``)."""
+    owners = {owner(pair) for pair in batch if pair not in waiting}
+    return owners.pop() if len(owners) == 1 else None
+
+
+def _assert_lone_chain(pairs, known, kept, rank, label):
+    """A lone wave's candidate c sends, besides its pending pair against some
+    j (the pair whose counterpart ranks first), only forward pairs (c, d) and
+    at most one reverse pair (d, c) whose forward pair was known to entail
+    before the batch, each d a kept candidate after j."""
+
+    def counterpart(pair):
+        return min(pair, key=rank.__getitem__)
+
+    c = max(pairs[0], key=rank.__getitem__)
+    pending = min(pairs, key=lambda pair: rank[counterpart(pair)])
+    reverse = [pair for pair in pairs if pair[0] != c and pair != pending]
+    assert len(reverse) <= 1, label
+    for pair in pairs:
+        if pair != pending:
+            d = counterpart(pair)
+            assert rank[d] in kept and rank[d] > rank[counterpart(pending)], label
+    for d, _ in reverse:
+        assert known.get((c, d)) == ENTAILMENT, label
+
+
 def _assert_matches_sequential(table, texts, k, label):
     """The wave scheduler against the one-pair-at-a-time scan on one instance:
-    the same verdicts, from every pair of that scan sent once plus at most one
-    forward pair per candidate with a pending pair in a batch and the pairs
-    of candidates waiting behind undecided ones, in the batches the wave
-    oracle replays, reading no candidate past the window it replays."""
+    the same verdicts, from every pair of that scan sent once plus the rest of
+    a lone wave's candidate's chain, at most one forward pair per other
+    candidate with a pending pair in a batch and the pairs of candidates
+    waiting behind undecided ones, in the batches the wave oracle replays,
+    reading no candidate past the window it replays."""
     read = []
 
     def feed():
@@ -434,26 +490,34 @@ def _assert_matches_sequential(table, texts, k, label):
     assert len(set(wave_nli.calls)) == len(wave_nli.calls), label
     sequential = set(sequential_nli.calls)
     assert sequential <= set(wave_nli.calls), label
-    # c, a pair's owner, has at most two pairs in any batch. An extra pair is a
-    # waiting pair of c (against a d that ranks before c and at or after the
-    # wave's first undecided candidate), or else a forward pair (c, d) riding
-    # in a batch with c's own pending pair, d a counterpart the sequential
-    # scan kept before c
+    # A lone wave's candidate sends the rest of its chain (see
+    # _assert_lone_chain). Any other c, a pair's owner, has at most two pairs
+    # in any batch. An extra pair is a waiting pair of c (against a d that
+    # ranks before c and at or after the wave's first undecided candidate),
+    # or else a forward pair (c, d) riding in a batch with c's own pending
+    # pair, d a counterpart the sequential scan kept before c
     sentences = [CONTEXT] + [instantiate(t) for t in texts]
     rank = _rank(texts)
     kept = {rank[instantiate(d)] for d in expected.distractors}
     owner = _owner(texts)
+    classify = MockNliClassifier(table=table).classify_nli
+    known = {}
     for batch in _split_batches(wave_nli):
-        owners = Counter(map(owner, batch))
-        assert max(owners.values(), default=0) <= 2, label
         waiting = _waiting_pairs(batch, sequential, rank)
+        lone = _lone_owner(batch, waiting, owner)
+        if lone is not None:
+            _assert_lone_chain(
+                [p for p in batch if owner(p) == lone], known, kept, rank, label
+            )
+        owners = Counter(owner(pair) for pair in batch if owner(pair) != lone)
+        assert max(owners.values(), default=0) <= 2, label
         for pair in batch:
-            if pair not in sequential and pair not in waiting:
+            if pair not in sequential and pair not in waiting and owner(pair) != lone:
                 c, d = pair
                 assert owner(pair) == c, label
                 assert any(p in sequential and owner(p) == c for p in batch), label
                 assert rank[d] in kept and rank[d] < rank[c], label
-    classify = MockNliClassifier(table=table).classify_nli
+        known.update((pair, classify(*pair)) for pair in batch)
     batches, reached = wave_selection_batches(classify, sentences, k)
     assert _split_batches(wave_nli) == batches, label
     assert len(read) == reached, label
