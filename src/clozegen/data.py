@@ -185,11 +185,10 @@ def load_pairs(path: str | Path) -> list[ContextAnswerPair]:
 def trim_span(text: str, span: tuple[int, int]) -> tuple[int, int]:
     """``span`` narrowed to its non-whitespace core.
 
-    A span outside ``text``, or one holding only whitespace, is a SpanError.
+    A span that ``check_span`` rejects, or one holding only whitespace, is a
+    SpanError.
     """
-    start, end = span
-    if not (0 <= start <= end <= len(text)):
-        raise SpanError(f"span ({start}, {end}) outside text of length {len(text)}")
+    start, end = check_span(span, len(text), f"text of length {len(text)}")
     core = text[start:end]
     if not core.strip():
         raise SpanError(f"span ({start}, {end}) holds no text")

@@ -106,9 +106,12 @@ def check_count(name: str, value, low: int) -> int:
 
 
 def check_span(span: tuple[int, int], length: int, what: str) -> tuple[int, int]:
-    """``span`` if it is a nonempty half-open span inside ``length``, else a
-    SpanError naming it as outside ``what``."""
+    """``span`` if its bounds are ``int`` (a bool is not) and it is a nonempty
+    half-open span inside ``length``, else a SpanError naming it as outside
+    ``what``."""
     start, end = span
+    if type(start) is not int or type(end) is not int:
+        raise SpanError(f"span bounds must be integers, not ({start!r}, {end!r})")
     if not 0 <= start < end <= length:
         raise SpanError(f"span ({start}, {end}) outside {what}")
     return span

@@ -11,44 +11,39 @@ counts as entailing only when the classifier says entailment in *both*
 argument orders; neutral or contradictory verdicts retain the candidate.
 
 The scan runs in waves, all in one loop. Each wave resumes it at the first
-undecided candidate, advances it over the verdicts known so far and
-collects, for every candidate certain to be reached (its kept and undecided
-predecessors number fewer than ``k``), the next pair its checks need; one
-``classify_pairs`` call classifies them all. A candidate is pending while a
-pair against the answer or a kept candidate is unknown, and waiting once it
-has cleared those with an undecided (pending or waiting) one before it.
-Decisions are read off the verdicts in scan order against the answer and
-the kept candidates only, so they do not change; three rules send pairs
-ahead of a one-pair-at-a-time scan:
+undecided candidate and walks every candidate certain to be reached (its
+kept and undecided predecessors number fewer than ``k``) over one chain:
+the answer, the kept candidates, then the undecided ones before it as if
+they were kept, stopping at the first counterpart it entails both ways or
+whose next pair with it is unknown. Entailing the answer or a kept
+candidate both ways removes it; an unknown pair is its *ask*. Decisions
+are read off the verdicts in scan order against the answer and the kept
+candidates only, so they do not change. One ``classify_pairs`` call sends
+the wave's asks in rank order, each with what two rules add:
 
-- A candidate whose next pair is forward (its sentence first) also sends
-  its next unknown forward pair against a kept candidate after that pair's
-  counterpart.
-- A wave's only pending candidate instead sends, whatever its pair, the
-  rest of its chain: every unknown forward pair against a kept candidate
-  after that pair's counterpart, and the first unknown reverse pair among
-  them (one whose forward pair is known to entail), stopping at a kept
-  candidate it is known to entail both ways.
-- A waiting candidate walks the undecided candidates before it as if they
-  were kept, stopping at the first it entails both ways, and sends its
-  first unknown pair against one, plus, when that pair is forward, its next
-  unknown forward pair against a later one.
+- A forward ask (the candidate's sentence first) brings the candidate's next
+  unknown forward pair against a counterpart after the ask's in its chain.
+- A wave's only ask instead brings the rest of its candidate's chain: every
+  unknown forward pair against a kept candidate after the ask's
+  counterpart, and the first unknown reverse pair among them (one whose
+  forward pair is known to entail), stopping at a kept candidate it is
+  known to entail both ways.
 
-The one-pair-at-a-time scan sends a pending candidate's extra pairs too
-unless an earlier pair of its chain removes it, so that is their only
-waste. A counterpart with an unknown forward pair removes it only when that pair and
-its reverse both entail (about 9% of counterparts when each direction
-entails 30% of the time), so forward pairs are seldom wasted. A counterpart
-whose reverse pair is pending removes it whenever that pair entails (about
-30%), which is why a reverse pair carries a forward one only for the lone
-candidate, and why its chain holds one reverse pair: a second one is
-wasted whenever the first entails. A waiting candidate has cleared the
-answer and every kept candidate, so that scan also sends each of its pairs
-unless their counterpart falls or, as above, an earlier pair removes the
-candidate. So the classifier sees each pair of that scan once, plus the
-lone candidate's chain, at most one pair per other pending candidate and
-two per waiting candidate of the wave. On a real checkpoint a wasted pair
-can still raise its batch's ``SequenceLengthError`` (unverified).
+The one-pair-at-a-time scan sends a candidate's pair against the answer or
+a kept candidate too unless an earlier pair of its chain removes it, so that
+is the only waste of such a pair. A counterpart with an unknown forward pair
+removes it only when that pair and its reverse both entail (about 9% of
+counterparts when each direction entails 30% of the time), so forward pairs
+are seldom wasted. A counterpart whose reverse pair is unknown removes it
+whenever that pair entails (about 30%), which is why a reverse ask brings
+more pairs only when it is the wave's only ask, and why its chain holds one
+reverse pair: a second one is wasted whenever the first entails. A pair
+against an undecided counterpart is wasted, besides, if that counterpart
+falls, since the scan then never compares the two. So the classifier sees
+each pair of that scan once, plus the lone ask's chain, at most one more
+pair per other ask against the answer or a kept candidate and two per ask
+against an undecided one. On a real checkpoint a wasted pair can still
+raise its batch's ``SequenceLengthError`` (unverified).
 
 Every removal is recorded in an elimination trace, and
 ``verify_distractor_set`` audits a final set after the fact. Both send their
@@ -106,18 +101,11 @@ def select_distractors(
     ``context`` is the comparison sentence and the answer is its text at
     ``answer_span``. Candidate texts arrive ranked best-first from any
     iterable; one whose ``normalize_text`` form is blank, the answer's or an
-    earlier text's is skipped as it is read. Each is read when the scan
-    reaches past the ones already read with fewer than ``k`` kept or
-    undecided, before that wave's pairs are sent, so the waves are those of
-    a list and texts no wave reaches are never read. A candidate whose next
-    pair is forward also sends its next unknown forward pair; a wave's lone
-    pending candidate sends the rest of its chain, every unknown forward pair
-    and the first unknown reverse one; each is wasted if an earlier pair
-    removes the candidate. A candidate waiting behind an undecided one checks
-    itself against the undecided ones before it as if they were kept, with
-    the forward ride-along, a pair wasted if its counterpart falls. The trace
-    lists answer-entailment removals first, then pairwise ones, each in rank
-    order.
+    earlier text's is skipped as it is read. A text is read only when the
+    scan is certain to reach it, so texts no wave reaches are never read and
+    an iterator sends the same batches as a list of its texts.
+    The trace lists answer-entailment removals first, then pairwise ones,
+    each in rank order.
     """
     check_count("k", k, 1)
     start, end = check_span(answer_span, len(context), "comparison text")
@@ -129,10 +117,9 @@ def select_distractors(
     removed: dict[int, int] = {}  # candidate -> counterpart, 0 for the answer
     first = 1  # first undecided candidate: every one before it is settled
     while True:
-        # (candidate, pair, the counterparts after the pair's own in its chain)
-        pending: list[tuple[int, tuple[str, str], list[int]]] = []
-        waiting: list[tuple[int, tuple[str, str], list[int]]] = []
-        undecided: list[int] = []  # pending and waiting candidates, in rank order
+        # (candidate, its ask, the counterparts after the ask's own in its chain)
+        asks: list[tuple[int, tuple[str, str], tuple[int, ...]]] = []
+        undecided: list[int] = []
         i = first
         while len(kept) + len(undecided) < k:  # past k, the rest may never be reached
             if i == len(sentences):  # read one more candidate, if any is left
@@ -145,40 +132,29 @@ def select_distractors(
                 taken.add(key)
                 texts.append(text)
                 sentences.append(context[:start] + text + context[end:])
-            # behind an undecided candidate, i may never be reached either: a
-            # pass or a pending pair counts it undecided; a removal is not recorded
-            for n, j in enumerate((0, *kept)):
+            chain = (0, *kept, *undecided)
+            for n, j in enumerate(chain):
                 verdict = _two_way(verdicts, sentences[i], sentences[j])
-                if verdict is True:
-                    if not undecided:
-                        removed[i] = j
-                    break
                 if verdict is not False:
-                    if not undecided:
-                        first = i
-                    pending.append((i, verdict, kept[n:]))
-                    undecided.append(i)
                     break
-            else:
-                # waiting: its chain runs on over the undecided ones before it
-                for n, j in enumerate(undecided):
-                    verdict = _two_way(verdicts, sentences[i], sentences[j])
-                    if verdict is not False:
-                        if verdict is not True:
-                            waiting.append((i, verdict, undecided[n + 1 :]))
-                        break
+            if verdict is True and n <= len(kept):  # entails the answer or a kept one
+                if not undecided:  # behind an undecided one, i may never be reached
+                    removed[i] = j
+            elif isinstance(verdict, bool):  # clear of its chain, or entails an undecided one
                 (undecided if undecided else kept).append(i)
+            else:
+                asks.append((i, verdict, chain[n + 1 :]))
+                undecided.append(i)
             i += 1
-        if not pending:
+        if not asks:
             break
+        first = asks[0][0]
         needed = []
-        for owner, pair, later in pending + waiting:
+        for owner, pair, later in asks:
             needed.append(pair)
-            if owner == first and len(pending) == 1:
+            if len(asks) == 1:
                 needed += _chain(verdicts, sentences[owner], [sentences[c] for c in later])
             elif pair[0] == sentences[owner]:
-                # a forward pair brings its owner's next forward pair against
-                # a counterpart after the pair's own
                 forward = [(sentences[owner], sentences[c]) for c in later]
                 needed += [p for p in forward if p not in verdicts][:1]
         verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))

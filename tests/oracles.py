@@ -270,9 +270,8 @@ def scan_wave_bound(classify, sentences, k):
     """The fewest passes a scan sending only the pairs of
     ``sequential_selection`` can take: the critical path of its chain of
     dependent pairs. The wave schedule, which also sends a forward pair
-    early behind each pending forward pair, the rest of a lone pending
-    candidate's chain, and the pairs of a candidate waiting behind an open
-    one against the open ones, takes no more.
+    early behind each forward ask, the rest of a lone ask's chain, and a
+    candidate's pairs against the open ones before it, takes no more.
 
     ``sentences`` are the answer sentence, then each candidate's in rank
     order; ``classify(premise, hypothesis)`` labels one pair. Candidate i
@@ -309,32 +308,34 @@ def wave_selection_batches(classify, sentences, k):
     ``sentences`` are the answer sentence, then each candidate's in rank
     order; ``classify(premise, hypothesis)`` labels one pair. Every wave
     walks the candidates from the first over the verdicts known so far. A
-    candidate is reached while fewer than ``k`` before it are kept or open;
-    it is checked against the answer and then each candidate kept before the
-    first open one, forward pair first, reverse only after a forward
-    entailment. Its first unknown pair is collected and the candidate is
-    open; a removal behind an open candidate takes no room. When that pair
-    is a forward one, the candidate's first unknown forward pair against a
-    kept candidate after the pair's counterpart goes right after it. When
-    no other candidate collects one, the candidate sends the rest of its
-    chain after its pair instead: for each kept candidate after the pair's
-    counterpart in turn, the forward pair if unknown, else, after a forward
+    candidate is reached while fewer than ``k`` before it are kept or open.
+    It is checked against the answer, each kept candidate and then each open
+    one before it, in that order, forward pair first, reverse only after a
+    forward entailment, and stops at the first counterpart it entails both
+    ways or at its first unknown pair. Entailing the answer or a kept one
+    both ways removes it, unless an open one comes before it; such a
+    removal takes no room. At an unknown pair the candidate asks that pair
+    and is open; entailing an open one both ways, or clearing every
+    counterpart behind an open one, leaves it open too; clearing them all
+    with none open keeps it. The asks go out in rank order. A forward ask
+    brings, right after it, the candidate's first unknown forward pair
+    against a counterpart after the ask's. A wave's only ask brings the
+    rest of the candidate's chain instead: for each counterpart after the
+    ask's in turn, the forward pair if unknown, else, after a forward
     entailment, the reverse pair if unknown and no reverse pair of the chain
-    came before it; the chain ends at a kept candidate it entails both ways.
-    A candidate that clears the answer and the kept ones behind an open one
-    is open too, and is checked the same way against the open ones before
-    it; it stops at the first it entails both ways, and its first unknown
-    pair, with its ride-along when that is a forward one, goes after all the
-    pairs collected against the answer and kept ones. Returns the pairs of
-    each wave and the number of candidates the waves reach.
+    came before it; the chain ends at a counterpart it entails both ways.
+    Returns the pairs of each wave and the number of candidates the waves
+    reach.
     """
     known = {}
 
     def check(i, counterparts):
-        """("entails" | "clear", None) or ("open", (i's first unknown pair
-        against ``counterparts`` in order, whether it is forward, i's first
-        unknown forward pair against a later counterpart or None, and the
-        rest of i's chain against the later counterparts))."""
+        """Where i's walk over ``counterparts`` stops: ("entails", j, None) at
+        a j it entails both ways, ("ask", j, (its first unknown pair, whether
+        it is forward, i's first unknown forward pair against a later
+        counterpart or None, and the rest of i's chain against the later
+        counterparts)) at a j whose pair with i is unknown, or ("clear",
+        None, None)."""
         for n, j in enumerate(counterparts):
             for forward, pair in (
                 (True, (sentences[i], sentences[j])),
@@ -343,12 +344,12 @@ def wave_selection_batches(classify, sentences, k):
                 if pair not in known:
                     later = [(sentences[i], sentences[c]) for c in counterparts[n + 1 :]]
                     ahead = next((p for p in later if p not in known), None)
-                    return "open", (pair, forward, ahead, chain(i, counterparts[n + 1 :]))
+                    return "ask", j, (pair, forward, ahead, chain(i, counterparts[n + 1 :]))
                 if known[pair] != ENTAILMENT:
                     break
             else:
-                return "entails", None
-        return "clear", None
+                return "entails", j, None
+        return "clear", None, None
 
     def chain(i, later):
         """i's unknown pairs against ``later``, see above."""
@@ -369,28 +370,25 @@ def wave_selection_batches(classify, sentences, k):
 
     batches, reached = [], 0
     while True:
-        kept, opened, wave, waiting = [], [], [], []
+        kept, opened, asks = [], [], []
         for i in range(1, len(sentences)):
             if len(kept) + len(opened) >= k:
                 break
             reached = max(reached, i)
-            fate, found = check(i, [0] + kept)
-            if fate == "open":
-                wave.append(found)
+            fate, j, found = check(i, [0] + kept + opened)
+            if fate == "ask":
+                asks.append(found)
                 opened.append(i)
-            elif fate == "clear" and opened:
-                fate, found = check(i, opened)
-                if fate == "open":
-                    waiting.append(found)
-                opened.append(i)
-            elif fate == "clear":
+            elif fate == "clear" and not opened:
                 kept.append(i)
-        if not wave:
+            elif fate == "clear" or j in opened:
+                opened.append(i)
+        if not asks:
             return batches, reached
         pairs = []
-        for n, (pair, forward, ahead, rest) in enumerate(wave + waiting):
+        for pair, forward, ahead, rest in asks:
             pairs.append(pair)
-            if len(wave) == 1 and n == 0:  # the lone open candidate's chain
+            if len(asks) == 1:
                 pairs += rest
             elif forward and ahead is not None:
                 pairs.append(ahead)

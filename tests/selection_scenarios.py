@@ -3,9 +3,9 @@
 Each scenario fixes a ranked candidate list, an entailment table over the
 instantiated sentences, and the expected distractors/trace worked out by
 hand before implementation. The frame is "I <word> the door." with gold
-answer "open". The lone-wave, ride-along, waiting-candidate and lone-chain
-scenarios also pin ``batches``: the pairs of each NLI batch, as (premise word,
-hypothesis word).
+answer "open". The lone-wave, ride-along, waiting-candidate (one behind an
+undecided candidate) and lone-chain scenarios also pin ``batches``: the pairs
+of each NLI batch, as (premise word, hypothesis word), worked out by hand too.
 """
 
 from clozegen.backends import CONTRADICTION, ENTAILMENT, MockNliClassifier
@@ -235,11 +235,13 @@ def _scenarios():
         )
     )
 
-    # 13. a lone wave's extra pair is wasted: "unlock" entails the answer
-    # forward, so wave 2 holds only its reverse pair and carries its forward
-    # pair against the kept "shut" too. The reverse entails, "unlock" falls at
-    # the answer stage, and the trace names the answer although "unlock" and
-    # "shut" entail each other as well
+    # 13. a lone wave's extra pair is wasted: in wave 1 "unlock"'s forward
+    # answer pair brings its forward pair against the undecided "shut". Both
+    # entail, so wave 2 holds only "unlock"'s reverse answer pair, which
+    # brings the rest of its chain: its reverse pair against the now kept
+    # "shut". The reverse answer pair entails, "unlock" falls at the answer
+    # stage, both pairs against "shut" are wasted, and the trace names the
+    # answer although "unlock" and "shut" entail each other as well
     table = {}
     _both(table, "unlock", ANSWER)
     _both(table, "unlock", "shut")
@@ -253,14 +255,16 @@ def _scenarios():
             expected_trace=[("unlock", "answer-entailment", ANSWER)],
             underfilled=True,
             batches=[
-                [("shut", ANSWER), ("unlock", ANSWER)],
-                [(ANSWER, "unlock"), ("unlock", "shut")],
+                [("shut", ANSWER), ("unlock", ANSWER), ("unlock", "shut")],
+                [(ANSWER, "unlock"), ("shut", "unlock")],
             ],
         )
     )
 
-    # 14. a lone wave's extra pair saves a pass: the reverse of "stand"'s
-    # forward entailment is neutral, and its pair against "shut" is already
+    # 14. an extra pair saves a pass: in wave 1 "stand"'s forward answer pair
+    # brings its pair against the undecided "shut". Wave 2 is lone: it holds
+    # the reverse of "stand"'s forward entailment, with no chain left to
+    # bring. That reverse is neutral and the pair against "shut" is already
     # known, so "stand" is kept after two passes instead of three, and "lift"
     # is never reached
     table = {}
@@ -275,8 +279,8 @@ def _scenarios():
             expected_trace=[],
             underfilled=False,
             batches=[
-                [("shut", ANSWER), ("stand", ANSWER)],
-                [(ANSWER, "stand"), ("stand", "shut")],
+                [("shut", ANSWER), ("stand", ANSWER), ("stand", "shut")],
+                [(ANSWER, "stand")],
             ],
         )
     )
@@ -285,7 +289,9 @@ def _scenarios():
     # at the answer stage, so wave 3 reaches "stand" and "lift" with "shut"
     # kept. Each sends its answer pair and, since that pair is a forward one,
     # its pair against "shut" with it. All four are neutral, so "stand" is
-    # kept and wave 4 holds only "lift" against it: four passes, not five
+    # kept and wave 4 holds only "lift" against it: four passes, not five.
+    # In wave 1 the ride-alongs of "unlock" and "crack", against the
+    # undecided "shut", are wasted when they fall
     table = {}
     _both(table, "unlock", ANSWER)
     _both(table, "crack", ANSWER)
@@ -302,7 +308,8 @@ def _scenarios():
             ],
             underfilled=False,
             batches=[
-                [("shut", ANSWER), ("unlock", ANSWER), ("crack", ANSWER)],
+                [("shut", ANSWER), ("unlock", ANSWER), ("unlock", "shut"),
+                 ("crack", ANSWER), ("crack", "shut")],
                 [(ANSWER, "unlock"), (ANSWER, "crack")],
                 [("stand", ANSWER), ("stand", "shut"), ("lift", ANSWER), ("lift", "shut")],
                 [("lift", "stand")],
@@ -314,11 +321,10 @@ def _scenarios():
     # pair against "shut" with its forward answer pair, but that pair and its
     # reverse both entail, so "stand" falls at the answer stage. The trace
     # names the answer although "stand" and "shut" entail each other as well.
-    # In wave 4 "stand" is the lone pending candidate, so with its reverse
-    # answer pair it sends the rest of its chain: the reverse of the wasted
-    # pair, wasted too. "lift" has cleared the answer and "shut" and waits
-    # behind "stand", so it sends its pair against "stand", wasted as well
-    # when "stand" falls
+    # Wave 4 holds two asks, so neither brings a chain: "stand"'s reverse
+    # answer pair and the pair of "lift", which has cleared the answer and
+    # "shut", against "stand", wasted as well when "stand" falls. As in 15,
+    # wave 1's ride-alongs of "unlock" and "crack" are wasted
     table = {}
     _both(table, "unlock", ANSWER)
     _both(table, "crack", ANSWER)
@@ -338,19 +344,22 @@ def _scenarios():
             ],
             underfilled=True,
             batches=[
-                [("shut", ANSWER), ("unlock", ANSWER), ("crack", ANSWER)],
+                [("shut", ANSWER), ("unlock", ANSWER), ("unlock", "shut"),
+                 ("crack", ANSWER), ("crack", "shut")],
                 [(ANSWER, "unlock"), (ANSWER, "crack")],
                 [("stand", ANSWER), ("stand", "shut"), ("lift", ANSWER), ("lift", "shut")],
-                [(ANSWER, "stand"), ("shut", "stand"), ("lift", "stand")],
+                [(ANSWER, "stand"), ("lift", "stand")],
             ],
         )
     )
 
-    # 17. a waiting candidate saves a pass: "stand" entails the answer one
-    # way only, so in wave 3 it sends its pair against the kept "shut", while
-    # "lift", which has cleared the answer and "shut", waits behind it and
-    # sends its pair against "stand" in the same wave. Everything is neutral,
-    # so both are kept after three passes instead of four
+    # 17. a candidate behind an undecided one saves a pass: in wave 1 the
+    # forward answer pairs of "stand" and "lift" bring their pairs against
+    # the undecided "shut". "stand" entails the answer one way only, so in
+    # wave 2 it sends the reverse, while "lift", which has cleared the answer
+    # and "shut", sends its pair against the undecided "stand" in the same
+    # wave. Everything else is neutral, so both are kept after two passes
+    # instead of four
     table = {}
     _one_way(table, "stand", ANSWER, ENTAILMENT)
     scenarios.append(
@@ -363,17 +372,18 @@ def _scenarios():
             expected_trace=[],
             underfilled=False,
             batches=[
-                [("shut", ANSWER), ("stand", ANSWER), ("lift", ANSWER)],
-                [(ANSWER, "stand"), ("lift", "shut")],
-                [("stand", "shut"), ("lift", "stand")],
+                [("shut", ANSWER), ("stand", ANSWER), ("stand", "shut"),
+                 ("lift", ANSWER), ("lift", "shut")],
+                [(ANSWER, "stand"), ("lift", "stand")],
             ],
         )
     )
 
-    # 18. a waiting candidate's pair is wasted: as in 17, "lift" sends its pair
-    # against "stand" in wave 3, but "stand" and "shut" entail each other, so
-    # "stand" falls after wave 4 and "lift" is kept without that pair. The
-    # passes are those of a scan without it
+    # 18. a pair against an undecided candidate is wasted: as in 17, "lift"
+    # sends its pair against "stand" in wave 2, but "stand" and "shut" entail
+    # each other, so "stand" falls after wave 3, the lone wave of its reverse
+    # pair against "shut", and "lift" is kept without that pair. The passes
+    # are those of a scan without it
     table = {}
     _one_way(table, "stand", ANSWER, ENTAILMENT)
     _both(table, "stand", "shut")
@@ -387,20 +397,22 @@ def _scenarios():
             expected_trace=[("stand", "pairwise-entailment", "shut")],
             underfilled=True,
             batches=[
-                [("shut", ANSWER), ("stand", ANSWER), ("lift", ANSWER)],
-                [(ANSWER, "stand"), ("lift", "shut")],
-                [("stand", "shut"), ("lift", "stand")],
+                [("shut", ANSWER), ("stand", ANSWER), ("stand", "shut"),
+                 ("lift", ANSWER), ("lift", "shut")],
+                [(ANSWER, "stand"), ("lift", "stand")],
                 [("shut", "stand")],
             ],
         )
     )
 
     # 19. a lone wave's candidate sends its whole chain: "unlock" falls at the
-    # answer stage after wave 2, which decides "lift" as well, so "stand", the
-    # k-th candidate, is read in wave 3 behind two kept ones and is the only
-    # pending candidate. With its answer pair it sends its forward pairs
-    # against both "shut" and "lift"; all are neutral, so it is kept after
-    # three passes, where one extra pair per wave would take four
+    # answer stage after wave 2, so "stand", the k-th candidate, is read in
+    # wave 3 behind two kept ones and asks the only pair. With its answer
+    # pair it sends its forward pairs against both "shut" and "lift"; all are
+    # neutral, so it is kept after three passes, where one extra pair per
+    # wave would take four. The pairs of "unlock" against "shut" (wave 1, its
+    # ride-along against the undecided "shut") and "lift" (wave 2, its lone
+    # chain) are wasted
     table = {}
     _both(table, "unlock", ANSWER)
     scenarios.append(
@@ -413,8 +425,9 @@ def _scenarios():
             expected_trace=[("unlock", "answer-entailment", ANSWER)],
             underfilled=False,
             batches=[
-                [("shut", ANSWER), ("lift", ANSWER), ("unlock", ANSWER)],
-                [("lift", "shut"), (ANSWER, "unlock")],
+                [("shut", ANSWER), ("lift", ANSWER), ("lift", "shut"),
+                 ("unlock", ANSWER), ("unlock", "shut")],
+                [(ANSWER, "unlock"), ("unlock", "lift")],
                 [("stand", ANSWER), ("stand", "shut"), ("stand", "lift")],
             ],
         )
@@ -440,11 +453,32 @@ def _scenarios():
             expected_trace=[("unlock", "answer-entailment", ANSWER)],
             underfilled=False,
             batches=[
-                [("shut", ANSWER), ("lift", ANSWER), ("unlock", ANSWER)],
-                [("lift", "shut"), (ANSWER, "unlock")],
+                [("shut", ANSWER), ("lift", ANSWER), ("lift", "shut"),
+                 ("unlock", ANSWER), ("unlock", "shut")],
+                [(ANSWER, "unlock"), ("unlock", "lift")],
                 [("stand", ANSWER), ("stand", "shut"), ("stand", "lift")],
                 [(ANSWER, "stand"), ("shut", "stand")],
                 [("lift", "stand")],
+            ],
+        )
+    )
+
+    # 21. a forward ride-along against an undecided candidate saves a pass:
+    # in wave 1 "lift"'s forward answer pair brings its pair against "shut",
+    # which is undecided until its own answer pair is known. Everything is
+    # neutral, so both are kept after one pass, where sending the pair
+    # against "shut" only once "shut" is kept would take two
+    scenarios.append(
+        dict(
+            name="ride-along-against-undecided-saves-a-pass",
+            candidates=["shut", "lift"],
+            table={},
+            k=2,
+            expected=["shut", "lift"],
+            expected_trace=[],
+            underfilled=False,
+            batches=[
+                [("shut", ANSWER), ("lift", ANSWER), ("lift", "shut")],
             ],
         )
     )

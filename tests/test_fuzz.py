@@ -223,7 +223,9 @@ def test_generation_requests_meet_the_invariants_or_fail_cleanly():
     assert outcomes["ok"] > 1300, outcomes
     assert outcomes["BackendError"] and outcomes["SpanError"], outcomes
     assert shortened > 500, shortened
-    assert replayed == 773, replayed
+    # a faulty NLI reply lands on a batch by its index, so this count moves
+    # with the number of selection batches
+    assert replayed == 776, replayed
 
 
 def test_generate_writes_one_record_per_pair_and_exits_0_or_2(tmp_path, capsys):

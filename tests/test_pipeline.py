@@ -23,7 +23,9 @@ from clozegen.backends import (
     MockNliClassifier,
     NliClassifier,
 )
-from clozegen.data import ClozePassage, ClozeQuestion, prepare_context
+from clozegen.data import (
+    ClozePassage, ClozeQuestion, ContextAnswerPair, extract_sentence, prepare_context, trim_span,
+)
 from clozegen.errors import ContractViolation, SpanError
 from clozegen.cli import run_evaluate
 from clozegen.generation import (
@@ -383,6 +385,48 @@ def test_every_count_is_an_integer_at_or_above_its_bound(site, value):
     with pytest.raises(ContractViolation) as raised:
         call(value)
     assert str(raised.value) == message
+
+
+# Every span the library takes: (call with the span, a span whose bounds fit).
+SPAN_SITES = {
+    "ContextAnswerPair": (lambda span: ContextAnswerPair("p", CONTEXT, span), ANSWER_SPAN),
+    "select_distractors": (
+        lambda span: select_distractors(MockNliClassifier(), SENTENCE, ["shut"], 1, span),
+        ANSWER_SPAN,
+    ),
+    "verify_distractor_set": (
+        lambda span: verify_distractor_set(
+            MockNliClassifier(), SENTENCE, DistractorSet(["shut"], "open"), span
+        ),
+        ANSWER_SPAN,
+    ),
+    "trim_span": (lambda span: trim_span(CONTEXT, span), ANSWER_SPAN),
+    "extract_sentence": (lambda span: extract_sentence(CONTEXT, span), ANSWER_SPAN),
+    "generate_distractors": (
+        lambda span: generate_distractors(CONTEXT, span, GOLDEN_CONFIG, *golden_backends()),
+        ANSWER_SPAN,
+    ),
+    "render_cloze": (
+        lambda span: render_cloze(CONTEXT, span, DistractorSet(["shut"], "open")), ANSWER_SPAN
+    ),
+    "build_masked_context": (
+        lambda span: build_masked_context(["a", "b", "c"], span, 1, "[MASK]", 8), (1, 2)
+    ),
+}
+
+
+@pytest.mark.parametrize("bound", ["float-start", "float-end", "bool-start"])
+@pytest.mark.parametrize("site", list(SPAN_SITES))
+def test_every_span_bound_is_an_integer(site, bound):
+    call, (start, end) = SPAN_SITES[site]
+    span = {
+        "float-start": (float(start), end),
+        "float-end": (start, end + 0.5),
+        "bool-start": (True, end),  # inside the text, but a bool is not an int
+    }[bound]
+    with pytest.raises(SpanError) as raised:
+        call(span)
+    assert str(raised.value) == f"span bounds must be integers, not {span!r}"
 
 
 def test_resolve_search_multiplier_defaults():

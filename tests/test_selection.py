@@ -117,9 +117,10 @@ def test_select_distractors_scenarios():
 
 def test_lone_wave_scenarios_pin_their_batches():
     # the two lone-wave scenarios, the two forward ride-along ones, the two
-    # waiting-candidate ones and the two lone-chain ones
+    # waiting-candidate ones, the two lone-chain ones and the ride-along
+    # against an undecided candidate
     pinned = [scenario for scenario in SCENARIOS if "batches" in scenario]
-    assert len(pinned) == 8
+    assert len(pinned) == 9
     for scenario in pinned:
         nli = CountingNli(build_nli(scenario))
         result = select_distractors(
@@ -364,7 +365,7 @@ def _assert_matches_eager(table, texts, k, label):
     # the pairs of the one-pair-at-a-time scan are never more than eager's;
     # a lone wave's candidate adds only the rest of its chain, and otherwise
     # each candidate with such a pair in a batch adds at most one more pair,
-    # and each candidate waiting behind an undecided one at most two
+    # and each candidate with a pair against an undecided one at most two
     sequential = _sequential_pairs(table, texts, k)
     batches = _split_batches(fused_nli)
     assert sum(p in sequential for batch in batches for p in batch) <= len(eager_nli.calls), label
@@ -430,22 +431,25 @@ def _owner(texts):
 def _waiting_pairs(batch, sequential, rank):
     """The pairs of a batch whose higher-ranked member ranks at or after the
     wave's first undecided candidate: the best-ranked owner of a pair of the
-    one-pair-at-a-time scan in it. Only a candidate waiting behind an
-    undecided one sends a pair against such a counterpart."""
+    one-pair-at-a-time scan in it. Only a candidate behind an undecided one
+    sends a pair against such a counterpart, as its ask or a ride-along, and
+    that pair is wasted if the counterpart falls."""
     first = min(max(rank[s] for s in pair) for pair in batch if pair in sequential)
     return [pair for pair in batch if min(rank[s] for s in pair) >= first]
 
 
 def _lone_owner(batch, waiting, owner):
-    """The candidate of a lone wave, or None: the only owner of the batch's
-    pairs against the answer or a kept candidate (those not ``waiting``)."""
+    """The only owner of the batch's pairs against the answer or a kept
+    candidate (those not ``waiting``), or None. In a wave with one ask it is
+    that ask's candidate; beside other asks, its pairs are its ask and at
+    most one forward ride-along, which ``_assert_lone_chain`` admits too."""
     owners = {owner(pair) for pair in batch if pair not in waiting}
     return owners.pop() if len(owners) == 1 else None
 
 
 def _assert_lone_chain(pairs, known, kept, rank, label):
-    """A lone wave's candidate c sends, besides its pending pair against some
-    j (the pair whose counterpart ranks first), only forward pairs (c, d) and
+    """A lone wave's candidate c sends, besides its ask against some j (the
+    pair whose counterpart ranks first), only forward pairs (c, d) and
     at most one reverse pair (d, c) whose forward pair was known to entail
     before the batch, each d a kept candidate after j."""
 
@@ -468,9 +472,9 @@ def _assert_matches_sequential(table, texts, k, label):
     """The wave scheduler against the one-pair-at-a-time scan on one instance:
     the same verdicts, from every pair of that scan sent once plus the rest of
     a lone wave's candidate's chain, at most one forward pair per other
-    candidate with a pending pair in a batch and the pairs of candidates
-    waiting behind undecided ones, in the batches the wave oracle replays,
-    reading no candidate past the window it replays."""
+    candidate asking a pair of that scan in a batch and the pairs against
+    undecided candidates, in the batches the wave oracle replays, reading no
+    candidate past the window it replays."""
     read = []
 
     def feed():
@@ -492,10 +496,10 @@ def _assert_matches_sequential(table, texts, k, label):
     assert sequential <= set(wave_nli.calls), label
     # A lone wave's candidate sends the rest of its chain (see
     # _assert_lone_chain). Any other c, a pair's owner, has at most two pairs
-    # in any batch. An extra pair is a waiting pair of c (against a d that
-    # ranks before c and at or after the wave's first undecided candidate),
-    # or else a forward pair (c, d) riding in a batch with c's own pending
-    # pair, d a counterpart the sequential scan kept before c
+    # in any batch. An extra pair is a pair of c against an undecided d (one
+    # that ranks before c and at or after the wave's first undecided
+    # candidate), or else a forward pair (c, d) riding in a batch with c's
+    # own ask, d a counterpart the sequential scan kept before c
     sentences = [CONTEXT] + [instantiate(t) for t in texts]
     rank = _rank(texts)
     kept = {rank[instantiate(d)] for d in expected.distractors}
