@@ -19,15 +19,16 @@ whose next pair with it is unknown. Entailing the answer or a kept
 candidate both ways removes it; an unknown pair is its *ask*. Decisions
 are read off the verdicts in scan order against the answer and the kept
 candidates only, so they do not change. One ``classify_pairs`` call sends
-the wave's asks in rank order, each with what two rules add:
-
-- A forward ask (the candidate's sentence first) brings the candidate's next
-  unknown forward pair against a counterpart after the ask's in its chain.
-- A wave's only ask instead brings the rest of its candidate's chain: every
-  unknown forward pair against a kept candidate after the ask's
-  counterpart, and the first unknown reverse pair among them (one whose
-  forward pair is known to entail), stopping at a kept candidate it is
-  known to entail both ways.
+the wave's asks in rank order, each with a prefix of the rest of its
+candidate's chain: all of it for the wave's only ask, else one pair for a
+forward ask (the candidate's sentence first) and none for a reverse one.
+That rest is every unknown forward pair after the ask's counterpart and
+the first unknown reverse pair (one whose forward pair is known to
+entail), up to a counterpart the candidate is known to entail both ways.
+A chain only loses members between waves and a candidate's forward pairs
+go out in counterpart rank order, so the counterparts with a known forward
+verdict are a prefix of its chain and a forward ask's one pair is its next
+forward pair.
 
 The one-pair-at-a-time scan sends a candidate's pair against the answer or
 a kept candidate too unless an earlier pair of its chain removes it, so that
@@ -56,7 +57,7 @@ from __future__ import annotations
 from typing import Iterable
 
 from .backends import ENTAILMENT, NliClassifier, classify_pairs
-from .errors import FrozenRecord, check_count, check_span
+from .errors import ContractViolation, FrozenRecord, check_count, check_span
 from .generation import normalize_text
 
 STAGE_ANSWER = "answer-entailment"
@@ -101,31 +102,34 @@ def select_distractors(
     ``context`` is the comparison sentence and the answer is its text at
     ``answer_span``. Candidate texts arrive ranked best-first from any
     iterable; one whose ``normalize_text`` form is blank, the answer's or an
-    earlier text's is skipped as it is read. A text is read only when the
-    scan is certain to reach it, so texts no wave reaches are never read and
-    an iterator sends the same batches as a list of its texts.
-    The trace lists answer-entailment removals first, then pairwise ones,
-    each in rank order.
+    earlier text's is skipped as it is read, and one that is not a ``str``
+    is a ``ContractViolation``. A text is read only when the scan is certain
+    to reach it, so texts no wave reaches are never read and an iterator
+    sends the same batches as a list of its texts. The trace lists
+    answer-entailment removals first, then pairwise ones, each in rank order.
     """
     check_count("k", k, 1)
     start, end = check_span(answer_span, len(context), "comparison text")
     texts, sentences = [context[start:end]], [context]
     taken = {normalize_text(texts[0]), ""}
     unread = iter(candidates)
-    verdicts: dict[tuple[str, str], str] = {}
+    verdicts: dict[tuple[int, int], str] = {}  # by (premise, hypothesis) rank
     kept: list[int] = []
     removed: dict[int, int] = {}  # candidate -> counterpart, 0 for the answer
     first = 1  # first undecided candidate: every one before it is settled
     while True:
         # (candidate, its ask, the counterparts after the ask's own in its chain)
-        asks: list[tuple[int, tuple[str, str], tuple[int, ...]]] = []
+        asks: list[tuple[int, tuple[int, int], tuple[int, ...]]] = []
         undecided: list[int] = []
         i = first
         while len(kept) + len(undecided) < k:  # past k, the rest may never be reached
-            if i == len(sentences):  # read one more candidate, if any is left
-                text = next(unread, None)
-                if text is None:
+            if i == len(texts):  # read one more candidate, if any is left
+                try:
+                    text = next(unread)
+                except StopIteration:
                     break
+                if not isinstance(text, str):
+                    raise ContractViolation(f"candidate texts must be str, not {text!r}")
                 key = normalize_text(text)
                 if key in taken:  # blank, an answer copy or a repeat
                     continue
@@ -134,7 +138,7 @@ def select_distractors(
                 sentences.append(context[:start] + text + context[end:])
             chain = (0, *kept, *undecided)
             for n, j in enumerate(chain):
-                verdict = _two_way(verdicts, sentences[i], sentences[j])
+                verdict = _two_way(verdicts, i, j)
                 if verdict is not False:
                     break
             if verdict is True and n <= len(kept):  # entails the answer or a kept one
@@ -150,14 +154,11 @@ def select_distractors(
             break
         first = asks[0][0]
         needed = []
-        for owner, pair, later in asks:
-            needed.append(pair)
-            if len(asks) == 1:
-                needed += _chain(verdicts, sentences[owner], [sentences[c] for c in later])
-            elif pair[0] == sentences[owner]:
-                forward = [(sentences[owner], sentences[c]) for c in later]
-                needed += [p for p in forward if p not in verdicts][:1]
-        verdicts.update(zip(needed, classify_pairs(nli_backend, needed)))
+        for i, pair, later in asks:  # the lone ask's whole chain, a forward ask's first pair
+            size = len(later) if len(asks) == 1 else int(pair[0] == i)
+            needed += [pair, *_chain(verdicts, i, later)[:size]]
+        labels = classify_pairs(nli_backend, [(sentences[a], sentences[b]) for a, b in needed])
+        verdicts.update(zip(needed, labels))
     trace = [
         TraceEntry(texts[i], STAGES[j > 0], texts[j])
         for i, j in sorted(removed.items(), key=lambda item: (item[1] > 0, item[0]))
@@ -165,12 +166,10 @@ def select_distractors(
     return DistractorSet([texts[i] for i in kept], texts[0], trace, len(kept) < k)
 
 
-def _two_way(
-    verdicts: dict[tuple[str, str], str], text_a: str, text_b: str
-) -> bool | tuple[str, str]:
+def _two_way(verdicts: dict[tuple[int, int], str], a: int, b: int) -> bool | tuple[int, int]:
     """Whether a and b entail each other both ways by the known verdicts, or the
     pair that decides it next: (b, a) is needed only once (a, b) entails."""
-    for pair in ((text_a, text_b), (text_b, text_a)):
+    for pair in ((a, b), (b, a)):
         label = verdicts.get(pair)
         if label is None:
             return pair
@@ -180,19 +179,19 @@ def _two_way(
 
 
 def _chain(
-    verdicts: dict[tuple[str, str], str], text: str, others: list[str]
-) -> list[tuple[str, str]]:
-    """The unknown pairs of text's chain against ``others`` in order: every
+    verdicts: dict[tuple[int, int], str], i: int, others: tuple[int, ...]
+) -> list[tuple[int, int]]:
+    """The unknown pairs of i's chain against ``others`` in order: every
     forward pair, and the reverse of the first forward entailment with it
-    unknown, up to an other that text is known to entail both ways."""
-    pairs: list[tuple[str, str]] = []
+    unknown, up to an other that i is known to entail both ways."""
+    pairs: list[tuple[int, int]] = []
     reverse = True  # whether a reverse pair may still be sent
-    for other in others:
-        verdict = _two_way(verdicts, text, other)
+    for j in others:
+        verdict = _two_way(verdicts, i, j)
         if verdict is True:
             break
-        if verdict is not False and (verdict[0] == text or reverse):
-            reverse = reverse and verdict[0] == text
+        if verdict is not False and (verdict[0] == i or reverse):
+            reverse = reverse and verdict[0] == i
             pairs.append(verdict)
     return pairs
 

@@ -4,8 +4,10 @@ model-call counts; on long-passage it must also see one lockstep decode call
 per item and batch NLI pairs. Each run works on a copy of the checkout in a
 temporary directory, so the checkout's ``.bench_out`` is left as it was. The
 benchmark's masked LM also prefills a CLOTH passage in process, since the
-smoke run's workload has no blanks."""
+smoke run's workload has no blanks. The three runs start together, so they
+overlap each other and the rest of this module."""
 
+import contextlib
 import json
 import os
 import random
@@ -25,25 +27,46 @@ from tests.oracles import query_string_prefill
 ROOT = Path(__file__).resolve().parents[1]
 
 
-def run_bench(tmp_path, workload):
-    """``bench/run.py`` on a copy of the checkout in ``tmp_path``, so the span
-    files it writes never replace those of a developer's own run."""
+WORKLOADS = ("long-passage", "multitoken-default", "cloth-evaluate")
+
+
+@pytest.fixture(scope="module")
+def bench_children(tmp_path_factory):
+    """One ``bench/run.py`` child per workload, all started at once, each on a
+    copy of the checkout in its own temporary directory, so the span files it
+    writes never replace those of a developer's own run. Teardown kills any
+    child still running, closes its pipes and waits for it."""
     ignore = shutil.ignore_patterns("__pycache__")
-    for name in ("bench", "src"):
-        shutil.copytree(ROOT / name, tmp_path / name, ignore=ignore)
-    shutil.copy(ROOT / "BENCHMARK.json", tmp_path)
-    argv = [
-        sys.executable, "bench/run.py", "--workload", workload,
-        "--seed", "7", "--seconds", "0.5", "--trace", "1",
-    ]
-    return subprocess.run(
-        argv, cwd=tmp_path, env=dict(os.environ, PYTHONPATH="src"),
-        capture_output=True, text=True, encoding="utf-8", timeout=300,
-    )
+    with contextlib.ExitStack() as stack:
+        children = {}
+        for workload in WORKLOADS:
+            root = tmp_path_factory.mktemp(workload)
+            for name in ("bench", "src"):
+                shutil.copytree(ROOT / name, root / name, ignore=ignore)
+            shutil.copy(ROOT / "BENCHMARK.json", root)
+            argv = [
+                sys.executable, "bench/run.py", "--workload", workload,
+                "--seed", "7", "--seconds", "0.5", "--trace", "1",
+            ]
+            child = subprocess.Popen(
+                argv, cwd=root, env=dict(os.environ, PYTHONPATH="src"),
+                stdout=subprocess.PIPE, stderr=subprocess.PIPE, text=True, encoding="utf-8",
+            )
+            stack.enter_context(child)  # on exit: close the pipes, then wait
+            stack.callback(child.kill)  # runs first; a no-op once the child has exited
+            children[workload] = child
+        yield children
 
 
-def test_bench_long_passage_smoke(tmp_path):
-    child = run_bench(tmp_path, "long-passage")
+def run_bench(children, workload):
+    """Wait for the workload's child and return what it printed."""
+    child = children[workload]
+    stdout, stderr = child.communicate(timeout=300)
+    return subprocess.CompletedProcess(child.args, child.returncode, stdout, stderr)
+
+
+def test_bench_long_passage_smoke(bench_children):
+    child = run_bench(bench_children, "long-passage")
     output = child.stdout + child.stderr
     assert child.returncode == 0, output
     assert '"correct": true' in output
@@ -95,8 +118,8 @@ REFERENCE_RUNS = {
 
 
 @pytest.mark.parametrize("workload", sorted(REFERENCE_RUNS))
-def test_bench_workload_reproduces_reference(workload, tmp_path):
-    child = run_bench(tmp_path, workload)
+def test_bench_workload_reproduces_reference(workload, bench_children):
+    child = run_bench(bench_children, workload)
     output = child.stdout + child.stderr
     assert child.returncode == 0, output
     assert '"correct": true' in output

@@ -138,15 +138,16 @@ def test_lone_wave_scenarios_pin_their_batches():
 def test_lone_chain_stops_at_a_candidate_it_entails_both_ways():
     # By the time a lone candidate's two-way entailment with a kept candidate
     # is known, its pairs against every kept one before it are known too, so
-    # no scan reaches this stop; it is pinned on the helper
-    c, x, d, y = (instantiate(w) for w in ("stand", "shut", "lift", "push"))
+    # no scan reaches this stop; it is pinned on the helper, which works in
+    # candidate ranks
+    c, x, d, y = 4, 1, 2, 3
     verdicts = {(c, d): ENTAILMENT, (d, c): ENTAILMENT}
-    assert selection._chain(verdicts, c, [x, d, y]) == [(c, x)]
+    assert selection._chain(verdicts, c, (x, d, y)) == [(c, x)]
     # only the first reverse pair of a forward entailment is sent
     verdicts = {(c, x): ENTAILMENT, (c, d): ENTAILMENT, (x, c): NEUTRAL}
-    assert selection._chain(verdicts, c, [x, d, y]) == [(d, c), (c, y)]
+    assert selection._chain(verdicts, c, (x, d, y)) == [(d, c), (c, y)]
     verdicts = {(c, x): ENTAILMENT, (c, d): ENTAILMENT}
-    assert selection._chain(verdicts, c, [x, d, y]) == [(x, c), (c, y)]
+    assert selection._chain(verdicts, c, (x, d, y)) == [(x, c), (c, y)]
 
 
 def test_select_distractors_trace_accounting():
@@ -286,6 +287,20 @@ def test_selection_skips_answer_copies_blanks_and_repeats_as_it_reads():
     texts = ["OPEN", "shut", "shut", " ", "Shut"]
     result = select_distractors(MockNliClassifier(), context, texts, 3, (13, 17))
     assert result == DistractorSet(["shut"], "open", [], True)
+
+
+def test_selection_reads_every_text_and_rejects_a_non_str_one():
+    # "shut" and "closed" entail each other both ways, so "closed" falls and
+    # the scan reads on; a None text is not the end of the candidates
+    context = "The door was open all day."
+    shut, closed = (context[:13] + w + context[17:] for w in ("shut", "closed"))
+    table = {(shut, closed): ENTAILMENT, (closed, shut): ENTAILMENT}
+    nli = MockNliClassifier(table=table)
+    result = select_distractors(nli, context, ["shut", "closed", "locked"], 2, (13, 17))
+    assert result.distractors == ["shut", "locked"]
+    for bad in (None, 7):
+        with pytest.raises(ContractViolation, match=f"must be str, not {bad}$"):
+            select_distractors(nli, context, ["shut", "closed", bad, "locked"], 2, (13, 17))
 
 
 def test_selection_and_audit_substitute_at_the_given_span():
@@ -551,3 +566,43 @@ def test_wave_selection_matches_sequential_scan_on_random_tables():
             if a != b and rnd.random() < 0.8
         }
         _assert_matches_sequential(table, texts, k, f"trial {trial}")
+
+
+def _assert_forward_pairs_ascend(nli, texts, label):
+    """Each candidate's forward pairs (its own sentence first) go out against
+    counterparts of strictly increasing rank, so the counterparts with a known
+    forward verdict are always a prefix of its chain. Returns how many
+    forward pairs went out."""
+    rank = _rank(texts)
+    last = {}
+    forward = 0
+    for premise, hypothesis in nli.calls:
+        if rank[premise] > rank[hypothesis]:
+            assert rank[hypothesis] > last.get(premise, -1), label
+            last[premise] = rank[hypothesis]
+            forward += 1
+    return forward
+
+
+def test_each_candidate_sends_its_forward_pairs_in_rank_order():
+    for scenario in SCENARIOS:
+        nli = CountingNli(build_nli(scenario))
+        select_distractors(nli, CONTEXT, scenario["candidates"], scenario["k"], ANSWER_SPAN)
+        _assert_forward_pairs_ascend(nli, scenario["candidates"], scenario["name"])
+    rnd = random.Random(3617)
+    pool = [f"w{i}" for i in range(30)]
+    forward = 0
+    for trial in range(2000):
+        texts = rnd.sample(pool, rnd.randint(0, len(pool)))
+        share = rnd.choice((0.1, 0.3, 0.5, 0.8))  # each direction entails this often
+        sentences = [CONTEXT] + [instantiate(t) for t in texts]
+        table = {
+            (a, b): ENTAILMENT if rnd.random() < share else rnd.choice((NEUTRAL, CONTRADICTION))
+            for a in sentences
+            for b in sentences
+            if a != b
+        }
+        nli = CountingNli(MockNliClassifier(table=table))
+        select_distractors(nli, CONTEXT, texts, rnd.randint(1, 12), ANSWER_SPAN)
+        forward += _assert_forward_pairs_ascend(nli, texts, f"trial {trial}")
+    assert forward > 50000, forward  # 60,876 at this seed
