@@ -92,7 +92,8 @@ def load_cloth(path: str | Path) -> Iterator[ClozePassage]:
     Each file holds one passage: an article with one ``_`` blank per
     question, an options array of four strings per question, and an
     answers array of letters. The answer letter is resolved to its option
-    text; the other three options become the gold distractors. Files are
+    text; the other three options become the gold distractors. A blank
+    option, answer or distractor, is a ParseError. Files are
     parsed in name order, each only when its passage is taken from the
     returned iterator.
     """
@@ -132,6 +133,8 @@ def _parse_cloth_file(path: Path) -> ClozePassage:
         idx = ANSWER_LETTERS.index(letter)
         if not opts[idx].strip():
             raise ParseError(f"{path}: options[{i}] has a blank answer option")
+        if not all(opt.strip() for opt in opts):
+            raise ParseError(f"{path}: options[{i}] has a blank distractor option")
         questions.append(ClozeQuestion(opts[idx], opts[:idx] + opts[idx + 1 :]))
     return ClozePassage(path.stem, article, questions)
 

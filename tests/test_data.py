@@ -86,6 +86,10 @@ def test_load_cloth_schema_errors(tmp_path):
             {**PASSAGE_DOC, "options": [["a", "b", " ", "d"], ["e", "f", "g", "h"]]},
             "options[0] has a blank answer option",
         ),
+        (
+            {**PASSAGE_DOC, "options": [["a", "b", "c", "d"], ["e", "f", "g", "\t"]]},
+            "options[1] has a blank distractor option",
+        ),
     ]
     for i, (doc, needle) in enumerate(cases):
         path = _write(tmp_path, f"bad{i}.json", doc)

@@ -1,3 +1,4 @@
+import itertools
 import json
 import math
 import random
@@ -688,17 +689,27 @@ def test_pulled_candidates_come_out_in_rank_order_and_drain_to_the_full_list():
             jobs.append((ctx, decode_order(rnd.choice(STRATEGIES), mask_count)))
         width = rnd.randint(1, 6)
         drained = generate_candidates(mlm, jobs, width, "geometric")
-        ranked = sorted(drained, key=lambda c: (-c.rank_score, len(c.step_probabilities), c.text))
-        for wanted in (None, 1, 3):
+        ranked = sorted(drained, key=_rank)
+        for wanted in (None, 1, 2, 3, 5):
             texts, returned = _pulled(mlm, jobs, width, wanted)
             assert returned == drained
             assert texts == [c.text for c in ranked]
-        # a reader that stops after its first candidate gets the best one
-        first = []
-        returned = generate_candidates(
-            mlm, jobs, width, "geometric", lambda candidates: first.append(next(candidates)), 1
-        )
-        assert first == ranked[:1] == returned
+            # a reader that stops after j candidates gets the j best, and the
+            # call returns just those, jobs in input order
+            for j in range(len(ranked) + 1):
+                taken = []
+                returned = generate_candidates(
+                    mlm, jobs, width, "geometric",
+                    lambda candidates: taken.extend(itertools.islice(candidates, j)), wanted,
+                )
+                assert taken == ranked[:j]
+                assert sorted(returned, key=_rank) == taken
+                rest = iter(drained)
+                assert all(any(c == d for d in rest) for c in returned)
+
+
+def _rank(c):
+    return (-c.rank_score, len(c.step_probabilities), c.text)
 
 
 def test_a_reader_that_reads_nothing_makes_no_call():
@@ -751,44 +762,72 @@ def test_decoding_never_rewrites_a_query_it_has_sent():
 
 
 class _ScriptedMLM(MockMaskedLM):
-    """Step 0 of mask count c gives the fills ``BRANCH[c]``; every later step
-    of a hypothesis repeats its first fill, at ``LATER[first fill]``."""
+    """Step 0 of mask count c gives the fills ``branch[c]``; every later step
+    of a hypothesis repeats its first fill, at ``later[first fill]``."""
 
-    BRANCH = {
-        2: [("p", 0.9), ("q", 0.3)],
-        3: [("r", 0.95), ("s", 0.4)],
-        4: [("t", 0.99), ("u", 0.97)],
-    }
-    LATER = {"p": 0.9, "q": 0.9, "r": 0.95, "s": 0.9, "t": 0.99, "u": 0.95}
+    def __init__(self, branch, later):
+        super().__init__()
+        self.branch, self.later = branch, later
 
     def fill_mask(self, tokens, mask_position, top_k):
         first = tokens[1]
-        fills = self.BRANCH[len(tokens) - 2] if first == "[MASK]" else [(first, self.LATER[first])]
+        fills = self.branch[len(tokens) - 2] if first == "[MASK]" else [(first, self.later[first])]
         return [TokenPrediction(token, p) for token, p in fills[:top_k]]
 
 
-def test_a_hypothesis_with_a_spare_pass_waits_until_a_finished_candidate_rules_it_out():
+def _scripted_first(branch, later, avg="geometric"):
+    """The first candidate a one-candidate reader takes from jobs of each
+    mask count in ``branch``, and each pass as the set of first fills of the
+    hypotheses it extended, from a branch of two."""
     jobs = [
         (build_masked_context(["a", "x", "b"], (1, 2), count, "[MASK]", 512), [*range(count)])
-        for count in (2, 3, 4)
+        for count in sorted(branch)
     ]
-    mlm = CountingMLM(_ScriptedMLM())
+    mlm = CountingMLM(_ScriptedMLM(branch, later))
     first = []
     generate_candidates(
-        mlm, jobs, 2, "geometric", lambda candidates: first.append(next(candidates)), 1
+        mlm, jobs, 2, avg, lambda candidates: first.append(next(candidates)), 1
+    )
+    calls = iter(mlm.calls)
+    return first, [{next(calls)[0].split()[1] for _ in range(size)} for size, _ in mlm.batches]
+
+
+def test_a_hypothesis_with_a_spare_pass_waits_until_a_finished_candidate_rules_it_out():
+    first, passes = _scripted_first(
+        {2: [("p", 0.9), ("q", 0.3)], 3: [("r", 0.93), ("s", 0.4)], 4: [("t", 0.99), ("u", 0.7)]},
+        {"p": 0.9, "q": 0.9, "r": 0.93, "s": 0.9, "t": 0.99, "u": 0.95},
     )
     assert [c.text for c in first] == ["t t t t"]
-    # each pass as the set of first fills of the hypotheses it extended
-    calls = iter(mlm.calls)
-    passes = [{next(calls)[0].split()[1] for _ in range(size)} for size, _ in mlm.batches]
-    assert passes == [{"[MASK]"}, {"p", "t", "u"}, {"r", "t", "u"}, {"r", "t", "u"}]
-    # the count-4 hypotheses have no spare pass, so every pass extends them
-    assert all({"t", "u"} <= extended for extended in passes[1:])
-    # "r" and "s" waited in the first pass, which finished "p p" at 0.9; that
-    # is above the bound of "s" (0.4 ** (1/3)), so "s" is never queried, where
-    # extending every reached hypothesis would have queried it in that pass
+    assert passes == [{"[MASK]"}, {"p", "t"}, {"r", "t"}, {"r", "t"}]
+    # the first pass guessed the floor at the second best running score,
+    # "r"'s 0.93: "u" is of the longest count, but its running score 0.7
+    # leaves its bound below that guess, so it is never extended past the
+    # branch, though its bound clears the exact floor in every pass (0, then
+    # "p p"'s 0.9), where extending the most steps left would extend it
+    assert bound([0.93], 3, "geometric") >= 0.93 > bound([0.7], 4, "geometric") > 0.9
+    # "r" reached the guess but had a spare pass, and waited in the first
+    # pass, which finished "p p" at 0.9; that is above the bound of "s"
+    # (0.4 ** (1/3)), so "s" is never queried
     assert not any("s" in extended for extended in passes)
     assert bound([0.4], 3, "geometric") < 0.9
     # as many passes as extending every reached hypothesis takes: one per step
     # of the count-4 job
-    assert len(mlm.batches) == 4
+    assert len(passes) == 4
+
+
+def test_a_pass_no_bound_reaches_with_the_guess_falls_back_to_the_exact_floor():
+    near = 1.0 - 2 * 2.0**-53
+    first, passes = _scripted_first(
+        {1: [("g", 0.5), ("h", 0.1)], 2: [("p", 0.3), ("q", 0.2)], 8: [("r", 1.0), ("s", 1.0)]},
+        {"p": 0.3, "q": 0.2, "r": near, "s": near},
+        "harmonic",
+    )
+    assert [c.text for c in first] == ["r r r r r r r r"]
+    # after six steps the padded harmonic mean of "r" and "s" rounds one unit
+    # below their running score, which is the guess, so no bound reaches it
+    run = [1.0] + [near] * 5
+    assert bound(run, 8, "harmonic") < rank_score(run, "harmonic")
+    # every pass, that one too, reaches what the exact floor ("g"'s 0.5)
+    # reaches: "r" and "s", not "p" or "q", which are nearer to finishing
+    # and would be extended first
+    assert passes == [{"[MASK]"}] + [{"r", "s"}] * 7
