@@ -117,12 +117,13 @@ def _add_generation_flags(parser: argparse.ArgumentParser) -> None:
 
 
 def make_backend(spec: str | None, flag: str, mock_class, hf_class):
-    """``mock_class`` loaded from ``mock:<path>``, else ``hf_class`` for a checkpoint id."""
+    """``mock_class`` loaded from ``mock:<path>``, else ``hf_class`` for a checkpoint id,
+    cached under ``$CLOZEGEN_MODEL_CACHE`` unless that is unset or empty."""
     if not spec:
         raise ConfigError(f"{flag} is required")
     if spec.startswith("mock:"):
         return mock_class.from_json_file(spec[len("mock:") :])
-    return hf_class(spec, cache_dir=os.environ.get(MODEL_CACHE_ENV))
+    return hf_class(spec, cache_dir=os.environ.get(MODEL_CACHE_ENV) or None)
 
 
 def config_from_args(args: argparse.Namespace) -> GenerationConfig:

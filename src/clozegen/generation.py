@@ -15,14 +15,13 @@ candidate can score above a hypothesis's ``bound``, so a finished candidate
 scoring strictly above every live bound is certain of its rank and comes
 out of one iterator, best first; a reader that stops early leaves the
 hypotheses it never needed unfinished. While a reader waits, a pass reaches
-only the hypotheses whose bound clears a guessed floor, the score the
-candidates still wanted would need if every live hypothesis went on as
-probably as it began, and of those it extends only the ones that cannot
-wait: those with the most steps left, which set the pass count, and the few
-nearest to finishing. Any other has a spare pass, in which the finished
-candidates of shorter mask counts may rule it out. Drained, decoding extends
-every live hypothesis in every pass, so a request makes as many masked-LM
-passes as its largest mask count.
+only the hypotheses whose bound clears one floor (see
+:func:`generate_candidates`), and of those it extends only the ones that
+cannot wait: those with the most steps left, which set the pass count, and
+the few nearest to finishing. Any other has a spare pass, in which the
+finished candidates of shorter mask counts may rule it out. Drained,
+decoding extends every live hypothesis in every pass, so a request makes as
+many masked-LM passes as its largest mask count.
 """
 
 from __future__ import annotations
@@ -245,24 +244,25 @@ def generate_candidates(
     reader that reads nothing makes no masked-LM call. A candidate comes out
     once its ``rank_score`` is strictly above the ``bound`` of every live
     hypothesis. Until then a pass reaches every live hypothesis whose bound
-    is at least the floor: the n-th best score among the finished candidates
-    still held, n being ``wanted`` less the candidates already out (at least
-    1), or 0 while fewer than n are finished. It narrows that to the ones
-    whose bound is also at least a guess, if any is. The guess is the 2n-th
-    best of the held scores and the live hypotheses' estimates, an estimate
-    being the ``rank_score`` of the steps filled so far: the score a
-    hypothesis would finish with if its steps left were as probable as its
-    past ones. There is no guess below 2n scores. A guess too high costs
-    passes, never order, since certification still checks every live bound.
-    The constant sets that cost: on the benchmark's multitoken-default
-    workload (seeds 3, 7 and 11) 2n cut masked-LM queries by 18-19% and
-    raised passes by 2.4-2.6%; 1.5n, rounded down, raised passes by
-    8.5-10.2%, and 2.5n kept passes flat but saved only 57% as many
-    queries. Of the reached hypotheses a pass extends the ones with the most
-    decode steps left and the n nearest to finishing, highest bound first;
-    the others have a spare pass and wait. ``wanted`` is how many candidates
-    the reader expects to take; without it every pass extends every live
-    hypothesis. The default ``consume``, ``list``, reads every candidate.
+    is at least the floor: the higher of the n-th best score of the finished
+    candidates still held and the 2n-th best of those scores and the live
+    hypotheses' estimates, each 0 while there are too few, n being
+    ``wanted`` less the candidates already out (at least 1). An estimate is
+    the ``rank_score`` of the steps so far, capped at the hypothesis's bound:
+    what it would finish with if its steps left were as probable as its past
+    ones. Some live bound always reaches the floor: where the 2n-th best is
+    the higher, fewer than n of the 2n best are finished; otherwise the best
+    held candidate is not out yet. A floor too high costs passes, never
+    order, since certification still checks every live bound. The multiple
+    2n sets that cost: on the benchmark's multitoken-default workload (seeds
+    3, 7 and 11) 2n cut masked-LM queries by 18-19% and raised passes by
+    2.4-2.6%; 1.5n, rounded down, raised passes by 8.5-10.2%, and 2.5n kept
+    passes flat but saved only 57% as many queries. Of the reached
+    hypotheses a pass extends the ones with the most decode steps left and
+    the n nearest to finishing, highest bound first; the others have a spare
+    pass and wait. ``wanted`` is how many candidates the reader expects to
+    take; without it every pass extends every live hypothesis. The default
+    ``consume``, ``list``, reads every candidate.
 
     A hypothesis with no prediction is dropped with a ``RuntimeWarning`` that
     names its position, mask count and decode step; one that is never
@@ -285,7 +285,7 @@ def generate_candidates(
 
     # A hypothesis is (origin, job, filled tokens, step probabilities, bound,
     # estimate); origin numbers the step-0 copies, so sorting by it gives job
-    # then fill order, and the estimate is the rank_score of the steps so far.
+    # then fill order. The estimate is min(rank_score so far, bound).
     serial = itertools.count()
     finished: list[tuple[int, Candidate]] = []  # held, best last
     out: list[tuple[int, Candidate]] = []
@@ -317,7 +317,7 @@ def generate_candidates(
                 score = rank_score(grown, avg)
                 if len(grown) < len(order):
                     limit = bound(grown, len(order), avg)
-                    unfinished.append((origin, j, filled, grown, limit, score))
+                    unfinished.append((origin, j, filled, grown, limit, min(score, limit)))
                 else:
                     strings = [filled[p] for p in ctx.mask_positions]
                     text = backend.detokenize(strings)
@@ -338,13 +338,10 @@ def generate_candidates(
                 yield out[-1][1]
                 continue
             n = max(1, wanted - len(out)) if wanted is not None else math.inf
-            floor = finished[-n][1].rank_score if n <= len(finished) else 0.0
+            scores = sorted([h[5] for h in live] + [c.rank_score for _, c in finished])
+            exact = finished[-n][1].rank_score if n <= len(finished) else 0.0
+            floor = max(exact, scores[-2 * n] if 2 * n <= len(scores) else 0.0)
             reached = [h for h in live if h[4] >= floor]
-            if 2 * n <= len(live) + len(finished):
-                scores = sorted([h[5] for h in live] + [c.rank_score for _, c in finished])
-                # a bound may round one unit below its own estimate, so a
-                # guess can clear every bound; then the exact floor decides
-                reached = [h for h in reached if h[4] >= scores[-2 * n]] or reached
             # nearest to finishing and highest bound first; the first n and
             # those with the most steps left cannot wait
             reached.sort(key=lambda h: (left(h), -h[4]))

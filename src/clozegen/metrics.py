@@ -76,7 +76,7 @@ def compute_item(
     dcg = sum(1.0 / math.log2(rank + 1) for rank in matched_ranks)
     ideal_hits = min(len(gold_keys), 10)
     idcg = sum(1.0 / math.log2(rank + 1) for rank in range(1, ideal_hits + 1))
-    ndcg_at_10 = dcg / idcg if idcg else 0.0
+    ndcg_at_10 = dcg / idcg
 
     return EvalItemResult(item_id, p_at_1, f1_at_3, mrr_at_10, ndcg_at_10, matched_ranks)
 

@@ -2,7 +2,7 @@ import json
 
 import pytest
 
-from clozegen.cli import build_parser, config_from_args, main
+from clozegen.cli import MODEL_CACHE_ENV, build_parser, config_from_args, main, make_backend
 from clozegen.generation import GenerationConfig
 
 from tests.test_pipeline import AFTER_FORCE, AFTER_SLAM, CONTEXT, ONE_MASK, SENTENCE, SHUT_V, SLAM_V, TWO_MASK
@@ -648,6 +648,18 @@ def test_flags_are_checked_before_any_backend_loads(cloth_path, tmp_path, capsys
     captured = capsys.readouterr()
     assert captured.err == "error: --preset cloth sets --top-k\n"
     assert captured.out == "" and not out.exists()
+
+
+def test_an_unset_or_empty_model_cache_leaves_the_default_cache(monkeypatch):
+    def hf_class(model_id, cache_dir):
+        return model_id, cache_dir
+
+    monkeypatch.delenv(MODEL_CACHE_ENV, raising=False)
+    assert make_backend("org/model", "--mlm", None, hf_class) == ("org/model", None)
+    monkeypatch.setenv(MODEL_CACHE_ENV, "")
+    assert make_backend("org/model", "--mlm", None, hf_class) == ("org/model", None)
+    monkeypatch.setenv(MODEL_CACHE_ENV, "models")
+    assert make_backend("org/model", "--mlm", None, hf_class) == ("org/model", "models")
 
 
 def test_default_flags_match_reported_best_configuration():

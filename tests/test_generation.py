@@ -652,7 +652,7 @@ def _tie_jobs():
     return MockMaskedLM(table=table), [(one, [0]), (two, [0, 1])]
 
 
-def _pulled(mlm, jobs, width, wanted):
+def _pulled(mlm, jobs, width, wanted, avg="geometric"):
     """The texts in the order ``generate_candidates`` hands them over, read
     with ``wanted`` candidates wanted, and the candidates it returns."""
     texts = []
@@ -660,7 +660,7 @@ def _pulled(mlm, jobs, width, wanted):
     def consume(candidates):
         texts.extend(c.text for c in candidates)
 
-    return texts, generate_candidates(mlm, jobs, width, "geometric", consume, wanted)
+    return texts, generate_candidates(mlm, jobs, width, avg, consume, wanted)
 
 
 def test_a_live_bound_equal_to_a_finished_score_blocks_it():
@@ -688,24 +688,63 @@ def test_pulled_candidates_come_out_in_rank_order_and_drain_to_the_full_list():
             ctx = build_masked_context(["l", "ans", "r"], (1, 2), mask_count, "[MASK]", 512)
             jobs.append((ctx, decode_order(rnd.choice(STRATEGIES), mask_count)))
         width = rnd.randint(1, 6)
-        drained = generate_candidates(mlm, jobs, width, "geometric")
-        ranked = sorted(drained, key=_rank)
-        for wanted in (None, 1, 2, 3, 5):
-            texts, returned = _pulled(mlm, jobs, width, wanted)
-            assert returned == drained
-            assert texts == [c.text for c in ranked]
-            # a reader that stops after j candidates gets the j best, and the
-            # call returns just those, jobs in input order
-            for j in range(len(ranked) + 1):
-                taken = []
-                returned = generate_candidates(
-                    mlm, jobs, width, "geometric",
-                    lambda candidates: taken.extend(itertools.islice(candidates, j)), wanted,
-                )
-                assert taken == ranked[:j]
-                assert sorted(returned, key=_rank) == taken
-                rest = iter(drained)
-                assert all(any(c == d for d in rest) for c in returned)
+        for avg in AVERAGES:
+            drained = generate_candidates(mlm, jobs, width, avg)
+            ranked = sorted(drained, key=_rank)
+            for wanted in (None, 1, 2, 3, 5):
+                texts, returned = _pulled(mlm, jobs, width, wanted, avg)
+                assert returned == drained
+                assert texts == [c.text for c in ranked]
+                # a reader that stops after j candidates gets the j best, and
+                # the call returns just those, jobs in input order
+                for j in range(len(ranked) + 1):
+                    taken = []
+                    returned = generate_candidates(
+                        mlm, jobs, width, avg,
+                        lambda candidates: taken.extend(itertools.islice(candidates, j)),
+                        wanted,
+                    )
+                    assert taken == ranked[:j]
+                    assert sorted(returned, key=_rank) == taken
+                    rest = iter(drained)
+                    assert all(any(c == d for d in rest) for c in returned)
+
+
+class _NearOneMLM(MockMaskedLM):
+    """Fills "x0", "x1", ... each at a probability drawn from ``NEAR_ONE``,
+    1.0 and uniform(0.3, 1.0), seeded by the salted query, so a query's reply
+    does not depend on when it is sent."""
+
+    def fill_mask(self, tokens, mask_position, top_k):
+        rnd = random.Random(f"{self.salt} {mask_position} {' '.join(tokens)}")
+        probs = [rnd.choice([*NEAR_ONE, 1.0, rnd.uniform(0.3, 1.0)]) for _ in range(top_k)]
+        return [TokenPrediction(f"x{i}", p) for i, p in enumerate(sorted(probs, reverse=True))]
+
+
+def test_near_one_tables_keep_rank_order_and_send_no_empty_or_extra_batch():
+    # near 1.0 a running score can round above its bound, where the floor
+    # uses the bound instead
+    rnd = random.Random(47)
+    for _ in range(200):
+        mlm = _NearOneMLM(salt=rnd.randint(0, 999))
+        jobs = []
+        for mask_count in sorted(rnd.sample(range(1, 10), rnd.randint(1, 3))):
+            ctx = build_masked_context(["l", "ans", "r"], (1, 2), mask_count, "[MASK]", 512)
+            jobs.append((ctx, decode_order(rnd.choice(STRATEGIES), mask_count)))
+        width, avg, wanted = rnd.randint(1, 4), rnd.choice(AVERAGES), rnd.randint(1, 5)
+        drained = CountingMLM(mlm)
+        got = generate_candidates(drained, jobs, width, avg)
+        ranked = [c.text for c in sorted(got, key=_rank)]
+        for j in range(len(ranked) + 1):
+            lazy, taken = CountingMLM(mlm), []
+            generate_candidates(
+                lazy, jobs, width, avg,
+                lambda candidates: taken.extend(c.text for c in itertools.islice(candidates, j)),
+                wanted,
+            )
+            assert taken == ranked[:j]
+            assert all(size >= 1 for size, _ in lazy.batches)
+            assert len(lazy.calls) <= len(drained.calls)
 
 
 def _rank(c):
@@ -824,7 +863,8 @@ def test_a_pass_no_bound_reaches_with_the_guess_falls_back_to_the_exact_floor():
     )
     assert [c.text for c in first] == ["r r r r r r r r"]
     # after six steps the padded harmonic mean of "r" and "s" rounds one unit
-    # below their running score, which is the guess, so no bound reaches it
+    # below their running score; capped at that bound, their running score
+    # is the guess, so the guess reaches them
     run = [1.0] + [near] * 5
     assert bound(run, 8, "harmonic") < rank_score(run, "harmonic")
     # every pass, that one too, reaches what the exact floor ("g"'s 0.5)
