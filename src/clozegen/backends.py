@@ -153,11 +153,12 @@ class NliClassifier(ABC):
 def fill_masks(
     backend: MaskedLanguageModel, queries: list[tuple[list[str], int]], top_k: int
 ) -> list[list[TokenPrediction]]:
-    """One ``fill_mask_batch`` call over ``queries`` (none when empty); a reply
-    that is not a list holding, per query, a list of ``TokenPrediction`` with a
-    ``str`` token and a ``float`` probability in (0, 1] is a ``BackendError``."""
+    """One ``fill_mask_batch`` call over ``queries``; an empty ``queries`` is a
+    ``ContractViolation``, and a reply that is not a list holding, per query, a
+    list of ``TokenPrediction`` with a ``str`` token and a ``float``
+    probability in (0, 1] is a ``BackendError``."""
     if not queries:
-        return []
+        raise ContractViolation("fill_masks needs at least one query")
     replies = backend.fill_mask_batch(queries, top_k)
     if not isinstance(replies, list) or len(replies) != len(queries) or not all(
         isinstance(preds, list)

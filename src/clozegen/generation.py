@@ -14,14 +14,11 @@ fill per hypothesis it extends. Decoding is exact best-first: no finished
 candidate can score above a hypothesis's ``bound``, so a finished candidate
 scoring strictly above every live bound is certain of its rank and comes
 out of one iterator, best first; a reader that stops early leaves the
-hypotheses it never needed unfinished. While a reader waits, a pass reaches
-only the hypotheses whose bound clears one floor (see
-:func:`generate_candidates`), and of those it extends only the ones that
-cannot wait: those with the most steps left, which set the pass count, and
-the few nearest to finishing. Any other has a spare pass, in which the
-finished candidates of shorter mask counts may rule it out. Drained,
-decoding extends every live hypothesis in every pass, so a request makes as
-many masked-LM passes as its largest mask count.
+hypotheses it never needed unfinished. Each pass extends every live
+hypothesis whose bound reaches one floor, stated in
+:func:`generate_candidates`. Drained, that floor is 0, so every pass
+extends every live hypothesis and a request makes as many masked-LM passes
+as its largest mask count.
 """
 
 from __future__ import annotations
@@ -232,37 +229,40 @@ def generate_candidates(
 ) -> list[Candidate]:
     """Branch-then-greedy decoding of several masked contexts, on demand.
 
-    Each job is a masked context with its decode order. Step 0 fills the
-    first position of every job's order in one ``fill_masks`` call and copies
-    the job once per fill of its ``branch_width`` best. Every later pass is
-    one ``fill_masks(top_k=1)`` call that commits the top fill at the next
-    position of some live hypotheses, queried on their partially filled
-    tokens, so later steps condition on earlier commitments.
+    Each job is a masked context with its decode order; an empty ``jobs`` is
+    a ``ContractViolation``. Step 0 fills the first position of every job's
+    order in one ``fill_masks`` call and copies the job once per fill of its
+    ``branch_width`` best. Every later pass is one ``fill_masks(top_k=1)``
+    call that commits the top fill at the next position of some live
+    hypotheses, queried on their partially filled tokens, so later steps
+    condition on earlier commitments.
 
     ``consume`` is called once with an iterator of the candidates, best
     first, in ``rank_candidates``' order. Step 0 runs on its first read, so a
     reader that reads nothing makes no masked-LM call. A candidate comes out
     once its ``rank_score`` is strictly above the ``bound`` of every live
-    hypothesis. Until then a pass reaches every live hypothesis whose bound
-    is at least the floor: the higher of the n-th best score of the finished
-    candidates still held and the 2n-th best of those scores and the live
-    hypotheses' estimates, each 0 while there are too few, n being
-    ``wanted`` less the candidates already out (at least 1). An estimate is
-    the ``rank_score`` of the steps so far, capped at the hypothesis's bound:
-    what it would finish with if its steps left were as probable as its past
-    ones. Some live bound always reaches the floor: where the 2n-th best is
-    the higher, fewer than n of the 2n best are finished; otherwise the best
-    held candidate is not out yet. A floor too high costs passes, never
-    order, since certification still checks every live bound. The multiple
-    2n sets that cost: on the benchmark's multitoken-default workload (seeds
-    3, 7 and 11) 2n cut masked-LM queries by 18-19% and raised passes by
-    2.4-2.6%; 1.5n, rounded down, raised passes by 8.5-10.2%, and 2.5n kept
-    passes flat but saved only 57% as many queries. Of the reached
-    hypotheses a pass extends the ones with the most decode steps left and
-    the n nearest to finishing, highest bound first; the others have a spare
-    pass and wait. ``wanted`` is how many candidates the reader expects to
-    take; without it every pass extends every live hypothesis. The default
-    ``consume``, ``list``, reads every candidate.
+    hypothesis. Until then each pass extends every live hypothesis whose
+    bound is at least the floor: the higher of the n-th best score of the
+    finished candidates still held and the 2n-th best of those scores and the
+    live hypotheses' estimates, each 0 while there are too few. n is
+    ``wanted``, how many candidates the reader expects to take, less the
+    candidates already out (at least 1); without ``wanted`` the floor is 0
+    and every pass extends every live hypothesis. An estimate is the
+    ``rank_score`` a hypothesis would finish with if every step it has left
+    were as probable as its job's top first fill, capped at its bound. Some
+    live bound always reaches the floor: where the 2n-th best is the higher,
+    fewer than n of the 2n best are finished; otherwise the best held
+    candidate is not out yet. So no pass is an empty batch, which
+    ``fill_masks`` rejects. A floor too high costs passes, never order, since
+    certification still checks every live bound. On the benchmark's
+    multitoken-default workload (seeds 7, 11 and 17) a request sends
+    52.5-53.5 masked-LM queries in 4.09-4.11 passes. Each half of the rule
+    alone costs more there: estimating from the steps so far alone, which
+    scores a branched hypothesis by a first fill below its job's top one,
+    sends 59.2-60.1 queries; extending only the reached hypotheses that
+    cannot wait a pass (the n nearest to finishing and those with the most
+    steps left) takes 4.88-4.96 passes. The default ``consume``, ``list``,
+    reads every candidate.
 
     A hypothesis with no prediction is dropped with a ``RuntimeWarning`` that
     names its position, mask count and decode step; one that is never
@@ -273,6 +273,8 @@ def generate_candidates(
     """
     avg = canonical_name(avg, AVERAGES, "average")
     jobs = list(jobs)
+    if not jobs:
+        raise ContractViolation("jobs must be nonempty")
     for ctx, order in jobs:
         slots = len(ctx.mask_positions)
         if sorted(order) != list(range(slots)):
@@ -285,8 +287,10 @@ def generate_candidates(
 
     # A hypothesis is (origin, job, filled tokens, step probabilities, bound,
     # estimate); origin numbers the step-0 copies, so sorting by it gives job
-    # then fill order. The estimate is min(rank_score so far, bound).
+    # then fill order. The estimate is min(rank_score of the steps so far and
+    # the job's top step-0 probability for each step left, bound).
     serial = itertools.count()
+    top: dict[int, float] = {}  # each job's top step-0 probability
     finished: list[tuple[int, Candidate]] = []  # held, best last
     out: list[tuple[int, Candidate]] = []
 
@@ -314,20 +318,19 @@ def generate_candidates(
                 filled[position] = pred.token
                 grown = probs + [pred.probability]
                 origin = origin if probs else next(serial)
-                score = rank_score(grown, avg)
-                if len(grown) < len(order):
+                top.setdefault(j, pred.probability)  # step 0's first fill is its top one
+                steps_left = len(order) - len(grown)
+                if steps_left:
                     limit = bound(grown, len(order), avg)
-                    unfinished.append((origin, j, filled, grown, limit, min(score, limit)))
+                    guess = rank_score(grown + [top[j]] * steps_left, avg)
+                    unfinished.append((origin, j, filled, grown, limit, min(guess, limit)))
                 else:
                     strings = [filled[p] for p in ctx.mask_positions]
                     text = backend.detokenize(strings)
+                    score = rank_score(grown, avg)
                     finished.append((origin, Candidate(strings, text, grown, score)))
         finished.sort(key=lambda held: (_rank_key(held[1]), held[0]), reverse=True)
         return unfinished
-
-    def left(hypothesis):
-        """Decode steps the hypothesis has still to fill."""
-        return len(jobs[hypothesis[1]][1]) - len(hypothesis[3])
 
     def best_first():
         unfilled = [(None, j, ctx.tokens, [], None, None) for j, (ctx, _) in enumerate(jobs)]
@@ -341,14 +344,8 @@ def generate_candidates(
             scores = sorted([h[5] for h in live] + [c.rank_score for _, c in finished])
             exact = finished[-n][1].rank_score if n <= len(finished) else 0.0
             floor = max(exact, scores[-2 * n] if 2 * n <= len(scores) else 0.0)
-            reached = [h for h in live if h[4] >= floor]
-            # nearest to finishing and highest bound first; the first n and
-            # those with the most steps left cannot wait
-            reached.sort(key=lambda h: (left(h), -h[4]))
-            due = {h[0] for i, h in enumerate(reached) if i < n or left(h) == left(reached[-1])}
             live = sorted(
-                [h for h in live if h[0] not in due]
-                + extend([h for h in live if h[0] in due], 1),
+                [h for h in live if h[4] < floor] + extend([h for h in live if h[4] >= floor], 1),
                 key=lambda h: h[0],
             )
 

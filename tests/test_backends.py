@@ -12,11 +12,12 @@ from clozegen.backends import (
     MockMaskedLM,
     MockNliClassifier,
     TokenPrediction,
+    fill_masks,
     sort_predictions,
 )
 from clozegen.errors import ContractViolation, ParseError, SequenceLengthError
 
-from tests.conftest import table_entry
+from tests.conftest import CountingMLM, table_entry
 
 
 def test_sort_predictions_probability_then_lexicographic():
@@ -212,6 +213,13 @@ def test_classify_nli_batch_default_equals_per_pair_classify_nli():
     pairs = [(a, b) for a in texts for b in texts]
     assert nli.classify_nli_batch(pairs) == [nli.classify_nli(a, b) for a, b in pairs]
     assert nli.classify_nli_batch([]) == []
+
+
+def test_fill_masks_rejects_an_empty_batch_without_a_model_call():
+    mlm = CountingMLM(MockMaskedLM(vocabulary=["a"]))
+    with pytest.raises(ContractViolation):
+        fill_masks(mlm, [], 1)
+    assert mlm.batches == []
 
 
 def test_classify_nli_batch_empty_text_raises_like_classify_nli():

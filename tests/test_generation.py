@@ -440,6 +440,14 @@ def test_generate_validates_order_and_width():
         generate_candidates(mlm, [(ctx, [0])], branch_width=0, avg="geometric")
 
 
+def test_generate_rejects_empty_jobs_before_any_model_call():
+    mlm = CountingMLM(MockMaskedLM(vocabulary=["a"]))
+    for consume in (list, lambda candidates: None):
+        with pytest.raises(ContractViolation):
+            generate_candidates(mlm, [], 2, "geometric", consume, 1)
+    assert mlm.batches == []
+
+
 def test_generate_scores_each_candidate_under_avg():
     mlm = MockMaskedLM(vocabulary=["u", "v", "w"], fallback="seeded", salt=3)
     ctx = build_masked_context(["p", "q", "r", "s"], (1, 3), 3, "[MASK]", 512)
@@ -831,30 +839,42 @@ def _scripted_first(branch, later, avg="geometric"):
     return first, [{next(calls)[0].split()[1] for _ in range(size)} for size, _ in mlm.batches]
 
 
-def test_a_hypothesis_with_a_spare_pass_waits_until_a_finished_candidate_rules_it_out():
+def test_a_pass_extends_every_hypothesis_whose_bound_reaches_the_floor():
     first, passes = _scripted_first(
         {2: [("p", 0.9), ("q", 0.3)], 3: [("r", 0.93), ("s", 0.4)], 4: [("t", 0.99), ("u", 0.7)]},
         {"p": 0.9, "q": 0.9, "r": 0.93, "s": 0.9, "t": 0.99, "u": 0.95},
     )
     assert [c.text for c in first] == ["t t t t"]
-    assert passes == [{"[MASK]"}, {"p", "t"}, {"r", "t"}, {"r", "t"}]
-    # the first pass guessed the floor at the second best running score,
-    # "r"'s 0.93: "u" is of the longest count, but its running score 0.7
-    # leaves its bound below that guess, so it is never extended past the
-    # branch, though its bound clears the exact floor in every pass (0, then
-    # "p p"'s 0.9), where extending the most steps left would extend it
-    assert bound([0.93], 3, "geometric") >= 0.93 > bound([0.7], 4, "geometric") > 0.9
-    # "r" reached the guess but had a spare pass, and waited in the first
-    # pass, which finished "p p" at 0.9; that is above the bound of "s"
-    # (0.4 ** (1/3)), so "s" is never queried
-    assert not any("s" in extended for extended in passes)
-    assert bound([0.4], 3, "geometric") < 0.9
-    # as many passes as extending every reached hypothesis takes: one per step
-    # of the count-4 job
+    assert passes == [{"[MASK]"}, {"p", "r", "t"}, {"r", "t"}, {"t"}]
+    # the first pass guessed the floor at the second best estimate, "r"'s
+    # 0.93, and extended every hypothesis whose bound reaches it: "p", "r"
+    # and "t", of three mask counts, with no regard to the steps they have left
+    assert min(bound([0.9], 2, "geometric"), bound([0.93], 3, "geometric")) >= 0.93
+    # "u" is of the longest count, but its bound is below the floor in every
+    # pass (the guess, then "r r r"'s 0.93), though it clears the exact floor
+    # of the second pass, "p p"'s 0.9; "s"'s bound clears neither
+    assert 0.93 > bound([0.7], 4, "geometric") > 0.9 > bound([0.4], 3, "geometric")
+    assert not any({"s", "u"} & extended for extended in passes)
+    # one pass per step of the count-4 job
     assert len(passes) == 4
 
 
-def test_a_pass_no_bound_reaches_with_the_guess_falls_back_to_the_exact_floor():
+def test_a_branched_hypothesis_is_guessed_at_its_jobs_top_first_fill():
+    first, passes = _scripted_first(
+        {3: [("r", 0.8), ("s", 0.1)], 4: [("t", 0.99), ("u", 0.9)]},
+        {"r": 0.9, "s": 0.9, "t": 0.99, "u": 0.99},
+    )
+    assert [c.text for c in first] == ["t t t t"]
+    assert passes == [{"[MASK]"}] + [{"t", "u"}] * 3
+    # "u"'s estimate pads its three steps left with "t"'s 0.99, the top first
+    # fill of its job, and is the second best, so it is the first guess; that
+    # is above the bound of "r", which is never extended, where a guess from
+    # "u"'s running score, 0.9, would have reached "r"
+    guess = rank_score([0.9, 0.99, 0.99, 0.99], "geometric")
+    assert bound([0.9], 4, "geometric") >= guess > bound([0.8], 3, "geometric") > 0.9
+
+
+def test_a_running_score_above_its_bound_does_not_lift_the_floor():
     near = 1.0 - 2 * 2.0**-53
     first, passes = _scripted_first(
         {1: [("g", 0.5), ("h", 0.1)], 2: [("p", 0.3), ("q", 0.2)], 8: [("r", 1.0), ("s", 1.0)]},
@@ -862,12 +882,14 @@ def test_a_pass_no_bound_reaches_with_the_guess_falls_back_to_the_exact_floor():
         "harmonic",
     )
     assert [c.text for c in first] == ["r r r r r r r r"]
-    # after six steps the padded harmonic mean of "r" and "s" rounds one unit
-    # below their running score; capped at that bound, their running score
-    # is the guess, so the guess reaches them
+    # after six steps the running score of "r" and "s" rounds one unit above
+    # their bound. Their job's top first fill is 1.0, so their estimate pads
+    # their steps left as the bound does and is no higher: the guess reaches them
     run = [1.0] + [near] * 5
-    assert bound(run, 8, "harmonic") < rank_score(run, "harmonic")
+    estimate = rank_score(run + [1.0] * 2, "harmonic")
+    assert rank_score(run, "harmonic") > bound(run, 8, "harmonic") >= estimate
     # every pass, that one too, reaches what the exact floor ("g"'s 0.5)
-    # reaches: "r" and "s", not "p" or "q", which are nearer to finishing
-    # and would be extended first
+    # reaches: "r" and "s", not "p" or "q", whose bounds are below it from
+    # the branch on
+    assert bound([0.3], 2, "harmonic") < 0.5
     assert passes == [{"[MASK]"}] + [{"r", "s"}] * 7
