@@ -49,9 +49,7 @@ class BackendInfo(FrozenRecord):
         check_count("max_sequence_length", max_sequence_length, 1)
         if not isinstance(mask_token, str) or not mask_token:
             raise ContractViolation("mask_token must be a nonempty string")
-        object.__setattr__(self, "name", name)
-        object.__setattr__(self, "max_sequence_length", max_sequence_length)
-        object.__setattr__(self, "mask_token", mask_token)
+        super().__init__(name, max_sequence_length, mask_token)
 
 
 def fingerprint(tokens: Sequence[str]) -> str:

@@ -23,7 +23,7 @@ from typing import Iterator
 from .backends import MaskedLanguageModel, fill_masks
 from .errors import (
     BackendError, ConfigError, ContractViolation, FrozenRecord, ParseError, ResolveError,
-    SpanError, check_span, read_field, read_json, read_json_lines,
+    SpanError, check_count, check_span, read_field, read_json, read_json_lines,
 )
 from .generation import build_masked_context, map_char_span
 
@@ -71,9 +71,7 @@ class ContextAnswerPair(FrozenRecord):
         start, end = check_span(answer_span, len(context), f"context of pair {id!r}")
         if context[start:end].isspace():
             raise SpanError(f"span ({start}, {end}) of pair {id!r} holds no text")
-        object.__setattr__(self, "id", id)
-        object.__setattr__(self, "context", context)
-        object.__setattr__(self, "answer_span", answer_span)
+        super().__init__(id, context, answer_span)
 
 
 class PreparedContext(FrozenRecord):
@@ -282,10 +280,8 @@ def prepare_context(
     if prefill_mode not in PREFILL_MODES:
         raise ContractViolation(f"unknown prefill_mode {prefill_mode!r}")
     blanks = passage.blank_spans()
-    if not 0 <= question_index < len(blanks):
-        raise ContractViolation(
-            f"question_index {question_index} outside 0..{len(blanks) - 1}"
-        )
+    if check_count("question_index", question_index, 0) >= len(blanks):
+        raise ContractViolation(f"question_index {question_index} outside 0..{len(blanks) - 1}")
     if prefill_mode == PREFILL_MODEL and mlm_backend is None:
         raise ConfigError("prefill_mode 'model' requires an MLM backend")
 
@@ -334,6 +330,6 @@ def fill_target(prepared: PreparedContext, answer_text: str) -> tuple[str, tuple
     """
     if not answer_text:
         raise ContractViolation("answer_text must be nonempty")
-    start, end = prepared.answer_span
+    start, end = check_span(prepared.answer_span, len(prepared.context), "prepared context")
     context = prepared.context[:start] + answer_text + prepared.context[end:]
     return context, (start, start + len(answer_text))

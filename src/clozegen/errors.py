@@ -43,9 +43,10 @@ class FrozenRecord:
 
     The shared ``__init__`` binds positional values to the fields in order,
     then keywords to the rest; a record that checks, converts or defaults a
-    field writes its own. A record equals one of the same type whose fields
-    are equal, hashes by them (so one holding a list is unhashable), reprs
-    as ``Name(field=value, ...)`` and cannot be assigned to.
+    field does so first and passes the results on to it. A record equals one
+    of the same type whose fields are equal, hashes by them (so one holding a
+    list is unhashable), reprs as ``Name(field=value, ...)`` and cannot be
+    assigned to.
     """
 
     __slots__ = ()

@@ -61,13 +61,15 @@ class GenerationConfig(FrozenRecord):
         avg: str = GEOMETRIC,
         seed: int = 0,
     ):
-        object.__setattr__(self, "n_mask", check_count("n_mask", n_mask, 0))
-        object.__setattr__(self, "dispersion", check_count("dispersion", dispersion, 0))
-        object.__setattr__(self, "k", check_count("k", k, 1))
-        object.__setattr__(self, "m_s", m_s if m_s is None else check_count("m_s", m_s, 1))
-        object.__setattr__(self, "strategy", canonical_name(strategy, STRATEGIES, "strategy"))
-        object.__setattr__(self, "avg", canonical_name(avg, AVERAGES, "average"))
-        object.__setattr__(self, "seed", check_count("seed", seed, 0))
+        super().__init__(
+            check_count("n_mask", n_mask, 0),
+            check_count("dispersion", dispersion, 0),
+            check_count("k", k, 1),
+            m_s if m_s is None else check_count("m_s", m_s, 1),
+            canonical_name(strategy, STRATEGIES, "strategy"),
+            canonical_name(avg, AVERAGES, "average"),
+            check_count("seed", seed, 0),
+        )
 
 
 def canonical_name(name: str, allowed: tuple[str, ...], what: str) -> str:
@@ -94,8 +96,7 @@ class MaskedContext(FrozenRecord):
             raise ContractViolation("mask_positions outside token sequence")
         if len({tokens[p] for p in run}) != 1:
             raise ContractViolation("all mask positions must hold the same mask token")
-        object.__setattr__(self, "tokens", tokens)
-        object.__setattr__(self, "mask_positions", mask_positions)
+        super().__init__(tokens, mask_positions)
 
 
 class Candidate(FrozenRecord):
@@ -143,7 +144,7 @@ def map_char_span(
     offsets (byte-level pieces of one character), the span runs from the
     first of them to the last.
     """
-    start, end = answer_span
+    start, end = check_span(answer_span, len(context), "context")
     offsets = backend.tokenize_with_offsets(context)
     if offsets is not None:
         token_start = token_end = None
@@ -180,6 +181,7 @@ def build_masked_context(
     """
     start, end = check_span(answer_span, len(context_tokens), f"{len(context_tokens)} tokens")
     check_count("mask_count", mask_count, 1)
+    check_count("max_length", max_length, 1)
     left, right = start, len(context_tokens) - end  # tokens kept on each side
     if left + mask_count + right > max_length:
         if mask_count > max_length:
@@ -254,15 +256,9 @@ def generate_candidates(
     fewer than n of the 2n best are finished; otherwise the best held
     candidate is not out yet. So no pass is an empty batch, which
     ``fill_masks`` rejects. A floor too high costs passes, never order, since
-    certification still checks every live bound. On the benchmark's
-    multitoken-default workload (seeds 7, 11 and 17) a request sends
-    52.5-53.5 masked-LM queries in 4.09-4.11 passes. Each half of the rule
-    alone costs more there: estimating from the steps so far alone, which
-    scores a branched hypothesis by a first fill below its job's top one,
-    sends 59.2-60.1 queries; extending only the reached hypotheses that
-    cannot wait a pass (the n nearest to finishing and those with the most
-    steps left) takes 4.88-4.96 passes. The default ``consume``, ``list``,
-    reads every candidate.
+    certification still checks every live bound. What this rule and earlier
+    ones cost on the benchmark is in ROADMAP item 13 and ``BENCH_39.json``.
+    The default ``consume``, ``list``, reads every candidate.
 
     A hypothesis with no prediction is dropped with a ``RuntimeWarning`` that
     names its position, mask count and decode step; one that is never

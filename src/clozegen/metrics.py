@@ -44,7 +44,11 @@ def compute_item(
     the top three, MRR@10 rewards the first hit's rank, and NDCG@10 sums
     discounted gains 1/log2(rank+1) against the ideal placement of the
     gold set. Duplicate generated strings count once, at their first rank.
+    A bare ``str`` for either list is a ContractViolation.
     """
+    for name, texts in (("generated", generated), ("gold", gold)):
+        if isinstance(texts, str):
+            raise ContractViolation(f"{name} must be a sequence of texts, not a str")
     if not gold:
         raise ContractViolation("gold distractor set must be nonempty")
     gold_keys = {normalize_text(g) for g in gold}

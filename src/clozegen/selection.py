@@ -84,10 +84,7 @@ class DistractorSet(FrozenRecord):
         trace: list[TraceEntry] | None = None,
         underfilled: bool = False,
     ):
-        object.__setattr__(self, "distractors", distractors)
-        object.__setattr__(self, "answer", answer)
-        object.__setattr__(self, "trace", [] if trace is None else trace)
-        object.__setattr__(self, "underfilled", underfilled)
+        super().__init__(distractors, answer, [] if trace is None else trace, underfilled)
 
 
 def select_distractors(
@@ -101,15 +98,18 @@ def select_distractors(
 
     ``context`` is the comparison sentence and the answer is its text at
     ``answer_span``. Candidate texts arrive ranked best-first from any
-    iterable; one whose ``normalize_text`` form is blank, the answer's or an
-    earlier text's is skipped as it is read, and one that is not a ``str``
-    is a ``ContractViolation``. A text is read only when the scan is certain
-    to reach it, so texts no wave reaches are never read and an iterator
-    sends the same batches as a list of its texts. The trace lists
-    answer-entailment removals first, then pairwise ones, each in rank order.
+    iterable but a ``str``; one whose ``normalize_text`` form is blank, the
+    answer's or an earlier text's is skipped as it is read, and one that is
+    not a ``str`` is a ``ContractViolation``. A text is read only when the
+    scan is certain to reach it, so texts no wave reaches are never read and
+    an iterator sends the same batches as a list of its texts. The trace
+    lists answer-entailment removals first, then pairwise ones, each in rank
+    order.
     """
     check_count("k", k, 1)
     start, end = check_span(answer_span, len(context), "comparison text")
+    if isinstance(candidates, str):
+        raise ContractViolation("candidates must be an iterable of texts, not a str")
     texts, sentences = [context[start:end]], [context]
     taken = {normalize_text(texts[0]), ""}
     unread = iter(candidates)

@@ -382,6 +382,22 @@ def test_unmappable_label_raises_backend_error(checkpoints):
         HuggingFaceNli("raw-nli")
 
 
+def test_nli_pair_tokenizer_failure_is_backend_error(checkpoints):
+    class BrokenPairs(FakeTokenizer):
+        def __call__(self, text, text_pair=None, **kwargs):
+            if text_pair is not None:
+                raise RuntimeError("pair encoding crashed")
+            return super().__call__(text, text_pair, **kwargs)
+
+    checkpoints["broken-pairs"] = (BrokenPairs(), FakeNli())
+    nli = HuggingFaceNli("broken-pairs")
+    with pytest.raises(BackendError) as raised:
+        nli.classify_nli_batch([("the cat", "a dog")])
+    assert str(raised.value) == "NLI tokenization failed: pair encoding crashed"
+    assert isinstance(raised.value.__cause__, RuntimeError)
+    assert checkpoints["broken-pairs"][1].calls == 0
+
+
 def test_offsets_tokenizer_failure_is_backend_error(checkpoints):
     class BrokenTokenizer(FakeTokenizer):
         def __call__(self, text, text_pair=None, **kwargs):

@@ -83,6 +83,17 @@ def test_compute_item_requires_gold():
         compute_item(["x"], [])
 
 
+def test_compute_item_rejects_a_bare_str_for_generated():
+    # iterated, "abc" would rank "a" first and score a hit against gold "a"
+    with pytest.raises(ContractViolation, match="generated must be a sequence of texts"):
+        compute_item("abc", ["a", "x"])
+
+
+def test_compute_item_rejects_a_bare_str_for_gold():
+    with pytest.raises(ContractViolation, match="gold must be a sequence of texts"):
+        compute_item(["a"], "abc")
+
+
 def test_metric_bounds_and_mrr_dominates_p1():
     rnd = random.Random(17)
     pool = [f"w{i}" for i in range(12)]

@@ -24,7 +24,8 @@ from clozegen.backends import (
     NliClassifier,
 )
 from clozegen.data import (
-    ClozePassage, ClozeQuestion, ContextAnswerPair, extract_sentence, prepare_context, trim_span,
+    ClozePassage, ClozeQuestion, ContextAnswerPair, PreparedContext, extract_sentence, fill_target,
+    prepare_context, trim_span,
 )
 from clozegen.errors import ContractViolation, SpanError
 from clozegen.cli import run_evaluate
@@ -347,6 +348,19 @@ COUNT_SITES = {
     "build_masked_context": (
         lambda n: build_masked_context(["a", "b"], (0, 1), n, "[MASK]", 8), "mask_count", 1
     ),
+    "build_masked_context-max_length": (
+        lambda n: build_masked_context(["a", "b"], (0, 1), 1, "[MASK]", n), "max_length", 1
+    ),
+    "prepare_context-question_index": (
+        lambda n: prepare_context(
+            ClozePassage("p", "the _ sat on _ mat.", [ClozeQuestion("a", ["b"])] * 2),
+            n,
+            "passage",
+            "none",
+        ),
+        "question_index",
+        0,
+    ),
     "decode_order": (lambda n: decode_order("l2r", n), "mask_count", 1),
     "generate_candidates": (
         lambda n: generate_candidates(
@@ -412,6 +426,8 @@ SPAN_SITES = {
     "build_masked_context": (
         lambda span: build_masked_context(["a", "b", "c"], span, 1, "[MASK]", 8), (1, 2)
     ),
+    "fill_target": (lambda span: fill_target(PreparedContext(CONTEXT, span), "shut"), ANSWER_SPAN),
+    "map_char_span": (lambda span: map_char_span(MockMaskedLM(), CONTEXT, span), ANSWER_SPAN),
 }
 
 
@@ -427,6 +443,22 @@ def test_every_span_bound_is_an_integer(site, bound):
     with pytest.raises(SpanError) as raised:
         call(span)
     assert str(raised.value) == f"span bounds must be integers, not {span!r}"
+
+
+@pytest.mark.parametrize(
+    "call, span, what",
+    [
+        (lambda span: fill_target(PreparedContext("abc", span), "x"), (5, 9), "prepared context"),
+        (lambda span: fill_target(PreparedContext("abc", span), "x"), (2, 1), "prepared context"),
+        (lambda span: map_char_span(MockMaskedLM(), "open the door", span), (5, 99), "context"),
+    ],
+    ids=["fill_target-past-the-end", "fill_target-backwards", "map_char_span-past-the-end"],
+)
+def test_fill_target_and_map_char_span_reject_a_span_outside_their_text(call, span, what):
+    # unchecked, these splice past the end, splice backwards and map onto a truncated span
+    with pytest.raises(SpanError) as raised:
+        call(span)
+    assert str(raised.value) == f"span {span} outside {what}"
 
 
 def test_resolve_search_multiplier_defaults():

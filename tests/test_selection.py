@@ -303,6 +303,12 @@ def test_selection_reads_every_text_and_rejects_a_non_str_one():
             select_distractors(nli, context, ["shut", "closed", bad, "locked"], 2, (13, 17))
 
 
+def test_selection_rejects_a_bare_str_for_its_candidates():
+    # iterated, "closed" would offer the letters "c", "l" and "o" as distractors
+    with pytest.raises(ContractViolation, match="candidates must be an iterable of texts"):
+        select_distractors(MockNliClassifier(), "The door was open all day.", "closed", 3, (13, 17))
+
+
 def test_selection_and_audit_substitute_at_the_given_span():
     # the answer text also occurs earlier in the sentence: only the span says which
     context = "We open the door, then open the gate."
